@@ -18,7 +18,6 @@ from .facts import ConfirmedFacts, PatternFacts
 from .interpreter import EnvSets, EnvValuation, Trace, concrete_execute, enumerate_edges, run_block
 from .lifter import (
     TACBlock,
-    TACFunction,
     TACProgram,
     TACStatement,
     lift,
@@ -58,7 +57,6 @@ __all__ = [
     "Scheme",
     "SchemeConfig",
     "TACBlock",
-    "TACFunction",
     "TACProgram",
     "TACStatement",
     "Terminator",

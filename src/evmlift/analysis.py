@@ -56,6 +56,16 @@ class AnalysisResult:
         return frozenset((b, b2) for _c, b, _c2, b2 in self.global_block_edge)
 
 
+def per_block(store: dict[PairKey, Env]) -> dict[int, Env]:
+    """Project a per-(context, block) store onto blocks, merging contexts slot-wise."""
+    merged: dict[int, Env] = {}
+    for (_ctx, bid), env in store.items():
+        slots = merged.setdefault(bid, {})
+        for slot, vals in env.items():
+            slots.setdefault(slot, set()).update(vals)
+    return merged
+
+
 def transfer_block(
     summary: BlockSummary, input_env: Env, max_stack_depth: int
 ) -> tuple[Env, bool]:

@@ -37,8 +37,6 @@ class Instruction:
     pc: int
     opcode: str
     pushed_value: int | None = None
-    stack_pops: int = 0
-    stack_pushes: int = 0
 
     @property
     def size(self) -> int:
@@ -119,7 +117,7 @@ def disassemble(code: bytes) -> list[Instruction]:
             # zero-pad pushes whose immediate runs off the end of the code
             raw = raw.ljust(info.push_width, b"\x00")
             value = int.from_bytes(raw, "big")
-        out.append(Instruction(pc, info.mnemonic, value, info.pops, info.pushes))
+        out.append(Instruction(pc, info.mnemonic, value))
         pc += info.size
     return out
 

@@ -42,7 +42,7 @@ SWEEP_CONFIGS = (
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evmlift", description=__doc__.strip().split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{lift}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     lift = sub.add_parser("lift", help="lift bytecode to three-address code")
     lift.add_argument("input", nargs="?", help="bytecode file (hex text or raw binary)")
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lift.add_argument("--jobs", type=int, default=1, metavar="N")
     lift.add_argument("--sweep", action="store_true", help="print a table over standard configs")
 
-    trace = sub.add_parser("trace")
+    trace = sub.add_parser("trace", help="run the concrete interpreter and print the visited blocks")
     trace.add_argument("input")
     trace.add_argument("--calldata", default="", metavar="HEX")
     trace.add_argument("--max-steps", type=int, default=10_000, metavar="N")

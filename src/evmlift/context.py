@@ -3,9 +3,12 @@
 A context pairs the most recent public entry point with a bounded stack of
 private call sites. The shrinking scheme pops that stack back down when a
 return is provably matched to a call site still on it, so recursion-free
-call chains end in the same context they started in. The transactional
-scheme only ever prepends, which keeps contexts long-lived and is retained
-as the comparison baseline.
+call chains end in the same context they started in. It also pushes the
+source block on every important edge, the merges the pre-analysis blames
+for imprecision, so the paths into such a merge are analysed apart; when
+no pre-analysis ran there are no important edges. The transactional
+scheme only ever prepends, ignores important edges, and is retained as
+the comparison baseline.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from .facts import ConfirmedFacts
 
 class Scheme(enum.Enum):
     SHRINKING = "shrinking"
-    SHRINKING_IMPORTANT = "shrinking+important-edges"
     TRANSACTIONAL = "transactional"
 
 
 DEFAULT_DEPTH: dict[Scheme, int] = {
     Scheme.SHRINKING: 20,
-    Scheme.SHRINKING_IMPORTANT: 20,
     Scheme.TRANSACTIONAL: 8,
 }
 
@@ -88,7 +89,7 @@ def _merge_shrinking(
     grow = (
         cur in facts.private_callers
         or (is_return and matched is None)
-        or (cfg.scheme is Scheme.SHRINKING_IMPORTANT and (cur, nxt) in facts.important_edges)
+        or (cur, nxt) in facts.important_edges
     )
     if grow:
         return Context(ctx.public, ((cur,) + ctx.private)[: cfg.depth])

@@ -83,7 +83,15 @@ def _calldataload(calldata: bytes, offset: int) -> int:
     return int.from_bytes(chunk, "big")
 
 
-def _binop(opcode: str, a: int, b: int) -> int:
+def binop(opcode: str, a: int, b: int = 0) -> int:
+    """Result of an arithmetic opcode; a is the top of the stack.
+
+    Covers the two-operand opcodes plus ISZERO, which reads only a. Constant
+    folding in the local analysis calls this too, so both share one copy of
+    the EVM's arithmetic.
+    """
+    if opcode == "ISZERO":
+        return int(a == 0)
     if opcode == "ADD":
         return (a + b) % WORD
     if opcode == "MUL":
@@ -205,9 +213,9 @@ class _Machine:
         elif op in _BINARY:
             a = self.pop()
             b = self.pop()
-            self.push(_binop(op, a, b))
+            self.push(binop(op, a, b))
         elif op == "ISZERO":
-            self.push(int(self.pop() == 0))
+            self.push(binop(op, self.pop()))
         elif op == "NOT":
             self.push(self.pop() ^ (WORD - 1))
         elif op == "ADDMOD":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .analysis import AnalysisResult
+from .analysis import AnalysisResult, per_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary, OpRecord
@@ -64,19 +64,8 @@ class TACBlock:
 
 
 @dataclass(frozen=True)
-class TACFunction:
-    name: str
-    entry: int
-    is_public: bool
-    selector: int | None = None
-    blocks: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class TACProgram:
     blocks: dict[int, TACBlock]
-    missing: frozenset[int] = frozenset()
-    functions: tuple[TACFunction, ...] = ()
 
 
 def _value_name(value: AbstractValue) -> str:
@@ -127,24 +116,12 @@ class _Lifter:
         summaries: dict[int, BlockSummary],
         result: AnalysisResult,
         confirmed: ConfirmedFacts,
-        public_call_sites: frozenset[tuple[int, int, int]] = frozenset(),
     ):
         self.program = program
         self.summaries = summaries
         self.result = result
-        self.confirmed = confirmed
-        self.public_call_sites = public_call_sites
-
-        self.merged_in: dict[int, dict[int, set[AbstractValue]]] = {}
-        for (_ctx, bid), env in result.block_input.items():
-            slots = self.merged_in.setdefault(bid, {})
-            for slot, vals in env.items():
-                slots.setdefault(slot, set()).update(vals)
-        self.merged_out: dict[int, dict[int, set[AbstractValue]]] = {}
-        for (_ctx, bid), env in result.block_output.items():
-            slots = self.merged_out.setdefault(bid, {})
-            for slot, vals in env.items():
-                slots.setdefault(slot, set()).update(vals)
+        self.merged_in = per_block(result.block_input)
+        self.merged_out = per_block(result.block_output)
 
         self.jump_targets: dict[int, set[int]] = {}
         for _ctx, bid, _value, target in result.block_jump_target:
@@ -160,13 +137,11 @@ class _Lifter:
     def lift(self) -> TACProgram:
         reachable = sorted(self.merged_in)
         blocks: dict[int, TACBlock] = {}
-        missing: set[int] = set()
         succs: dict[int, tuple[int, ...]] = {}
 
         for bid in reachable:
             built = self._build_block(bid)
             if built is None:
-                missing.add(bid)
                 continue
             block, succ = built
             blocks[bid] = block
@@ -186,10 +161,7 @@ class _Lifter:
             )
             for bid, block in blocks.items()
         }
-        functions = reconstruct_functions(
-            blocks, self.confirmed, self.public_call_sites, self.summaries
-        )
-        return TACProgram(blocks=blocks, missing=frozenset(missing), functions=functions)
+        return TACProgram(blocks=blocks)
 
     def _call_info(self, bid: int) -> tuple[int, int | None] | None:
         """(target, continuation slot) when the block is a private call."""
@@ -303,56 +275,8 @@ def lift(
     summaries: dict[int, BlockSummary],
     result: AnalysisResult,
     confirmed: ConfirmedFacts,
-    public_call_sites: frozenset[tuple[int, int, int]] = frozenset(),
 ) -> TACProgram:
-    return _Lifter(program, summaries, result, confirmed, public_call_sites).lift()
-
-
-def reconstruct_functions(
-    blocks: dict[int, TACBlock],
-    confirmed: ConfirmedFacts,
-    public_call_sites: frozenset[tuple[int, int, int]],
-    summaries: dict[int, BlockSummary],
-) -> tuple[TACFunction, ...]:
-    """Group lifted blocks into functions by entry reachability.
-
-    Each confirmed public selector target and each confirmed private entry
-    starts a function owning every block reachable from it without passing
-    through another entry.
-    """
-    entries: list[TACFunction] = []
-    seen: set[int] = set()
-    for bid, selector, target in sorted(public_call_sites, key=lambda t: (t[1], t[2])):
-        if target in blocks and target not in seen:
-            seen.add(target)
-            entries.append(TACFunction(f"public_0x{selector:08x}", target, True, selector))
-    private_entries = sorted(
-        {
-            summaries[caller].local_jump_target
-            for caller, _cont in confirmed.private_calls
-            if caller in summaries and summaries[caller].local_jump_target is not None
-        }
-    )
-    for entry in private_entries:
-        if entry in blocks and entry not in seen:
-            seen.add(entry)
-            entries.append(TACFunction(f"private_0x{entry:x}", entry, False))
-
-    all_entries = {fn.entry for fn in entries}
-    out = []
-    for fn in entries:
-        owned = {fn.entry}
-        frontier = [fn.entry]
-        while frontier:
-            bid = frontier.pop()
-            for succ in blocks[bid].succs:
-                if succ in blocks and succ not in owned and succ not in all_entries:
-                    owned.add(succ)
-                    frontier.append(succ)
-        out.append(
-            TACFunction(fn.name, fn.entry, fn.is_public, fn.selector, tuple(sorted(owned)))
-        )
-    return tuple(out)
+    return _Lifter(program, summaries, result, confirmed).lift()
 
 
 def render_tac(tac: TACProgram) -> str:

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
+from .interpreter import binop
 from .opcodes import Control, info_for_name
 from .values import AbstractValue, DefSite, EntrySlot, constant_of
 
-WORD = 1 << 256
 MAX_SELECTOR = 0xFFFFFFFF
 EVM_STACK_LIMIT = 1024
 
@@ -22,28 +22,6 @@ EVM_STACK_LIMIT = 1024
 FOLDABLE = {"AND", "ADD", "SUB", "SHL", "SHR", "DIV", "EQ", "ISZERO"}
 
 _BALANCING_OK = {"JUMPDEST", "POP"} | {f"SWAP{n}" for n in range(1, 17)} | {f"DUP{n}" for n in range(1, 17)}
-
-
-def fold(opcode: str, operands: list[int]) -> int:
-    a = operands[0]
-    b = operands[1] if len(operands) > 1 else 0
-    if opcode == "ADD":
-        return (a + b) % WORD
-    if opcode == "SUB":
-        return (a - b) % WORD
-    if opcode == "AND":
-        return a & b
-    if opcode == "DIV":
-        return 0 if b == 0 else a // b
-    if opcode == "EQ":
-        return int(a == b)
-    if opcode == "ISZERO":
-        return int(a == 0)
-    if opcode == "SHL":
-        return 0 if a >= 256 else (b << a) % WORD
-    if opcode == "SHR":
-        return 0 if a >= 256 else b >> a
-    raise ValueError(f"not foldable: {opcode}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +110,7 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
             if info.pushes:
                 consts = [constant_of(v) for v in operands]
                 if ins.opcode in FOLDABLE and all(c is not None for c in consts):
-                    result = DefSite(ins.pc, fold(ins.opcode, consts))
+                    result = DefSite(ins.pc, binop(ins.opcode, *consts))
                 else:
                     result = DefSite(ins.pc)
                 stack.append(result)

@@ -11,7 +11,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .analysis import DEFAULT_MAX_STACK_DEPTH, AnalysisLimits, AnalysisResult, analyze
+from .analysis import (
+    DEFAULT_MAX_STACK_DEPTH,
+    STOP_FIXPOINT,
+    AnalysisLimits,
+    AnalysisResult,
+    analyze,
+)
 from .bytecode import BytecodeProgram, extract_blocks
 from .cloning import CloneInstance, apply_cloning
 from .context import DEFAULT_DEPTH, Scheme, SchemeConfig
@@ -84,16 +90,13 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
             deadline=deadline,
             max_stack_depth=config.max_stack_depth,
         )
+    if pre is not None and pre.result.stop_condition == STOP_FIXPOINT:
         confirmed = pre.confirmed
-        public_sites = pre.public_call_sites
     else:
+        # A truncated pre-analysis has not seen every jump, so filtering by it
+        # would drop real calls; the raw candidates are a sound superset.
         confirmed = raw_confirmed(patterns)
-        public_sites = patterns.public_call_candidates
-
-    scheme = config.scheme
-    if scheme is Scheme.SHRINKING and pre is not None:
-        scheme = Scheme.SHRINKING_IMPORTANT
-    scheme_cfg = SchemeConfig(scheme, config.depth)
+    scheme_cfg = SchemeConfig(config.scheme, config.depth)
 
     limits = AnalysisLimits(
         fact_limit=config.main_fact_limit,
@@ -101,7 +104,7 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
         max_stack_depth=config.max_stack_depth,
     )
     analysis = analyze(program, summaries, confirmed, scheme_cfg, limits)
-    tac = lift(program, summaries, analysis, confirmed, public_sites)
+    tac = lift(program, summaries, analysis, confirmed)
     metrics = compute_metrics(program, tac, analysis, confirmed)
 
     return PipelineResult(

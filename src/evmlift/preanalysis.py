@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import AnalysisLimits, AnalysisResult, analyze
+from .analysis import AnalysisLimits, AnalysisResult, analyze, per_block
 from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
 from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
@@ -32,20 +32,11 @@ class PreanalysisOutcome:
     public_call_sites: frozenset[tuple[int, int, int]]  # (block, selector, target)
 
 
-def _merged_inputs(result: AnalysisResult) -> dict[int, dict[int, set[AbstractValue]]]:
-    merged: dict[int, dict[int, set[AbstractValue]]] = {}
-    for (_ctx, bid), env in result.block_input.items():
-        slots = merged.setdefault(bid, {})
-        for slot, vals in env.items():
-            slots.setdefault(slot, set()).update(vals)
-    return merged
-
-
 class _Resolver:
     """Resolves record operands to value sets using context-merged inputs."""
 
     def __init__(self, result: AnalysisResult):
-        self.inputs = _merged_inputs(result)
+        self.inputs = per_block(result.block_input)
 
     def values(self, operand: AbstractValue) -> set[AbstractValue]:
         if isinstance(operand, EntrySlot):

@@ -23,7 +23,6 @@ def test_disassemble_simple():
     assert [(i.pc, i.opcode) for i in ins] == [(0, "PUSH1"), (2, "PUSH1"), (4, "ADD"), (5, "STOP")]
     assert ins[0].pushed_value == 1 and ins[1].pushed_value == 2
     assert ins[0].size == 2 and ins[2].size == 1
-    assert ins[2].stack_pops == 2 and ins[2].stack_pushes == 1
 
 
 def test_disassemble_truncated_push_zero_padded():

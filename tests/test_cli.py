@@ -154,3 +154,12 @@ def test_trace_runs_the_interpreter(dispatch_file, capsys):
 def test_trace_rejects_bad_calldata(dispatch_file, capsys):
     assert main(["trace", str(dispatch_file), "--calldata", "0xzz"]) == 1
     capsys.readouterr()
+
+
+def test_help_lists_both_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{lift,trace}" in out
+    assert "run the concrete interpreter" in out

@@ -24,7 +24,6 @@ def test_initial_context():
 
 def test_default_depths():
     assert DEFAULT_DEPTH[Scheme.SHRINKING] == 20
-    assert DEFAULT_DEPTH[Scheme.SHRINKING_IMPORTANT] == 20
     assert DEFAULT_DEPTH[Scheme.TRANSACTIONAL] == 8
     assert SchemeConfig.default(Scheme.TRANSACTIONAL).depth == 8
 
@@ -99,10 +98,10 @@ def test_caller_growth_beats_return_cut():
 def test_important_edge_growth_is_scheme_gated():
     facts = ConfirmedFacts(important_edges=frozenset({(0x6, 0x18)}))
     ctx = Context(None, (0x1,))
-    assert merge(cfg(Scheme.SHRINKING), facts, ctx, 0x6, 0x18) is ctx
-    assert merge(cfg(Scheme.TRANSACTIONAL), facts, ctx, 0x6, 0x18) is ctx
-    out = merge(cfg(Scheme.SHRINKING_IMPORTANT), facts, ctx, 0x6, 0x18)
+    out = merge(cfg(Scheme.SHRINKING), facts, ctx, 0x6, 0x18)
     assert out == Context(None, (0x6, 0x1))
+    assert merge(cfg(Scheme.TRANSACTIONAL), facts, ctx, 0x6, 0x18) is ctx
+    assert merge(cfg(Scheme.SHRINKING), ConfirmedFacts(), ctx, 0x6, 0x18) is ctx
 
 
 def test_transactional_prepends_on_returns_too():

@@ -3,8 +3,6 @@
 import pytest
 
 from conftest import (
-    SELECTOR_ONE,
-    SELECTOR_TWO,
     inlined_call_code,
     chained_call_code,
     underflow_drop_code,
@@ -91,28 +89,13 @@ def test_single_call_and_return(cloned):
 
 def test_underflow_mix_drops_block():
     res = run_pipeline(underflow_drop_code())
-    assert res.tac.missing == frozenset({0x18})
+    assert res.metrics.missing_ir_block == 1
     assert 0x18 not in res.tac.blocks
 
 
 def test_unknown_slot_reads_as_placeholder():
     res = run_pipeline(unresolved_operand_code())
     assert "0x9: v9 = ISZERO ?" in lines(res.tac, 0x8)
-
-
-def test_function_reconstruction(cloned):
-    by_name = {fn.name: fn for fn in cloned.tac.functions}
-    assert sorted(by_name) == [
-        "private_0x1c7",
-        "private_0x1d0",
-        f"public_0x{SELECTOR_ONE:08x}",
-        f"public_0x{SELECTOR_TWO:08x}",
-    ]
-    one = by_name[f"public_0x{SELECTOR_ONE:08x}"]
-    assert (one.entry, one.is_public, one.selector) == (0x38, True, SELECTOR_ONE)
-    assert one.blocks == (0x38, 0x58, 0x77, 0x1E0, 0x1F0)
-    helper = by_name["private_0x1c7"]
-    assert (helper.entry, helper.is_public, helper.selector) == (0x1C7, False, None)
 
 
 def test_render_parse_round_trip(cloned, uncloned):

@@ -9,6 +9,7 @@ from conftest import (
     layout,
 )
 from evmlift.bytecode import extract_blocks
+from evmlift.interpreter import binop
 from evmlift.local import (
     chase_condition_to_eq,
     detect_patterns,
@@ -16,7 +17,6 @@ from evmlift.local import (
     detect_private_returns,
     detect_public_call_candidates,
     detect_stack_balancing_blocks,
-    fold,
     summarize_block,
     summarize_program,
 )
@@ -31,16 +31,17 @@ def _summary(code: bytes, block: int = 0):
 
 
 def test_fold_semantics():
-    assert fold("ADD", [WORD - 1, 2]) == 1  # wraps mod 2^256
-    assert fold("SUB", [1, 2]) == WORD - 1
-    assert fold("SHL", [4, 1]) == 16  # operands are [shift, value]
-    assert fold("SHR", [4, 0x100]) == 0x10
-    assert fold("DIV", [7, 2]) == 3
-    assert fold("DIV", [7, 0]) == 0
-    assert fold("AND", [0xFF0, 0x0FF]) == 0x0F0
-    assert fold("EQ", [5, 5]) == 1
-    assert fold("ISZERO", [0]) == 1
-    assert fold("ISZERO", [3]) == 0
+    # folding uses the interpreter's arithmetic; operands are top of stack first
+    assert binop("ADD", WORD - 1, 2) == 1  # wraps mod 2^256
+    assert binop("SUB", 1, 2) == WORD - 1
+    assert binop("SHL", 4, 1) == 16  # operands are (shift, value)
+    assert binop("SHR", 4, 0x100) == 0x10
+    assert binop("DIV", 7, 2) == 3
+    assert binop("DIV", 7, 0) == 0
+    assert binop("AND", 0xFF0, 0x0FF) == 0x0F0
+    assert binop("EQ", 5, 5) == 1
+    assert binop("ISZERO", 0) == 1
+    assert binop("ISZERO", 3) == 0
 
 
 def test_summary_folds_constants():

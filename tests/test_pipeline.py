@@ -1,6 +1,6 @@
 """Pipeline driver: phase wiring and configuration."""
 
-from conftest import dispatch_pair_code, chained_call_code
+from conftest import dispatch_pair_code, chained_call_code, gen_deep_program
 from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
 from evmlift.lifter import render_tac
@@ -13,9 +13,9 @@ def test_depth_defaults_follow_scheme():
     assert RunConfig(scheme=Scheme.TRANSACTIONAL, context_depth=4).depth == 4
 
 
-def test_preanalysis_upgrades_shrinking_to_important_edges():
+def test_scheme_used_is_the_configured_scheme():
     res = run_pipeline(dispatch_pair_code())
-    assert res.scheme_used.scheme is Scheme.SHRINKING_IMPORTANT
+    assert res.scheme_used.scheme is Scheme.SHRINKING
     assert res.scheme_used.depth == 20
 
     plain = run_pipeline(dispatch_pair_code(), RunConfig(preanalysis=False))
@@ -44,6 +44,17 @@ def test_preanalysis_disabled_uses_raw_candidates():
     res = run_pipeline(dispatch_pair_code(), RunConfig(preanalysis=False))
     assert res.preanalysis is None
     assert res.confirmed == raw_confirmed(res.patterns)
+
+
+def test_truncated_preanalysis_falls_back_to_raw_candidates():
+    code = gen_deep_program(8, 4)
+    truncated = run_pipeline(code, RunConfig(preanalysis_fact_limit=10))
+    assert truncated.preanalysis.result.stop_condition == "fact-limit"
+    assert truncated.confirmed == raw_confirmed(truncated.patterns)
+    plain = run_pipeline(code, RunConfig(preanalysis=False))
+    assert render_tac(truncated.tac) == render_tac(plain.tac)
+    assert truncated.metrics == plain.metrics
+    assert truncated.metrics.polymorphic_jump_target == 0
 
 
 def test_zero_timeout_reports_timeout():
