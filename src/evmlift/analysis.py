@@ -44,9 +44,6 @@ class AnalysisResult:
     block_output: dict[PairKey, Env] = field(default_factory=dict)
     block_jump_target: set[tuple[Context, int, AbstractValue, int]] = field(default_factory=set)
     global_block_edge: set[tuple[Context, int, Context, int]] = field(default_factory=set)
-    unresolved_jumps: set[PairKey] = field(default_factory=set)
-    invalid_jump_targets: set[tuple[Context, int, int]] = field(default_factory=set)
-    underflow_blocks: set[PairKey] = field(default_factory=set)
     stop_condition: str = STOP_FIXPOINT
     fact_count: int = 0
     transfers: int = 0
@@ -66,36 +63,23 @@ def per_block(store: dict[PairKey, Env]) -> dict[int, Env]:
     return merged
 
 
-def transfer_block(
-    summary: BlockSummary, input_env: Env, max_stack_depth: int
-) -> tuple[Env, bool]:
+def transfer_block(summary: BlockSummary, input_env: Env, max_stack_depth: int) -> Env:
     """Exit environment induced by one entry environment.
 
-    Returns the environment and whether any read hit an empty entry slot.
+    A read of an empty entry slot yields UNDERFLOW.
     """
-    underflow = False
-
-    def resolve(value: AbstractValue) -> set[AbstractValue]:
-        nonlocal underflow
-        if isinstance(value, EntrySlot):
-            vals = input_env.get(value.index)
-            if not vals:
-                underflow = True
-                return {UNDERFLOW}
-            return set(vals)
-        return {value}
-
     produced = summary.produced
     out: Env = {}
-    for j, value in enumerate(produced):
-        if j >= max_stack_depth:
-            break
-        out[j] = resolve(value)
+    for j, value in enumerate(produced[:max_stack_depth]):
+        if isinstance(value, EntrySlot):
+            out[j] = set(input_env.get(value.index) or {UNDERFLOW})
+        else:
+            out[j] = {value}
     shift = len(produced) - summary.consumed_depth
     for k in sorted(input_env):
         if k >= summary.consumed_depth and k + shift < max_stack_depth:
             out[k + shift] = set(input_env[k])
-    return out, underflow
+    return out
 
 
 def _join(store: dict[PairKey, Env], key: PairKey, env: Env) -> tuple[bool, int]:
@@ -124,6 +108,7 @@ def analyze(
     result = AnalysisResult()
     if 0 not in program.blocks:
         return result
+    jump_target_ids = program.jump_target_ids
 
     queue: deque[PairKey] = deque()
     queued: set[PairKey] = set()
@@ -158,9 +143,7 @@ def analyze(
         result.transfers += 1
 
         input_env = result.block_input.get(key, {})
-        out_env, underflow = transfer_block(summary, input_env, limits.max_stack_depth)
-        if underflow:
-            result.underflow_blocks.add(key)
+        out_env = transfer_block(summary, input_env, limits.max_stack_depth)
         _, added = _join(result.block_output, key, out_env)
         result.fact_count += added
 
@@ -172,11 +155,7 @@ def analyze(
                 targets = {summary.target_expr}
             for value in sorted(targets, key=sort_key):
                 const = constant_of(value)
-                if const is None:
-                    result.unresolved_jumps.add(key)
-                    continue
-                if const not in program.jump_target_ids:
-                    result.invalid_jump_targets.add((ctx, bid, const))
+                if const not in jump_target_ids:
                     continue
                 before = len(result.block_jump_target)
                 result.block_jump_target.add((ctx, bid, value, const))

@@ -250,6 +250,7 @@ def concrete_execute(
     entry_block: int = 0,
 ) -> Trace:
     machine = _Machine(env or EnvValuation())
+    jump_target_ids = program.jump_target_ids
     visits: list[int] = []
     steps = 0
     bid = entry_block
@@ -271,7 +272,7 @@ def concrete_execute(
                 steps += 1
                 kind, target, cond = machine.step(ins, info_for_name(ins.opcode))
                 if kind == "jump" or (kind == "jumpi" and cond != 0):
-                    if target not in program.jump_target_ids:
+                    if target not in jump_target_ids:
                         return done("invalid")
                     bid = target
                     break

@@ -119,13 +119,15 @@ class _Lifter:
     ):
         self.program = program
         self.summaries = summaries
-        self.result = result
         self.merged_in = per_block(result.block_input)
         self.merged_out = per_block(result.block_output)
 
         self.jump_targets: dict[int, set[int]] = {}
         for _ctx, bid, _value, target in result.block_jump_target:
             self.jump_targets.setdefault(bid, set()).add(target)
+        self.edges: dict[int, set[int]] = {}
+        for bid, succ in result.edge_pairs():
+            self.edges.setdefault(bid, set()).add(succ)
 
         self.private_entries = frozenset(
             target
@@ -266,8 +268,7 @@ class _Lifter:
             out = self.merged_out.get(bid, {}).get(call_info[1], set())
             succs = {c for v in out if (c := constant_of(v)) is not None}
             return tuple(sorted(succs))
-        succs = {b2 for _c, b, _c2, b2 in self.result.global_block_edge if b == bid}
-        return tuple(sorted(succs))
+        return tuple(sorted(self.edges.get(bid, ())))
 
 
 def lift(

@@ -56,6 +56,7 @@ def compute_metrics(
     tac: TACProgram,
     result: AnalysisResult,
     confirmed: ConfirmedFacts,
+    stop_condition: str,
 ) -> MetricsReport:
     by_pair: dict[tuple, set[int]] = {}
     for ctx, bid, _value, target in result.block_jump_target:
@@ -90,5 +91,5 @@ def compute_metrics(
         unstructured_control_flow=unstructured,
         missing_ir_block=missing_ir,
         missing_control_flow=missing_cf,
-        stop_condition=result.stop_condition,
+        stop_condition=stop_condition,
     )

@@ -81,15 +81,8 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
 
     pre: PreanalysisOutcome | None = None
     if config.preanalysis:
-        pre = run_preanalysis(
-            program,
-            summaries,
-            patterns,
-            depth=config.depth,
-            fact_limit=config.preanalysis_fact_limit,
-            deadline=deadline,
-            max_stack_depth=config.max_stack_depth,
-        )
+        pre_limits = AnalysisLimits(config.preanalysis_fact_limit, deadline, config.max_stack_depth)
+        pre = run_preanalysis(program, summaries, patterns, config.depth, pre_limits)
     if pre is not None and pre.result.stop_condition == STOP_FIXPOINT:
         confirmed = pre.confirmed
     else:
@@ -98,14 +91,15 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
         confirmed = raw_confirmed(patterns)
     scheme_cfg = SchemeConfig(config.scheme, config.depth)
 
-    limits = AnalysisLimits(
-        fact_limit=config.main_fact_limit,
-        deadline=deadline,
-        max_stack_depth=config.max_stack_depth,
-    )
+    limits = AnalysisLimits(config.main_fact_limit, deadline, config.max_stack_depth)
     analysis = analyze(program, summaries, confirmed, scheme_cfg, limits)
     tac = lift(program, summaries, analysis, confirmed)
-    metrics = compute_metrics(program, tac, analysis, confirmed)
+    # A truncated pre-analysis is reported. If the main pass stopped short too,
+    # its stop wins, so a run that ran out of time always reads timeout.
+    stop = analysis.stop_condition
+    if stop == STOP_FIXPOINT and pre is not None:
+        stop = pre.result.stop_condition
+    metrics = compute_metrics(program, tac, analysis, confirmed, stop)
 
     return PipelineResult(
         program=program,

@@ -165,13 +165,9 @@ def run_preanalysis(
     summaries: dict[int, BlockSummary],
     raw: PatternFacts,
     depth: int,
-    fact_limit: int | None = DEFAULT_FACT_LIMIT,
-    deadline: float | None = None,
-    max_stack_depth: int | None = None,
+    limits: AnalysisLimits | None = None,
 ) -> PreanalysisOutcome:
-    limits = AnalysisLimits(fact_limit=fact_limit, deadline=deadline)
-    if max_stack_depth is not None:
-        limits.max_stack_depth = max_stack_depth
+    limits = limits or AnalysisLimits(fact_limit=DEFAULT_FACT_LIMIT)
     cfg = SchemeConfig(Scheme.SHRINKING, depth)
     result = analyze(program, summaries, raw_confirmed(raw), cfg, limits)
 

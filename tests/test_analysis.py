@@ -25,38 +25,37 @@ A, B, C = DefSite(0x100, 0xA), DefSite(0x101, 0xB), DefSite(0x102, 0xC)
 
 def test_transfer_constants():
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out, underflow = transfer_block(summary, {}, 100)
-    assert out == {0: {DefSite(0x0, 0x07)}} and not underflow
+    out = transfer_block(summary, {}, 100)
+    assert out == {0: {DefSite(0x0, 0x07)}}
 
 
 def test_transfer_shifts_passthrough_slots():
     summary = _summary(asm("POP", "STOP"))
-    out, underflow = transfer_block(summary, {0: {A}, 1: {B}}, 100)
-    assert out == {0: {B}} and not underflow
+    out = transfer_block(summary, {0: {A}, 1: {B}}, 100)
+    assert out == {0: {B}}
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out, _ = transfer_block(summary, {0: {A}}, 100)
+    out = transfer_block(summary, {0: {A}}, 100)
     assert out == {0: {DefSite(0x0, 0x07)}, 1: {A}}
 
 
 def test_transfer_reads_entry_slots():
     summary = _summary(asm("DUP2", "STOP"))
-    out, underflow = transfer_block(summary, {0: {A}, 1: {B}}, 100)
-    assert out == {0: {B}, 1: {A}, 2: {B}} and not underflow
+    out = transfer_block(summary, {0: {A}, 1: {B}}, 100)
+    assert out == {0: {B}, 1: {A}, 2: {B}}
 
 
 def test_transfer_flags_underflow():
     summary = _summary(asm("DUP1", "STOP"))
-    out, underflow = transfer_block(summary, {}, 100)
-    assert underflow
+    out = transfer_block(summary, {}, 100)
     assert out == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
 
 
 def test_transfer_truncates_at_max_stack_depth():
     summary = _summary(asm("PUSH1 0x01", "PUSH1 0x02", "PUSH1 0x03", "STOP"))
-    out, _ = transfer_block(summary, {}, 2)
+    out = transfer_block(summary, {}, 2)
     assert out == {0: {DefSite(0x4, 3)}, 1: {DefSite(0x2, 2)}}
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out, _ = transfer_block(summary, {0: {A}, 1: {B}, 2: {C}}, 2)
+    out = transfer_block(summary, {0: {A}, 1: {B}, 2: {C}}, 2)
     assert out == {0: {DefSite(0x0, 7)}, 1: {A}}
 
 
@@ -86,19 +85,21 @@ def test_conditional_jump_yields_both_edges_in_same_context():
 
 def test_unresolved_jump_is_reported_not_followed():
     result = _analyze(asm("PUSH1 0x00", "CALLDATALOAD", "JUMP"))
-    assert result.unresolved_jumps == {(INITIAL_CONTEXT, 0)}
+    assert (INITIAL_CONTEXT, 0) in result.block_output
     assert result.global_block_edge == set()
+    assert result.block_jump_target == set()
 
 
 def test_invalid_jump_target_is_reported():
     result = _analyze(asm("PUSH1 0x05", "JUMP", "STOP"))
-    assert result.invalid_jump_targets == {(INITIAL_CONTEXT, 0, 5)}
-    assert result.unresolved_jumps == set()
+    assert (INITIAL_CONTEXT, 0) in result.block_output
+    assert result.global_block_edge == set()
+    assert result.block_jump_target == set()
 
 
 def test_underflowing_entry_block_is_flagged():
     result = _analyze(asm("DUP1", "STOP"))
-    assert result.underflow_blocks == {(INITIAL_CONTEXT, 0)}
+    assert result.block_output[(INITIAL_CONTEXT, 0)] == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
 
 
 CALL_RETURN = layout(

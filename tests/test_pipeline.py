@@ -1,5 +1,7 @@
 """Pipeline driver: phase wiring and configuration."""
 
+from dataclasses import replace
+
 from conftest import dispatch_pair_code, chained_call_code, gen_deep_program
 from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
@@ -50,10 +52,12 @@ def test_truncated_preanalysis_falls_back_to_raw_candidates():
     code = gen_deep_program(8, 4)
     truncated = run_pipeline(code, RunConfig(preanalysis_fact_limit=10))
     assert truncated.preanalysis.result.stop_condition == "fact-limit"
+    assert truncated.analysis.stop_condition == "fixpoint"
+    assert truncated.metrics.stop_condition == "fact-limit"
     assert truncated.confirmed == raw_confirmed(truncated.patterns)
     plain = run_pipeline(code, RunConfig(preanalysis=False))
     assert render_tac(truncated.tac) == render_tac(plain.tac)
-    assert truncated.metrics == plain.metrics
+    assert replace(truncated.metrics, stop_condition="fixpoint") == plain.metrics
     assert truncated.metrics.polymorphic_jump_target == 0
 
 
