@@ -40,8 +40,14 @@ class AnalysisLimits:
 
 @dataclass
 class AnalysisResult:
+    """Entry envs (block_input), resolved jumps and edges per context.
+
+    An exit env is not stored: it is transfer_block of the block's entry env.
+    fact_count counts the tuples of the three relations: one entry-stack
+    value, jump target or edge each.
+    """
+
     block_input: dict[PairKey, Env] = field(default_factory=dict)
-    block_output: dict[PairKey, Env] = field(default_factory=dict)
     block_jump_target: set[tuple[Context, int, AbstractValue, int]] = field(default_factory=set)
     global_block_edge: set[tuple[Context, int, Context, int]] = field(default_factory=set)
     stop_condition: str = STOP_FIXPOINT
@@ -82,10 +88,9 @@ def transfer_block(summary: BlockSummary, input_env: Env, max_stack_depth: int) 
     return out
 
 
-def _join(store: dict[PairKey, Env], key: PairKey, env: Env) -> tuple[bool, int]:
-    """Slot-wise union of env into store[key]; reports growth and new tuples."""
+def _join(store: dict[PairKey, Env], key: PairKey, env: Env) -> int:
+    """Slot-wise union of env into store[key]; returns the number of new tuples."""
     cur = store.setdefault(key, {})
-    changed = False
     added = 0
     for slot in sorted(env):
         have = cur.setdefault(slot, set())
@@ -93,8 +98,7 @@ def _join(store: dict[PairKey, Env], key: PairKey, env: Env) -> tuple[bool, int]
         if fresh:
             have |= fresh
             added += len(fresh)
-            changed = True
-    return changed, added
+    return added
 
 
 def analyze(
@@ -119,9 +123,12 @@ def analyze(
             queue.append(key)
 
     def propagate(key: PairKey, env: Env) -> None:
-        changed, added = _join(result.block_input, key, env)
+        # A new key may add no tuple (the empty entry env, or the successor
+        # of an empty exit stack) and must still be transferred once.
+        new = key not in result.block_input
+        added = _join(result.block_input, key, env)
         result.fact_count += added
-        if changed or key not in result.block_output:
+        if added or new:
             schedule(key)
 
     propagate((INITIAL_CONTEXT, 0), {})
@@ -142,10 +149,8 @@ def analyze(
             continue
         result.transfers += 1
 
-        input_env = result.block_input.get(key, {})
+        input_env = result.block_input[key]
         out_env = transfer_block(summary, input_env, limits.max_stack_depth)
-        _, added = _join(result.block_output, key, out_env)
-        result.fact_count += added
 
         block = program.blocks[bid]
         if block.terminator in (Terminator.JUMP, Terminator.CONDITIONAL_JUMP):

@@ -6,7 +6,7 @@ evmlift lift --batch DIR    lift every bytecode file in a directory
 evmlift lift --sweep FILE   compare the four standard configurations
 
 Exit codes: 0 when the analysis ran to completion (fixpoint or fact
-budget), 2 when it timed out, 1 on input errors.
+budget), 2 when it timed out, 1 on input errors and unwritable outputs.
 """
 
 from __future__ import annotations
@@ -105,8 +105,11 @@ def _lift_one(
     except (OSError, BytecodeError) as err:
         return EXIT_ERROR, str(err)
     result = run_pipeline(code, config)
-    _write_atomic(Path(tac_out or input_path + ".tac"), render_tac(result.tac))
-    _write_atomic(Path(metrics_out or input_path + ".metrics.json"), result.metrics.to_json())
+    try:
+        _write_atomic(Path(tac_out or input_path + ".tac"), render_tac(result.tac))
+        _write_atomic(Path(metrics_out or input_path + ".metrics.json"), result.metrics.to_json())
+    except OSError as err:
+        return EXIT_ERROR, str(err)
     stop = result.metrics.stop_condition
     return (EXIT_TIMEOUT if stop == STOP_TIMEOUT else EXIT_OK), stop
 

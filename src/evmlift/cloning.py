@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
+from .local import detect_stack_balancing_blocks
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def select_clone_candidates(
         if len(pcs) >= 2:
             sites.setdefault(continuation, set()).update(pcs)
 
-    balancing_pushes: dict[int, set[int]] = {b: set() for b in facts.stack_balancing}
+    balancing_pushes: dict[int, set[int]] = {b: set() for b in detect_stack_balancing_blocks(program)}
     if balancing_pushes:
         for block in program.blocks.values():
             for ins in block.instructions:

@@ -13,13 +13,11 @@ class PatternFacts:
     public_call_candidates:  (block, selector, target) triples
     private_call_candidates: (caller, continuation, push_pc) triples
     private_returns:         blocks jumping to an entry-stack value
-    stack_balancing:         blocks made only of stack shuffles plus a final JUMP
     """
 
     public_call_candidates: frozenset[tuple[int, int, int]] = frozenset()
     private_call_candidates: frozenset[tuple[int, int, int]] = frozenset()
     private_returns: frozenset[int] = frozenset()
-    stack_balancing: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .analysis import AnalysisResult, per_block
+from .analysis import AnalysisResult, Env, per_block, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary, OpRecord
@@ -116,11 +116,12 @@ class _Lifter:
         summaries: dict[int, BlockSummary],
         result: AnalysisResult,
         confirmed: ConfirmedFacts,
+        max_stack_depth: int,
     ):
         self.program = program
         self.summaries = summaries
+        self.max_stack_depth = max_stack_depth
         self.merged_in = per_block(result.block_input)
-        self.merged_out = per_block(result.block_output)
 
         self.jump_targets: dict[int, set[int]] = {}
         for _ctx, bid, _value, target in result.block_jump_target:
@@ -137,36 +138,26 @@ class _Lifter:
         self.continuation_ids = frozenset(cont for _caller, cont in confirmed.private_calls)
 
     def lift(self) -> TACProgram:
-        reachable = sorted(self.merged_in)
         blocks: dict[int, TACBlock] = {}
-        succs: dict[int, tuple[int, ...]] = {}
-
-        for bid in reachable:
-            built = self._build_block(bid)
-            if built is None:
-                continue
-            block, succ = built
-            blocks[bid] = block
-            succs[bid] = succ
+        for bid in sorted(self.merged_in):
+            block = self._build_block(bid)
+            if block is not None:
+                blocks[bid] = block
 
         preds: dict[int, set[int]] = {bid: set() for bid in blocks}
-        for bid, out in succs.items():
-            for succ in out:
+        for bid, block in blocks.items():
+            for succ in block.succs:
                 if succ in preds:
                     preds[succ].add(bid)
-        blocks = {
-            bid: TACBlock(
-                id=bid,
-                statements=block.statements,
-                preds=tuple(sorted(preds[bid])),
-                succs=succs[bid],
-            )
-            for bid, block in blocks.items()
-        }
-        return TACProgram(blocks=blocks)
+        return TACProgram(
+            blocks={
+                bid: TACBlock(bid, block.statements, tuple(sorted(preds[bid])), block.succs)
+                for bid, block in blocks.items()
+            }
+        )
 
-    def _call_info(self, bid: int) -> tuple[int, int | None] | None:
-        """(target, continuation slot) when the block is a private call."""
+    def _call_info(self, bid: int) -> tuple[int, int | None, Env] | None:
+        """(target, continuation slot, exit env) when the block is a private call."""
         if self.program.blocks[bid].terminator is not Terminator.JUMP:
             return None
         targets = self.jump_targets.get(bid, set())
@@ -176,14 +167,16 @@ class _Lifter:
         if target not in self.private_entries:
             return None
         cont_slot = None
-        out = self.merged_out.get(bid, {})
+        # From the merged entry env, which differs from the per-context
+        # union only by UNDERFLOW; only constants are read here.
+        out = transfer_block(self.summaries[bid], self.merged_in[bid], self.max_stack_depth)
         for slot in sorted(out):
             if {constant_of(v) for v in out[slot]} & self.continuation_ids:
                 cont_slot = slot
                 break
-        return target, cont_slot
+        return target, cont_slot, out
 
-    def _build_block(self, bid: int) -> tuple[TACBlock, tuple[int, ...]] | None:
+    def _build_block(self, bid: int) -> TACBlock | None:
         summary = self.summaries[bid]
         call_info = self._call_info(bid)
 
@@ -243,12 +236,10 @@ class _Lifter:
                     )
                 )
 
-        succs = self._successors(bid, call_info)
-        block = TACBlock(id=bid, statements=tuple(statements), succs=succs)
-        return block, succs
+        return TACBlock(id=bid, statements=tuple(statements), succs=self._successors(bid, call_info))
 
     def _call_statement(self, rec: OpRecord, call_info, names: _BlockNames, token, exit_token) -> TACStatement:
-        target, cont_slot = call_info
+        target, cont_slot, _out = call_info
         operands = [token(rec.operands[0])]
         if cont_slot is not None:
             operands.extend(exit_token(slot) for slot in range(cont_slot + 1))
@@ -265,8 +256,8 @@ class _Lifter:
 
     def _successors(self, bid: int, call_info) -> tuple[int, ...]:
         if call_info is not None and call_info[1] is not None:
-            out = self.merged_out.get(bid, {}).get(call_info[1], set())
-            succs = {c for v in out if (c := constant_of(v)) is not None}
+            _target, cont_slot, out = call_info
+            succs = {c for v in out[cont_slot] if (c := constant_of(v)) is not None}
             return tuple(sorted(succs))
         return tuple(sorted(self.edges.get(bid, ())))
 
@@ -276,8 +267,9 @@ def lift(
     summaries: dict[int, BlockSummary],
     result: AnalysisResult,
     confirmed: ConfirmedFacts,
+    max_stack_depth: int,
 ) -> TACProgram:
-    return _Lifter(program, summaries, result, confirmed).lift()
+    return _Lifter(program, summaries, result, confirmed, max_stack_depth).lift()
 
 
 def render_tac(tac: TACProgram) -> str:

@@ -242,14 +242,9 @@ def detect_stack_balancing_blocks(program: BytecodeProgram) -> frozenset[int]:
     return frozenset(out)
 
 
-def detect_patterns(
-    program: BytecodeProgram, summaries: dict[int, BlockSummary] | None = None
-) -> PatternFacts:
-    if summaries is None:
-        summaries = summarize_program(program)
+def detect_patterns(program: BytecodeProgram, summaries: dict[int, BlockSummary]) -> PatternFacts:
     return PatternFacts(
         public_call_candidates=detect_public_call_candidates(program, summaries),
         private_call_candidates=detect_private_call_candidates(program, summaries),
         private_returns=detect_private_returns(program, summaries),
-        stack_balancing=detect_stack_balancing_blocks(program),
     )

@@ -93,7 +93,7 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
 
     limits = AnalysisLimits(config.main_fact_limit, deadline, config.max_stack_depth)
     analysis = analyze(program, summaries, confirmed, scheme_cfg, limits)
-    tac = lift(program, summaries, analysis, confirmed)
+    tac = lift(program, summaries, analysis, confirmed, config.max_stack_depth)
     # A truncated pre-analysis is reported. If the main pass stopped short too,
     # its stop wins, so a run that ran out of time always reads timeout.
     stop = analysis.stop_condition

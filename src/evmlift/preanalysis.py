@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import AnalysisLimits, AnalysisResult, analyze, per_block
+from .analysis import AnalysisLimits, AnalysisResult, analyze, per_block, transfer_block
 from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
 from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
@@ -125,7 +125,9 @@ def confirm_public_calls(
     return frozenset(kept)
 
 
-def compute_important_edges(result: AnalysisResult) -> frozenset[tuple[int, int]]:
+def compute_important_edges(
+    result: AnalysisResult, summaries: dict[int, BlockSummary], max_stack_depth: int
+) -> frozenset[tuple[int, int]]:
     """Edges where a merged-in value set first becomes imprecise.
 
     An input slot is imprecise when it holds two or more values. The edge is
@@ -138,10 +140,13 @@ def compute_important_edges(result: AnalysisResult) -> frozenset[tuple[int, int]
         for slot, vals in env.items()
         if len(vals) >= 2
     }
+    sources = {(ctx, bid) for ctx, bid, _c2, _b2 in result.global_block_edge}
     imprecise_out = {
         (ctx, bid, slot)
-        for (ctx, bid), env in result.block_output.items()
-        for slot, vals in env.items()
+        for ctx, bid in sources
+        for slot, vals in transfer_block(
+            summaries[bid], result.block_input[(ctx, bid)], max_stack_depth
+        ).items()
         if len(vals) >= 2
     }
     from_previous = {
@@ -179,6 +184,6 @@ def run_preanalysis(
         public_calls=frozenset((bid, target) for bid, _sel, target in public_triples),
         private_calls=frozenset((caller, cont) for caller, cont, _pc in private_triples),
         private_returns=raw.private_returns,
-        important_edges=compute_important_edges(result),
+        important_edges=compute_important_edges(result, summaries, limits.max_stack_depth),
     )
     return PreanalysisOutcome(result=result, confirmed=confirmed, public_call_sites=public_triples)

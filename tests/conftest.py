@@ -6,7 +6,11 @@ state the block structure the tests rely on.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from evmlift.opcodes import BY_NAME
 
@@ -495,6 +499,25 @@ def gen_deep_program(stages: int, flavors: int = 2, rng: random.Random | None = 
     a.label("term_b")
     a.emit("JUMPDEST", "PUSH0", "PUSH0", "REVERT")
     return a.assemble()
+
+
+@functools.cache
+def _perfbench_corpus():
+    """The benchmark's corpus module, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def gen_dispatch_program(functions: int) -> bytes:
+    """The benchmark's frozen `gen_dispatch_program`, seeded `golden-dispatch-N`."""
+    code, _selectors = _perfbench_corpus().gen_dispatch_program(
+        functions, random.Random(f"golden-dispatch-{functions}")
+    )
+    return code
 
 
 def gen_chained_program(rng: random.Random) -> bytes:

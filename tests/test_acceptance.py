@@ -150,7 +150,8 @@ def test_criterion_4_preanalysis_filters_and_blames():
 
         t0 = time.monotonic()
         _, outcome = _preanalyze(important_edges_code())
-        expected = rule_based_important_edges(outcome.result)
+        summaries = summarize_program(extract_blocks(important_edges_code()))
+        expected = rule_based_important_edges(outcome.result, summaries)
         assert expected == frozenset({(0x6, 0x18), (0x10, 0x18)})
         assert outcome.confirmed.important_edges == expected
         assert time.monotonic() - t0 < 1.0

@@ -85,21 +85,23 @@ def test_conditional_jump_yields_both_edges_in_same_context():
 
 def test_unresolved_jump_is_reported_not_followed():
     result = _analyze(asm("PUSH1 0x00", "CALLDATALOAD", "JUMP"))
-    assert (INITIAL_CONTEXT, 0) in result.block_output
+    assert result.transfers == 1
     assert result.global_block_edge == set()
     assert result.block_jump_target == set()
 
 
 def test_invalid_jump_target_is_reported():
     result = _analyze(asm("PUSH1 0x05", "JUMP", "STOP"))
-    assert (INITIAL_CONTEXT, 0) in result.block_output
+    assert result.transfers == 1
     assert result.global_block_edge == set()
     assert result.block_jump_target == set()
 
 
 def test_underflowing_entry_block_is_flagged():
-    result = _analyze(asm("DUP1", "STOP"))
-    assert result.block_output[(INITIAL_CONTEXT, 0)] == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
+    code = asm("DUP1", "STOP")
+    result = _analyze(code)
+    entry = result.block_input[(INITIAL_CONTEXT, 0)]
+    assert transfer_block(_summary(code), entry, 100) == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
 
 
 CALL_RETURN = layout(
@@ -155,7 +157,6 @@ def test_analysis_is_deterministic():
     first = _analyze(chained_call_code())
     second = _analyze(chained_call_code())
     assert first.block_input == second.block_input
-    assert first.block_output == second.block_output
     assert first.block_jump_target == second.block_jump_target
     assert first.global_block_edge == second.global_block_edge
     assert (first.fact_count, first.transfers) == (second.fact_count, second.transfers)

@@ -1,6 +1,7 @@
 """Command line driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,18 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert main(["lift", "--batch", str(parallel), "--jobs", "2"]) == 0
     for name in ("a.hex.tac", "b.hex.tac", "a.hex.metrics.json", "b.hex.metrics.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_goes_on_past_an_unwritable_output(tmp_path, capsys, jobs):
+    batch = _make_batch_dir(tmp_path)
+    (batch / "a.hex.tac").mkdir()  # the TAC output of a.hex cannot replace a directory
+    assert main(["lift", "--batch", str(batch), "--jobs", jobs]) == 1
+    rows = [line.split(": ", 1) for line in capsys.readouterr().out.strip().split("\n")]
+    assert [Path(path).name for path, _detail in rows] == ["a.hex", "b.hex"]
+    assert "a.hex.tac" in rows[0][1]
+    assert rows[1][1] == "fixpoint"
+    assert (batch / "b.hex.tac").is_file() and (batch / "b.hex.metrics.json").is_file()
 
 
 def test_batch_argument_validation(tmp_path, capsys, dispatch_file):

@@ -84,7 +84,7 @@ def test_balancing_block_cloned_per_push_site():
         }
     )
     prog = extract_blocks(code)
-    facts = PatternFacts(stack_balancing=frozenset({0x10}))
+    facts = PatternFacts()
     assert select_clone_candidates(prog, facts) == {0x10: (0x0, 0x3)}
     cloned, instances = apply_cloning(prog, facts)
     assert [i.clone_id for i in instances] == [0x20, 0x30]
@@ -100,7 +100,7 @@ def test_single_push_site_keeps_block_shared():
         }
     )
     prog = extract_blocks(code)
-    facts = PatternFacts(stack_balancing=frozenset({0x10}))
+    facts = PatternFacts()
     assert select_clone_candidates(prog, facts) == {}
 
 
@@ -113,7 +113,7 @@ def test_clone_id_stride_covers_wide_blocks():
         }
     )
     prog = extract_blocks(code)
-    facts = PatternFacts(stack_balancing=frozenset({0x10}))
+    facts = PatternFacts()
     _, instances = apply_cloning(prog, facts)
     # 17-byte block span rounds the stride up to 32
     assert [i.clone_id for i in instances] == [0x30, 0x50]

@@ -8,10 +8,7 @@ and says why.
 """
 
 import hashlib
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,19 +16,6 @@ import conftest
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.lifter import render_tac
 from evmlift.pipeline import RunConfig, run_pipeline
-
-
-def dispatch_programs() -> list[bytes]:
-    """The benchmark's frozen `gen_dispatch_program`, loaded by path (perfbench is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return [
-        module.gen_dispatch_program(n, random.Random(f"golden-dispatch-{n}"))[0]
-        for n in (16, 24, 32)
-    ]
 
 
 FIXTURES = (
@@ -52,7 +36,7 @@ CORPORA = {
     "sound": lambda: [conftest.gen_sound_program(random.Random(seed)) for seed in range(200)],
     "deep": lambda: [conftest.gen_deep_program(8, 4), conftest.gen_deep_program(30, 4)],
     # Backward jumps (loop latches) and confirmed public calls, which no other corpus has.
-    "dispatch": dispatch_programs,
+    "dispatch": lambda: [conftest.gen_dispatch_program(n) for n in (16, 24, 32)],
 }
 
 GOLDEN = {

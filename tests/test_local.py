@@ -175,4 +175,3 @@ def test_detect_patterns_bundles_all_facts():
     assert facts.public_call_candidates
     assert facts.private_call_candidates
     assert facts.private_returns == frozenset({0x1C7, 0x1D0})
-    assert facts.stack_balancing == frozenset()
