@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .bytecode import BytecodeProgram, Terminator
 from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge
@@ -27,8 +28,14 @@ STOP_TIMEOUT = "timeout"
 
 DEFAULT_MAX_STACK_DEPTH = 100
 
-Env = dict[int, set[AbstractValue]]
+# Slot sets are frozensets shared between envs and keys; none is ever
+# mutated, so passing one through a block or into a store needs no copy.
+Env = dict[int, frozenset[AbstractValue]]
 PairKey = tuple[Context, int]
+
+_UNDERFLOW_ONLY = frozenset({UNDERFLOW})
+
+K = TypeVar("K")
 
 
 @dataclass
@@ -44,7 +51,9 @@ class AnalysisResult:
 
     An exit env is not stored: it is transfer_block of the block's entry env.
     fact_count counts the tuples of the three relations: one entry-stack
-    value, jump target or edge each.
+    value, jump target or edge each. The slot sets of block_input are
+    frozensets shared with other keys and exit envs; a slot that grows is
+    replaced by a new set, never updated in place.
     """
 
     block_input: dict[PairKey, Env] = field(default_factory=dict)
@@ -60,44 +69,54 @@ class AnalysisResult:
 
 
 def per_block(store: dict[PairKey, Env]) -> dict[int, Env]:
-    """Project a per-(context, block) store onto blocks, merging contexts slot-wise."""
+    """Project a per-(context, block) store onto blocks, merging contexts
+    slot-wise with the fixpoint's own join."""
     merged: dict[int, Env] = {}
     for (_ctx, bid), env in store.items():
-        slots = merged.setdefault(bid, {})
-        for slot, vals in env.items():
-            slots.setdefault(slot, set()).update(vals)
+        _join(merged, bid, env)
     return merged
 
 
 def transfer_block(summary: BlockSummary, input_env: Env, max_stack_depth: int) -> Env:
     """Exit environment induced by one entry environment.
 
-    A read of an empty entry slot yields UNDERFLOW.
+    A read of an empty entry slot yields UNDERFLOW. A slot read or passed
+    through holds the entry env's own set, not a copy.
     """
     produced = summary.produced
     out: Env = {}
     for j, value in enumerate(produced[:max_stack_depth]):
         if isinstance(value, EntrySlot):
-            out[j] = set(input_env.get(value.index) or {UNDERFLOW})
+            out[j] = input_env.get(value.index) or _UNDERFLOW_ONLY
         else:
-            out[j] = {value}
+            out[j] = frozenset((value,))
     shift = len(produced) - summary.consumed_depth
     for k in sorted(input_env):
         if k >= summary.consumed_depth and k + shift < max_stack_depth:
-            out[k + shift] = set(input_env[k])
+            out[k + shift] = input_env[k]
     return out
 
 
-def _join(store: dict[PairKey, Env], key: PairKey, env: Env) -> int:
-    """Slot-wise union of env into store[key]; returns the number of new tuples."""
-    cur = store.setdefault(key, {})
+def _join(store: dict[K, Env], key: K, env: Env) -> int:
+    """Slot-wise union of env into store[key]; returns the number of new tuples.
+
+    The dict of a new key is copied, since one exit env feeds several
+    successors; its slot sets are shared. A slot that grows gets a new set.
+    """
+    cur = store.get(key)
+    if cur is None:
+        store[key] = dict(env)
+        return sum(map(len, env.values()))
     added = 0
-    for slot in sorted(env):
-        have = cur.setdefault(slot, set())
-        fresh = env[slot] - have
-        if fresh:
-            have |= fresh
-            added += len(fresh)
+    for slot, vals in env.items():
+        have = cur.get(slot)
+        if have is None:
+            cur[slot] = vals
+            added += len(vals)
+        elif vals is not have and not vals <= have:
+            grown = have | vals
+            added += len(grown) - len(have)
+            cur[slot] = grown
     return added
 
 
@@ -155,7 +174,7 @@ def analyze(
         block = program.blocks[bid]
         if block.terminator in (Terminator.JUMP, Terminator.CONDITIONAL_JUMP):
             if isinstance(summary.target_expr, EntrySlot):
-                targets = input_env.get(summary.target_expr.index) or {UNDERFLOW}
+                targets = input_env.get(summary.target_expr.index) or _UNDERFLOW_ONLY
             else:
                 targets = {summary.target_expr}
             for value in sorted(targets, key=sort_key):

@@ -6,7 +6,9 @@ evmlift lift --batch DIR    lift every bytecode file in a directory
 evmlift lift --sweep FILE   compare the four standard configurations
 
 Exit codes: 0 when the analysis ran to completion (fixpoint or fact
-budget), 2 when it timed out, 1 on input errors and unwritable outputs.
+budget), 2 when it timed out, 1 on input errors and unwritable outputs,
+3 when --batch hit an unexpected error in a file (its traceback goes to
+stderr). A batch lifts every file and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import concurrent.futures
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 from .analysis import DEFAULT_MAX_STACK_DEPTH, STOP_TIMEOUT
@@ -28,6 +31,7 @@ from .preanalysis import DEFAULT_FACT_LIMIT
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIMEOUT = 2
+EXIT_CRASH = 3
 
 SUBCOMMANDS = ("lift", "trace")
 SKIP_SUFFIXES = (".tac", ".metrics.json")
@@ -116,7 +120,11 @@ def _lift_one(
 
 def _batch_worker(job: tuple[str, RunConfig]) -> tuple[str, int, str]:
     path, config = job
-    code, detail = _lift_one(path, config)
+    try:
+        code, detail = _lift_one(path, config)
+    except Exception as err:
+        traceback.print_exc()
+        return path, EXIT_CRASH, f"internal error: {type(err).__name__}: {err}"
     return path, code, detail
 
 

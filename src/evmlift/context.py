@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .facts import ConfirmedFacts
 
@@ -40,10 +41,10 @@ class SchemeConfig:
         return cls(scheme, DEFAULT_DEPTH[scheme])
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     """public is the active function entry block; private lists call sites,
-    most recent first, never longer than the configured depth."""
+    most recent first, never longer than the configured depth. A tuple, so
+    the fixpoint's keys hash and compare without Python-level calls."""
 
     public: int | None
     private: tuple[int, ...]

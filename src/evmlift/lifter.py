@@ -82,11 +82,11 @@ class _BlockNames:
 
 
 def _name_entry_slots(
-    bid: int, slots: set[int], merged_in: dict[int, set[AbstractValue]]
+    bid: int, slots: set[int], merged_in: Env
 ) -> _BlockNames:
     names = _BlockNames()
     for slot in sorted(slots):
-        values = merged_in.get(slot, set())
+        values = merged_in.get(slot, frozenset())
         real = sorted((v for v in values if v is not UNDERFLOW), key=sort_key)
         if not real:
             names.tokens[slot] = PLACEHOLDER

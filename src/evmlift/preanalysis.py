@@ -38,12 +38,12 @@ class _Resolver:
     def __init__(self, result: AnalysisResult):
         self.inputs = per_block(result.block_input)
 
-    def values(self, operand: AbstractValue) -> set[AbstractValue]:
+    def values(self, operand: AbstractValue) -> frozenset[AbstractValue]:
         if isinstance(operand, EntrySlot):
-            return self.inputs.get(operand.block, {}).get(operand.index, set())
+            return self.inputs.get(operand.block, {}).get(operand.index, frozenset())
         if isinstance(operand, DefSite):
-            return {operand}
-        return set()
+            return frozenset((operand,))
+        return frozenset()
 
     def has_constant(self, operand: AbstractValue, constant: int) -> bool:
         return any(constant_of(v) == constant for v in self.values(operand))

@@ -2,16 +2,21 @@
 
 import time
 
-from conftest import asm, chained_call_code, layout
+import pytest
+
+from conftest import asm, chained_call_code, gen_deep_program, gen_dispatch_program, layout
 from evmlift.analysis import (
     AnalysisLimits,
     analyze,
+    per_block,
     transfer_block,
 )
 from evmlift.bytecode import BytecodeProgram, extract_blocks
+from evmlift.cli import SWEEP_CONFIGS
 from evmlift.context import INITIAL_CONTEXT, Context, Scheme, SchemeConfig
 from evmlift.facts import ConfirmedFacts
 from evmlift.local import summarize_block, summarize_program
+from evmlift.pipeline import RunConfig, run_pipeline
 from evmlift.values import UNDERFLOW, DefSite, EntrySlot
 
 
@@ -160,3 +165,90 @@ def test_analysis_is_deterministic():
     assert first.block_jump_target == second.block_jump_target
     assert first.global_block_edge == second.global_block_edge
     assert (first.fact_count, first.transfers) == (second.fact_count, second.transfers)
+
+
+# Block 0's one exit env {0: {0xaa}} feeds both its jump target 0x10 and its
+# fallthrough 0x08; 0x08 then jumps to 0x10 with 0xbb in the same slot.
+SHARED_EXIT = layout(
+    {
+        0x00: asm("PUSH1 0xaa", "PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x10", "JUMPI"),
+        0x08: asm("POP", "PUSH1 0xbb", "PUSH1 0x10", "JUMP"),
+        0x10: asm("JUMPDEST", "STOP"),
+    }
+)
+
+
+def _slot_sets(store):
+    return [vals for env in store.values() for vals in env.values()]
+
+
+def test_a_grown_successor_leaves_its_sibling_alone():
+    result = _analyze(SHARED_EXIT)
+    aa, bb = DefSite(0x0, 0xAA), DefSite(0x9, 0xBB)
+    assert result.block_input[(INITIAL_CONTEXT, 0x10)] == {0: {aa, bb}}
+    assert result.block_input[(INITIAL_CONTEXT, 0x08)] == {0: {aa}}
+    # Slot sets are shared between keys, which is sound only if none can change.
+    assert all(isinstance(vals, frozenset) for vals in _slot_sets(result.block_input))
+
+
+def test_per_block_merges_contexts_without_touching_the_store():
+    inner = Context(None, (0x0,))
+    store = {
+        (INITIAL_CONTEXT, 0x8): {0: frozenset({A}), 1: frozenset({C})},
+        (inner, 0x8): {0: frozenset({B})},
+        (inner, 0x6): {},
+    }
+    merged = per_block(store)
+    assert merged == {0x8: {0: {A, B}, 1: {C}}, 0x6: {}}
+    assert store[(INITIAL_CONTEXT, 0x8)] == {0: {A}, 1: {C}}
+    assert all(isinstance(vals, frozenset) for vals in _slot_sets(merged))
+
+
+# (fact_count, transfers) of the pre-analysis (None when it is off) and of the
+# main pass, per sweep config. fact_count decides where fact-limit cuts a run,
+# and no golden corpus comes near the default limit, so a join that miscounts
+# new tuples would change no output there; these numbers catch it.
+COUNTERS = {
+    "dispatch-16": (
+        lambda: gen_dispatch_program(16),
+        {
+            "default": ((1018, 276), (9622, 1764)),
+            "no-shrinking": ((1018, 276), (2502, 490)),
+            "no-cloning": ((1018, 276), (9622, 1764)),
+            "no-preanalysis": (None, (1018, 276)),
+        },
+    ),
+    "deep-8": (
+        lambda: gen_deep_program(8, 4),
+        {
+            "default": ((671, 189), (671, 189)),
+            "no-shrinking": ((671, 189), (60567, 13905)),
+            "no-cloning": ((653, 183), (653, 183)),
+            "no-preanalysis": (None, (671, 189)),
+        },
+    ),
+}
+
+
+def _stored_tuples(result) -> int:
+    """Entry-stack values, jump targets and edges: what fact_count counts."""
+    return (
+        sum(map(len, _slot_sets(result.block_input)))
+        + len(result.block_jump_target)
+        + len(result.global_block_edge)
+    )
+
+
+@pytest.mark.parametrize("program", sorted(COUNTERS))
+def test_fixpoint_counters_are_pinned(program):
+    build, expected = COUNTERS[program]
+    code = build()
+    for name, overrides in SWEEP_CONFIGS:
+        res = run_pipeline(code, RunConfig(**overrides))
+        pre = res.preanalysis.result if res.preanalysis else None
+        passes = (pre, res.analysis)
+        counted = tuple(r and (r.fact_count, r.transfers) for r in passes)
+        assert counted == expected[name], name
+        for result in filter(None, passes):
+            assert result.stop_condition == "fixpoint"
+            assert result.fact_count == _stored_tuples(result), name

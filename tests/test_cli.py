@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SELECTOR_ONE, dispatch_pair_code, chained_call_code
+from evmlift import cli
 from evmlift.cli import main
 from evmlift.lifter import parse_tac
 
@@ -120,6 +121,28 @@ def test_batch_goes_on_past_an_unwritable_output(tmp_path, capsys, jobs):
     assert [Path(path).name for path, _detail in rows] == ["a.hex", "b.hex"]
     assert "a.hex.tac" in rows[0][1]
     assert rows[1][1] == "fixpoint"
+    assert (batch / "b.hex.tac").is_file() and (batch / "b.hex.metrics.json").is_file()
+
+
+def test_batch_goes_on_past_an_unexpected_error(tmp_path, capsys, monkeypatch):
+    batch = _make_batch_dir(tmp_path)
+    bad = dispatch_pair_code()
+    real = cli.run_pipeline
+
+    def run_pipeline(code, config):
+        if code == bad:
+            raise RuntimeError("boom")
+        return real(code, config)
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    assert main(["lift", "--batch", str(batch)]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split(": ", 1) for line in captured.out.strip().split("\n")]
+    assert [Path(path).name for path, _detail in rows] == ["a.hex", "b.hex"]
+    assert rows[0][1] == "internal error: RuntimeError: boom"
+    assert rows[1][1] == "fixpoint"
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+    assert not (batch / "a.hex.tac").exists()
     assert (batch / "b.hex.tac").is_file() and (batch / "b.hex.metrics.json").is_file()
 
 
