@@ -120,14 +120,50 @@ def _join(store: dict[K, Env], key: K, env: Env) -> int:
     return added
 
 
+def _replays(
+    prior: AnalysisResult, facts: ConfirmedFacts, cfg: SchemeConfig, limits: AnalysisLimits
+) -> bool:
+    """Whether analyze under facts and cfg would rebuild prior call for call.
+
+    The fixpoint reads facts and cfg only through merge, once per resolved
+    jump. If merge gives the recorded successor context on every recorded
+    jump edge, the run makes the same calls in the same order as the one
+    that built prior. A JUMPI whose fallthrough is its own target records a
+    fallthrough edge under the same key, which must then match as well. The
+    fact limit, checked between steps, cannot stop a run whose final count
+    is within it.
+    """
+    if prior.stop_condition != STOP_FIXPOINT:
+        return False
+    if limits.fact_limit is not None and prior.fact_count > limits.fact_limit:
+        return False
+    jumps = {(ctx, bid, t) for ctx, bid, _value, t in prior.block_jump_target}
+    return all(
+        merge(cfg, facts, ctx, bid, t) == ctx2
+        for ctx, bid, ctx2, t in prior.global_block_edge
+        if (ctx, bid, t) in jumps
+    )
+
+
 def analyze(
     program: BytecodeProgram,
     summaries: dict[int, BlockSummary],
     facts: ConfirmedFacts,
     cfg: SchemeConfig,
     limits: AnalysisLimits | None = None,
+    prior: AnalysisResult | None = None,
 ) -> AnalysisResult:
+    """Run the fixpoint, or return prior itself when the run would replay it.
+
+    prior must come from analyze over the same program, summaries and
+    max_stack_depth; only its facts, scheme and fact limit may differ. It is
+    returned as it is, not copied, when it reached its fixpoint within
+    limits.fact_limit and every merge it recorded gives the same context
+    under facts and cfg.
+    """
     limits = limits or AnalysisLimits()
+    if prior is not None and _replays(prior, facts, cfg, limits):
+        return prior
     result = AnalysisResult()
     if 0 not in program.blocks:
         return result

@@ -4,9 +4,13 @@ A context pairs the most recent public entry point with a bounded stack of
 private call sites. The shrinking scheme pops that stack back down when a
 return is provably matched to a call site still on it, so recursion-free
 call chains end in the same context they started in. It also pushes the
-source block on every important edge, the merges the pre-analysis blames
-for imprecision, so the paths into such a merge are analysed apart; when
-no pre-analysis ran there are no important edges. The transactional
+source block on every important edge, a merge the pre-analysis blames for
+bringing two or more jump targets into one stack slot, so the paths into
+such a merge are analysed apart; merged data buys no jump precision and
+splits no context. When no pre-analysis ran there are no important edges.
+When the confirmed facts merge every jump the pre-analysis recorded into
+the context it recorded, the main pass returns the pre-analysis fixpoint
+itself (see analysis.analyze). The transactional
 scheme only ever prepends, ignores important edges, and is retained as
 the comparison baseline.
 """

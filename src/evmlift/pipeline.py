@@ -37,7 +37,7 @@ class RunConfig:
     cloning: bool = True
     preanalysis: bool = True
     preanalysis_fact_limit: int = DEFAULT_FACT_LIMIT
-    main_fact_limit: int | None = None
+    main_fact_limit: int | None = DEFAULT_FACT_LIMIT
     timeout: float | None = DEFAULT_TIMEOUT
     max_stack_depth: int = DEFAULT_MAX_STACK_DEPTH
 
@@ -57,7 +57,7 @@ class PipelineResult:
     preanalysis: PreanalysisOutcome | None
     confirmed: ConfirmedFacts
     scheme_used: SchemeConfig
-    analysis: AnalysisResult
+    analysis: AnalysisResult  # preanalysis.result itself when the main pass reused it
     tac: TACProgram
     metrics: MetricsReport
 
@@ -92,7 +92,8 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
     scheme_cfg = SchemeConfig(config.scheme, config.depth)
 
     limits = AnalysisLimits(config.main_fact_limit, deadline, config.max_stack_depth)
-    analysis = analyze(program, summaries, confirmed, scheme_cfg, limits)
+    prior = pre.result if pre is not None else None
+    analysis = analyze(program, summaries, confirmed, scheme_cfg, limits, prior)
     tac = lift(program, summaries, analysis, confirmed, config.max_stack_depth)
     # A truncated pre-analysis is reported. If the main pass stopped short too,
     # its stop wins, so a run that ran out of time always reads timeout.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import AnalysisLimits, AnalysisResult, analyze, per_block, transfer_block
+from .analysis import AnalysisLimits, AnalysisResult, Env, analyze, per_block, transfer_block
 from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
 from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
@@ -126,42 +126,56 @@ def confirm_public_calls(
 
 
 def compute_important_edges(
-    result: AnalysisResult, summaries: dict[int, BlockSummary], max_stack_depth: int
+    result: AnalysisResult,
+    program: BytecodeProgram,
+    summaries: dict[int, BlockSummary],
+    max_stack_depth: int,
 ) -> frozenset[tuple[int, int]]:
-    """Edges where a merged-in value set first becomes imprecise.
+    """Edges where a merged-in value set first becomes imprecise for a jump.
 
-    An input slot is imprecise when it holds two or more values. The edge is
-    blamed only if the imprecision neither flowed out of the predecessor in
-    the same slot nor arrived imprecise from some predecessor's output.
+    A slot is imprecise when its values carry two or more distinct jump
+    targets. Only such a merge can split a jump: the global analysis never
+    folds constants across blocks, so a merged data constant cannot become
+    a jump target later, and values that carry one address all resolve a
+    jump alike. Blaming any other merge would only grow contexts (a loop
+    counter merged at its header would climb to the depth bound) with no
+    jump resolved more precisely. The edge is blamed only if the
+    imprecision neither flowed out of the predecessor in the same slot nor
+    arrived imprecise from some predecessor's output.
     """
+    targets = program.jump_target_ids
+
+    def imprecise(env: Env) -> set[int]:
+        # The size test first: most slots hold one value and cost no scan.
+        return {
+            slot
+            for slot, vals in env.items()
+            if len(vals) >= 2 and len(targets.intersection(map(constant_of, vals))) >= 2
+        }
+
     imprecise_in = {
-        (ctx, bid, slot)
-        for (ctx, bid), env in result.block_input.items()
-        for slot, vals in env.items()
-        if len(vals) >= 2
+        key: slots for key, env in result.block_input.items() if (slots := imprecise(env))
     }
-    sources = {(ctx, bid) for ctx, bid, _c2, _b2 in result.global_block_edge}
+    # Only edges into an imprecise slot can be blamed or carry the blame, so
+    # only their sources' exit envs are needed.
+    edges = [edge for edge in result.global_block_edge if edge[2:] in imprecise_in]
+    sources = {(ctx, bid) for ctx, bid, _c2, _b2 in edges}
     imprecise_out = {
-        (ctx, bid, slot)
+        (ctx, bid): imprecise(
+            transfer_block(summaries[bid], result.block_input[(ctx, bid)], max_stack_depth)
+        )
         for ctx, bid in sources
-        for slot, vals in transfer_block(
-            summaries[bid], result.block_input[(ctx, bid)], max_stack_depth
-        ).items()
-        if len(vals) >= 2
     }
     from_previous = {
         (ctx2, bid2, slot)
-        for ctx, bid, ctx2, bid2 in result.global_block_edge
-        for slot in result.block_input.get((ctx2, bid2), {})
-        if (ctx2, bid2, slot) in imprecise_in and (ctx, bid, slot) in imprecise_out
+        for ctx, bid, ctx2, bid2 in edges
+        for slot in imprecise_in[(ctx2, bid2)] & imprecise_out[(ctx, bid)]
     }
     return frozenset(
         (bid, bid2)
-        for ctx, bid, ctx2, bid2 in result.global_block_edge
-        for slot in result.block_input.get((ctx2, bid2), {})
-        if (ctx2, bid2, slot) in imprecise_in
-        and (ctx2, bid2, slot) not in from_previous
-        and (ctx, bid, slot) not in imprecise_out
+        for ctx, bid, ctx2, bid2 in edges
+        for slot in imprecise_in[(ctx2, bid2)]
+        if (ctx2, bid2, slot) not in from_previous and slot not in imprecise_out[(ctx, bid)]
     )
 
 
@@ -184,6 +198,8 @@ def run_preanalysis(
         public_calls=frozenset((bid, target) for bid, _sel, target in public_triples),
         private_calls=frozenset((caller, cont) for caller, cont, _pc in private_triples),
         private_returns=raw.private_returns,
-        important_edges=compute_important_edges(result, summaries, limits.max_stack_depth),
+        important_edges=compute_important_edges(
+            result, program, summaries, limits.max_stack_depth
+        ),
     )
     return PreanalysisOutcome(result=result, confirmed=confirmed, public_call_sites=public_triples)

@@ -278,6 +278,37 @@ def important_edges_code() -> bytes:
     )
 
 
+def code_address_merge_code() -> bytes:
+    """The merge of important_edges_code with jumpdest addresses for data:
+    blocks 0x06 and 0x10 build 0x20 and 0x28 with folded ADDs (so no call
+    pattern fires) and both jump to 0x1c, whose entry slot then holds two
+    code addresses."""
+    return layout(
+        {
+            0x00: asm("PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x10", "JUMPI"),
+            0x06: asm("PUSH1 0x1f", "PUSH1 0x01", "ADD", "PUSH1 0x1c", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x27", "PUSH1 0x01", "ADD", "PUSH1 0x1c", "JUMP"),
+            0x1C: asm("JUMPDEST", "POP", "STOP"),
+            0x20: asm("JUMPDEST", "STOP"),
+            0x28: asm("JUMPDEST", "STOP"),
+        }
+    )
+
+
+def one_address_merge_code() -> bytes:
+    """code_address_merge_code with both branches building 0x20: the merged
+    slot holds two values, from two ADDs, that carry one jump target."""
+    return layout(
+        {
+            0x00: asm("PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x10", "JUMPI"),
+            0x06: asm("PUSH1 0x1f", "PUSH1 0x01", "ADD", "PUSH1 0x1c", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x1e", "PUSH1 0x02", "ADD", "PUSH1 0x1c", "JUMP"),
+            0x1C: asm("JUMPDEST", "POP", "STOP"),
+            0x20: asm("JUMPDEST", "STOP"),
+        }
+    )
+
+
 def underflow_drop_code() -> bytes:
     """Block 0x10 swaps on an empty stack and still jumps to the constant
     0x18, so 0x18 reads a slot merging a real constant from 0x06 with stack
@@ -327,6 +358,30 @@ def poly_merge_code() -> bytes:
             0x38: asm("JUMPDEST", "STOP"),
         }
     )
+
+
+def recursive_call_code() -> bytes:
+    """Private recursion: main calls f(calldata[0] & 7) with continuation
+    `ret`. f(0) returns 0; f(n) calls f(n - 1) with continuation `after`,
+    which adds 1 to the result and returns. Both return blocks (f's base
+    case and `after`) jump to `ret` or `after`."""
+    a = Assembler()
+    a.emit("PUSH2 @ret", "PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x07", "AND", "PUSH2 @f", "JUMP")
+    a.label("ret")
+    a.emit("JUMPDEST", "PUSH0", "SSTORE", "STOP")
+    a.label("f")  # stack: n, return address
+    a.emit("JUMPDEST", "DUP1", "PUSH2 @recurse", "JUMPI")
+    a.emit("POP", "PUSH0", "SWAP1", "JUMP")
+    a.label("recurse")
+    a.emit("JUMPDEST", "PUSH2 @after", "SWAP1", "PUSH1 0x01", "SWAP1", "SUB", "PUSH2 @f", "JUMP")
+    a.label("after")  # stack: f(n - 1), return address
+    a.emit("JUMPDEST", "PUSH1 0x01", "ADD", "SWAP1", "JUMP")
+    return a.assemble()
+
+
+def recursion_calldatas() -> list[bytes]:
+    """One calldata per recursion depth f can take, 0 through 7."""
+    return [n.to_bytes(32, "big") for n in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +573,21 @@ def gen_dispatch_program(functions: int) -> bytes:
         functions, random.Random(f"golden-dispatch-{functions}")
     )
     return code
+
+
+def dispatch_calldatas(functions: int) -> list[bytes]:
+    """The benchmark's oracle calldatas for gen_dispatch_program(functions): one
+    call per selector, empty calldata and an unknown selector."""
+    corpus = _perfbench_corpus()
+    _code, selectors = corpus.gen_dispatch_program(
+        functions, random.Random(f"golden-dispatch-{functions}")
+    )
+    return list(corpus.dispatch_calldatas(selectors, random.Random(f"golden-calldata-{functions}")))
+
+
+def toggled_words(words: int) -> list[bytes]:
+    """Calldatas holding 0 or 1 in each of the first `words` words, every combination."""
+    return list(_perfbench_corpus().toggled_words(words))
 
 
 def gen_chained_program(rng: random.Random) -> bytes:

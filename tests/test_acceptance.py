@@ -7,14 +7,19 @@ import re
 import time
 from contextlib import contextmanager
 
+import pytest
+
 import conftest
 from conftest import (
     SELECTOR_ONE,
     SELECTOR_TWO,
     chained_call_code,
+    code_address_merge_code,
+    dispatch_calldatas,
     dispatch_pair_code,
     gen_chained_program,
     gen_deep_program,
+    gen_dispatch_program,
     gen_sound_program,
     important_edges_code,
     inlined_call_code,
@@ -22,13 +27,16 @@ from conftest import (
     non_selector_eq_code,
     oracle_calldatas,
     poly_merge_code,
+    recursion_calldatas,
+    recursive_call_code,
+    toggled_words,
     underflow_drop_code,
     unresolved_operand_code,
 )
 from test_preanalysis import rule_based_important_edges
 
 from evmlift.bytecode import extract_blocks
-from evmlift.cli import main
+from evmlift.cli import SWEEP_CONFIGS, main
 from evmlift.context import INITIAL_CONTEXT, Context, Scheme, SchemeConfig, merge
 from evmlift.facts import ConfirmedFacts
 from evmlift.interpreter import EnvSets, enumerate_edges
@@ -123,6 +131,28 @@ def test_criterion_3_analysis_edges_cover_concrete_edges():
         assert checked >= 1000
 
 
+# Loops and public calls, clones mapped back to their originals, and recursion:
+# the shapes gen_sound_program lacks. Each with the calldatas that reach them.
+ORACLE_PROGRAMS = {
+    "dispatch-16": (lambda: gen_dispatch_program(16), lambda: dispatch_calldatas(16)),
+    "deep-8": (lambda: gen_deep_program(8, 4), lambda: toggled_words(7)),
+    "recursion": (recursive_call_code, recursion_calldatas),
+}
+
+
+@pytest.mark.parametrize("program", sorted(ORACLE_PROGRAMS))
+def test_oracle_edges_are_covered_under_every_sweep_config(program):
+    build, calldatas = ORACLE_PROGRAMS[program]
+    code = build()
+    oracle = enumerate_edges(extract_blocks(code), EnvSets(calldatas=calldatas()))
+    assert oracle
+    for name, overrides in SWEEP_CONFIGS:
+        res = run_pipeline(code, RunConfig(**overrides))
+        original = res.program.clone_of
+        lifted = {(original.get(a, a), original.get(b, b)) for a, b in res.analysis.edge_pairs()}
+        assert oracle <= lifted, (name, sorted(oracle - lifted))
+
+
 def _preanalyze(code: bytes):
     prog = extract_blocks(code)
     summaries = summarize_program(prog)
@@ -149,11 +179,15 @@ def test_criterion_4_preanalysis_filters_and_blames():
         assert time.monotonic() - t0 < 1.0
 
         t0 = time.monotonic()
-        _, outcome = _preanalyze(important_edges_code())
-        summaries = summarize_program(extract_blocks(important_edges_code()))
-        expected = rule_based_important_edges(outcome.result, summaries)
-        assert expected == frozenset({(0x6, 0x18), (0x10, 0x18)})
+        _, outcome = _preanalyze(code_address_merge_code())
+        prog = extract_blocks(code_address_merge_code())
+        expected = rule_based_important_edges(
+            outcome.result, summarize_program(prog), prog.jump_target_ids
+        )
+        assert expected == frozenset({(0x6, 0x1C), (0x10, 0x1C)})
         assert outcome.confirmed.important_edges == expected
+        _, outcome = _preanalyze(important_edges_code())
+        assert outcome.confirmed.important_edges == frozenset()
         assert time.monotonic() - t0 < 1.0
 
 

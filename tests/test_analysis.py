@@ -4,7 +4,14 @@ import time
 
 import pytest
 
-from conftest import asm, chained_call_code, gen_deep_program, gen_dispatch_program, layout
+from conftest import (
+    asm,
+    chained_call_code,
+    gen_deep_program,
+    gen_dispatch_program,
+    layout,
+    never_jumped_code,
+)
 from evmlift.analysis import (
     AnalysisLimits,
     analyze,
@@ -212,9 +219,9 @@ COUNTERS = {
     "dispatch-16": (
         lambda: gen_dispatch_program(16),
         {
-            "default": ((1018, 276), (9622, 1764)),
+            "default": ((1018, 276), (1018, 276)),
             "no-shrinking": ((1018, 276), (2502, 490)),
-            "no-cloning": ((1018, 276), (9622, 1764)),
+            "no-cloning": ((1018, 276), (1018, 276)),
             "no-preanalysis": (None, (1018, 276)),
         },
     ),
@@ -252,3 +259,30 @@ def test_fixpoint_counters_are_pinned(program):
         for result in filter(None, passes):
             assert result.stop_condition == "fixpoint"
             assert result.fact_count == _stored_tuples(result), name
+
+
+def _reused(res) -> bool:
+    return res.preanalysis is not None and res.analysis is res.preanalysis.result
+
+
+def test_main_pass_reruns_when_a_merge_differs():
+    # The raw private call at 0x0 grows the pre-analysis context on 0x0 -> 0x8;
+    # confirmation drops it, so the main pass merges to a different context.
+    res = run_pipeline(never_jumped_code())
+    assert not _reused(res)
+    pre_edges = res.preanalysis.result.global_block_edge
+    assert pre_edges == {(INITIAL_CONTEXT, 0x0, Context(None, (0x0,)), 0x8)}
+    assert res.analysis.global_block_edge == {(INITIAL_CONTEXT, 0x0, INITIAL_CONTEXT, 0x8)}
+    res = run_pipeline(chained_call_code(), RunConfig(scheme=Scheme.TRANSACTIONAL))
+    assert not _reused(res)
+    assert res.analysis.global_block_edge != res.preanalysis.result.global_block_edge
+
+
+def test_reuse_declines_a_prior_above_the_main_fact_limit():
+    code = gen_deep_program(8, 4)
+    pre_facts = COUNTERS["deep-8"][1]["default"][0][0]
+    assert _reused(run_pipeline(code, RunConfig(main_fact_limit=pre_facts)))
+    res = run_pipeline(code, RunConfig(main_fact_limit=pre_facts - 1))
+    assert res.preanalysis.result.stop_condition == "fixpoint"
+    assert not _reused(res)
+    assert res.analysis.stop_condition == "fact-limit"

@@ -7,6 +7,7 @@ from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
 from evmlift.lifter import render_tac
 from evmlift.pipeline import RunConfig, run_pipeline
+from evmlift.preanalysis import DEFAULT_FACT_LIMIT
 
 
 def test_depth_defaults_follow_scheme():
@@ -65,6 +66,10 @@ def test_zero_timeout_reports_timeout():
     res = run_pipeline(chained_call_code(), RunConfig(timeout=0.0))
     assert res.analysis.stop_condition == "timeout"
     assert res.metrics.stop_condition == "timeout"
+
+
+def test_default_config_bounds_the_main_pass():
+    assert RunConfig().main_fact_limit == DEFAULT_FACT_LIMIT
 
 
 def test_main_fact_limit_reports_fact_limit():

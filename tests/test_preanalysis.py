@@ -8,12 +8,15 @@ from conftest import (
     asm,
     dispatch_pair_code,
     chained_call_code,
+    code_address_merge_code,
     gen_deep_program,
     gen_dispatch_program,
     important_edges_code,
     layout,
     never_jumped_code,
     non_selector_eq_code,
+    one_address_merge_code,
+    recursive_call_code,
 )
 from evmlift.analysis import DEFAULT_MAX_STACK_DEPTH, transfer_block
 from evmlift.bytecode import extract_blocks
@@ -118,15 +121,24 @@ def test_division_and_mask_selector_is_confirmed():
     assert DefSite(0x22) in selectors and DefSite(0x28) in selectors
 
 
-def rule_based_important_edges(result, summaries):
-    """Independent evaluation of the imprecision-introduction rules."""
+def rule_based_important_edges(result, summaries, jump_targets):
+    """Independent evaluation of the imprecision-introduction rules.
+
+    A slot is imprecise when its values carry two or more distinct jump
+    targets; merged data, or one address from several pushes, never splits
+    a jump, so it blames nothing.
+    """
+
+    def splits_a_jump(vals):
+        addresses = {v.constant for v in vals if isinstance(v, DefSite)} & jump_targets
+        return len(addresses) >= 2
 
     def imprecise_in(ctx, bid, slot):
-        return len(result.block_input.get((ctx, bid), {}).get(slot, ())) >= 2
+        return splits_a_jump(result.block_input.get((ctx, bid), {}).get(slot, ()))
 
     def imprecise_out(ctx, bid, slot):
         env = transfer_block(summaries[bid], result.block_input[(ctx, bid)], DEFAULT_MAX_STACK_DEPTH)
-        return len(env.get(slot, ())) >= 2
+        return splits_a_jump(env.get(slot, ()))
 
     edges = result.global_block_edge
     blamed = set()
@@ -146,30 +158,39 @@ def rule_based_important_edges(result, summaries):
     return frozenset(blamed)
 
 
-def _important_edges(outcome, summaries):
-    return compute_important_edges(outcome.result, summaries, DEFAULT_MAX_STACK_DEPTH)
+def _blamed(code: bytes):
+    """compute_important_edges, the rule oracle and the confirmed facts' edges
+    on one program's pre-analysis."""
+    prog = extract_blocks(code)
+    summaries = summarize_program(prog)
+    outcome = run_preanalysis(prog, summaries, detect_patterns(prog, summaries), 8)
+    assert outcome.result.stop_condition == "fixpoint"
+    computed = compute_important_edges(outcome.result, prog, summaries, DEFAULT_MAX_STACK_DEPTH)
+    oracle = rule_based_important_edges(outcome.result, summaries, prog.jump_target_ids)
+    return computed, oracle, outcome.confirmed.important_edges
 
 
 def test_constant_merge_blames_both_incoming_edges():
-    raw, outcome, summaries = _pre(important_edges_code())
-    expected = frozenset({(0x6, 0x18), (0x10, 0x18)})
-    assert _important_edges(outcome, summaries) == expected
-    assert rule_based_important_edges(outcome.result, summaries) == expected
-    assert outcome.confirmed.important_edges == expected
+    expected = frozenset({(0x6, 0x1C), (0x10, 0x1C)})
+    assert _blamed(code_address_merge_code()) == (expected, expected, expected)
+
+
+@pytest.mark.parametrize(
+    "build", [important_edges_code, one_address_merge_code], ids=["data", "one-address"]
+)
+def test_a_merge_that_splits_no_jump_blames_nothing(build):
+    assert _blamed(build()) == (frozenset(),) * 3
 
 
 def test_precise_flows_blame_no_edges():
-    _, outcome, summaries = _pre(dispatch_pair_code())
-    assert outcome.confirmed.important_edges == frozenset()
-    assert rule_based_important_edges(outcome.result, summaries) == _important_edges(outcome, summaries)
+    assert _blamed(dispatch_pair_code()) == (frozenset(),) * 3
 
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: gen_dispatch_program(16), lambda: gen_deep_program(8, 4)],
-    ids=["dispatch-16", "deep-8"],
+    [lambda: gen_dispatch_program(16), lambda: gen_deep_program(8, 4), recursive_call_code],
+    ids=["dispatch-16", "deep-8", "recursion"],
 )
 def test_important_edges_match_the_rule_oracle(build):
-    _, outcome, summaries = _pre(build())
-    assert outcome.result.stop_condition == "fixpoint"
-    assert rule_based_important_edges(outcome.result, summaries) == _important_edges(outcome, summaries)
+    computed, oracle, _confirmed = _blamed(build())
+    assert computed == oracle

@@ -146,3 +146,45 @@ def test_rendered_output_round_trips_on_generated_programs(seed):
     tac = run_pipeline(code).tac
     parsed = parse_tac(render_tac(tac))
     assert parsed.blocks == tac.blocks
+
+
+# Jump-heavy byte soup: jumpdests, jumps, stack shuffles and pushes of the
+# jumpdests' own offsets, so random inputs reach the global analysis and not
+# just decoding. Other bytes are drawn from the non-push opcodes, so every
+# byte the generator places is decoded as the instruction it placed.
+_JUMPY = (0x5B, 0x56, 0x57, 0x80, 0x81, 0x90, 0x91, 0x50, 0x5F)
+_NON_PUSH = tuple(b for b in range(256) if not 0x60 <= b <= 0x7F)
+
+
+def _random_code(rng: random.Random, jump_biased: bool) -> bytes:
+    size = rng.randint(1, 600)
+    if not jump_biased:
+        return rng.randbytes(size)
+    out = bytearray()
+    pushes: list[int] = []
+    jumpdests: list[int] = []
+    while len(out) < size:
+        roll = rng.random()
+        if roll < 0.25:
+            pushes.append(len(out) + 1)
+            out += b"\x61\x00\x00"  # PUSH2, address filled in below
+            continue
+        op = rng.choice(_JUMPY) if roll < 0.8 else rng.choice(_NON_PUSH)
+        if op == 0x5B:
+            jumpdests.append(len(out))
+        out.append(op)
+    for at in pushes:
+        address = rng.choice(jumpdests) if jumpdests and rng.random() < 0.9 else rng.randrange(size)
+        out[at : at + 2] = address.to_bytes(2, "big")
+    return bytes(out[:size])
+
+
+def test_pipeline_terminates_on_random_bytes():
+    rng = random.Random("random-bytes")
+    for i in range(300):
+        code = _random_code(rng, jump_biased=i % 2 == 1)
+        res = run_pipeline(code)
+        # The default fact limit, not the wall clock, bounds every run.
+        assert res.metrics.stop_condition != "timeout", code.hex()
+        text = render_tac(res.tac)
+        assert render_tac(parse_tac(text)) == text, code.hex()
