@@ -1,4 +1,8 @@
-"""Bytecode decoding: instructions, basic blocks, and input file handling."""
+"""Bytecode decoding: instructions, basic blocks, and input file handling.
+
+Decoding is one walk: `extract_blocks` cuts the `disassemble` stream into
+basic blocks and collects the valid JUMPDESTs as it goes.
+"""
 
 from __future__ import annotations
 
@@ -87,21 +91,6 @@ class BytecodeProgram:
         }
         return self.jumpdests | frozenset(extra)
 
-    def block_ids(self) -> list[int]:
-        return sorted(self.blocks)
-
-
-def valid_jumpdests(code: bytes) -> frozenset[int]:
-    """Offsets holding a 0x5b byte that is not inside PUSH immediate data."""
-    dests = set()
-    pc = 0
-    while pc < len(code):
-        byte = code[pc]
-        if byte == 0x5B:
-            dests.add(pc)
-        pc += info_for_byte(byte).size
-    return frozenset(dests)
-
 
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode every byte; total on arbitrary input."""
@@ -122,46 +111,42 @@ def disassemble(code: bytes) -> list[Instruction]:
     return out
 
 
+_TERMINATOR = {
+    Control.NORMAL: Terminator.FALLTHROUGH,
+    Control.JUMP: Terminator.JUMP,
+    Control.JUMPI: Terminator.CONDITIONAL_JUMP,
+    Control.HALT: Terminator.HALT,
+}
+
+
 def extract_blocks(code: bytes) -> BytecodeProgram:
-    """Partition the instruction stream into basic blocks.
+    """Cut the instruction stream into basic blocks in one walk.
 
     A block starts at pc 0, at every JUMPDEST, and after every JUMP, JUMPI, or
-    halting instruction.
+    halting instruction. The walk that fixes where instructions begin also
+    finds the valid jump destinations: a 0x5b byte inside PUSH data is never
+    decoded as a JUMPDEST.
     """
-    instructions = disassemble(code)
-    jumpdests = valid_jumpdests(code)
-    starts: set[int] = set(jumpdests)
-    if instructions:
-        starts.add(0)
-    for ins in instructions:
-        info = info_for_name(ins.opcode)
-        if info.control in (Control.JUMP, Control.JUMPI, Control.HALT):
-            after = ins.pc + ins.size
-            if after < len(code):
-                starts.add(after)
-
     blocks: dict[int, BasicBlock] = {}
-    ordered = sorted(starts)
-    by_pc = {ins.pc: i for i, ins in enumerate(instructions)}
-    for i, start in enumerate(ordered):
-        end = ordered[i + 1] if i + 1 < len(ordered) else len(code)
-        body: list[Instruction] = []
-        idx = by_pc[start]
-        while idx < len(instructions) and instructions[idx].pc < end:
-            body.append(instructions[idx])
-            idx += 1
-        last = body[-1]
-        control = info_for_name(last.opcode).control
-        if control is Control.JUMP:
-            term = Terminator.JUMP
-        elif control is Control.JUMPI:
-            term = Terminator.CONDITIONAL_JUMP
-        elif control is Control.HALT:
-            term = Terminator.HALT
-        else:
-            term = Terminator.FALLTHROUGH
-        blocks[start] = BasicBlock(start, tuple(body), term)
-    return BytecodeProgram(code, blocks, jumpdests)
+    jumpdests: list[int] = []
+    body: list[Instruction] = []
+
+    def cut(terminator: Terminator) -> None:
+        blocks[body[0].pc] = BasicBlock(body[0].pc, tuple(body), terminator)
+        body.clear()
+
+    for ins in disassemble(code):
+        if ins.opcode == "JUMPDEST":
+            jumpdests.append(ins.pc)
+            if body:
+                cut(Terminator.FALLTHROUGH)
+        body.append(ins)
+        terminator = _TERMINATOR[info_for_name(ins.opcode).control]
+        if terminator is not Terminator.FALLTHROUGH:
+            cut(terminator)
+    if body:
+        cut(Terminator.FALLTHROUGH)
+    return BytecodeProgram(code, blocks, frozenset(jumpdests))
 
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")

@@ -6,9 +6,9 @@ evmlift lift --batch DIR    lift every bytecode file in a directory
 evmlift lift --sweep FILE   compare the four standard configurations
 
 Exit codes: 0 when the analysis ran to completion (fixpoint or fact
-budget), 2 when it timed out, 1 on input errors and unwritable outputs,
-3 when --batch hit an unexpected error in a file (its traceback goes to
-stderr). A batch lifts every file and exits with the worst code.
+budget), 2 when it timed out, 1 on usage errors, input errors and unwritable
+outputs, 3 when --batch hit an unexpected error in a file (its traceback
+goes to stderr). A batch lifts every file and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import traceback
 from pathlib import Path
 
 from .analysis import DEFAULT_MAX_STACK_DEPTH, STOP_TIMEOUT
-from .bytecode import BytecodeError, read_bytecode_file
+from .bytecode import BytecodeError, extract_blocks, read_bytecode_file
 from .context import Scheme
 from .interpreter import EnvValuation, concrete_execute
+from .lifter import render_tac
 from .pipeline import DEFAULT_TIMEOUT, RunConfig, run_pipeline
 from .preanalysis import DEFAULT_FACT_LIMIT
 
@@ -102,8 +103,6 @@ def _lift_one(
     metrics_out: str | None = None,
 ) -> tuple[int, str]:
     """Returns (exit code, stop condition or error text)."""
-    from .lifter import render_tac
-
     try:
         code = read_bytecode_file(input_path)
     except (OSError, BytecodeError) as err:
@@ -200,8 +199,6 @@ def _run_trace(args: argparse.Namespace) -> int:
     except (OSError, BytecodeError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_ERROR
-    from .bytecode import extract_blocks
-
     trace = concrete_execute(
         extract_blocks(code), EnvValuation(calldata=calldata), max_steps=args.max_steps
     )
@@ -215,7 +212,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in SUBCOMMANDS and argv[0] not in ("-h", "--help"):
         argv.insert(0, "lift")
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 0 after -h and 2 on a usage error; 2 means a timeout here
+        if stop.code == 0:
+            raise
+        return EXIT_ERROR
 
     if args.command == "trace":
         return _run_trace(args)

@@ -40,10 +40,6 @@ class SchemeConfig:
     scheme: Scheme
     depth: int
 
-    @classmethod
-    def default(cls, scheme: Scheme) -> "SchemeConfig":
-        return cls(scheme, DEFAULT_DEPTH[scheme])
-
 
 class Context(NamedTuple):
     """public is the active function entry block; private lists call sites,

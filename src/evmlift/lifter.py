@@ -156,15 +156,14 @@ class _Lifter:
             }
         )
 
-    def _call_info(self, bid: int) -> tuple[int, int | None, Env] | None:
-        """(target, continuation slot, exit env) when the block is a private call."""
+    def _call_info(self, bid: int) -> tuple[int | None, Env] | None:
+        """(continuation slot, exit env) when the block is a private call."""
         if self.program.blocks[bid].terminator is not Terminator.JUMP:
             return None
         targets = self.jump_targets.get(bid, set())
         if len(targets) != 1:
             return None
-        target = next(iter(targets))
-        if target not in self.private_entries:
+        if next(iter(targets)) not in self.private_entries:
             return None
         cont_slot = None
         # From the merged entry env, which differs from the per-context
@@ -174,16 +173,16 @@ class _Lifter:
             if {constant_of(v) for v in out[slot]} & self.continuation_ids:
                 cont_slot = slot
                 break
-        return target, cont_slot, out
+        return cont_slot, out
 
     def _build_block(self, bid: int) -> TACBlock | None:
         summary = self.summaries[bid]
         call_info = self._call_info(bid)
 
         consumed = set(summary.read_slots())
-        if call_info is not None and call_info[1] is not None:
+        if call_info is not None and call_info[0] is not None:
             produced_len = len(summary.produced)
-            for exit_slot in range(call_info[1] + 1):
+            for exit_slot in range(call_info[0] + 1):
                 if exit_slot < produced_len:
                     value = summary.produced[exit_slot]
                     if isinstance(value, EntrySlot):
@@ -239,7 +238,7 @@ class _Lifter:
         return TACBlock(id=bid, statements=tuple(statements), succs=self._successors(bid, call_info))
 
     def _call_statement(self, rec: OpRecord, call_info, names: _BlockNames, token, exit_token) -> TACStatement:
-        target, cont_slot, _out = call_info
+        cont_slot, _out = call_info
         operands = [token(rec.operands[0])]
         if cont_slot is not None:
             operands.extend(exit_token(slot) for slot in range(cont_slot + 1))
@@ -255,8 +254,8 @@ class _Lifter:
         )
 
     def _successors(self, bid: int, call_info) -> tuple[int, ...]:
-        if call_info is not None and call_info[1] is not None:
-            _target, cont_slot, out = call_info
+        if call_info is not None and call_info[0] is not None:
+            cont_slot, out = call_info
             succs = {c for v in out[cont_slot] if (c := constant_of(v)) is not None}
             return tuple(sorted(succs))
         return tuple(sorted(self.edges.get(bid, ())))

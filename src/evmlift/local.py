@@ -43,7 +43,6 @@ class BlockSummary:
     passed through untouched.
     """
 
-    block: int
     consumed_depth: int
     produced: tuple[AbstractValue, ...]
     target_expr: AbstractValue | None = None
@@ -126,7 +125,6 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
             local_target = t
 
     return BlockSummary(
-        block=block.id,
         consumed_depth=depth,
         produced=tuple(reversed(stack)),
         target_expr=target_expr,
@@ -138,7 +136,7 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
 
 
 def summarize_program(program: BytecodeProgram) -> dict[int, BlockSummary]:
-    return {bid: summarize_block(program.blocks[bid], program) for bid in program.block_ids()}
+    return {bid: summarize_block(program.blocks[bid], program) for bid in sorted(program.blocks)}
 
 
 def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpRecord | None:

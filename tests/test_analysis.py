@@ -20,7 +20,7 @@ from evmlift.analysis import (
 )
 from evmlift.bytecode import BytecodeProgram, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
-from evmlift.context import INITIAL_CONTEXT, Context, Scheme, SchemeConfig
+from evmlift.context import DEFAULT_DEPTH, INITIAL_CONTEXT, Context, Scheme, SchemeConfig
 from evmlift.facts import ConfirmedFacts
 from evmlift.local import summarize_block, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
@@ -73,7 +73,8 @@ def test_transfer_truncates_at_max_stack_depth():
 
 def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, limits=None):
     prog = extract_blocks(code)
-    return analyze(prog, summarize_program(prog), facts, SchemeConfig.default(scheme), limits)
+    config = SchemeConfig(scheme, DEFAULT_DEPTH[scheme])
+    return analyze(prog, summarize_program(prog), facts, config, limits)
 
 
 BRANCH = layout(
@@ -160,7 +161,8 @@ def test_too_deep_blocks_are_not_transferred():
 
 def test_empty_program_fixpoints_immediately():
     empty = BytecodeProgram(code=b"", blocks={}, jumpdests=frozenset())
-    result = analyze(empty, {}, ConfirmedFacts(), SchemeConfig.default(Scheme.SHRINKING))
+    config = SchemeConfig(Scheme.SHRINKING, DEFAULT_DEPTH[Scheme.SHRINKING])
+    result = analyze(empty, {}, ConfirmedFacts(), config)
     assert result.stop_condition == "fixpoint"
     assert result.block_input == {}
 

@@ -12,7 +12,6 @@ from evmlift.bytecode import (
     extract_blocks,
     parse_bytecode_text,
     read_bytecode_file,
-    valid_jumpdests,
 )
 
 MAX_CODE_SIZE = 24576
@@ -48,7 +47,7 @@ def test_code_size_limit():
 
 def test_jumpdest_in_push_data_is_not_valid():
     # 0x61 0x5b 0x5b consumes both 0x5b bytes as immediate; only pc 3 counts
-    assert valid_jumpdests(bytes([0x61, 0x5B, 0x5B, 0x5B])) == frozenset({3})
+    assert extract_blocks(bytes([0x61, 0x5B, 0x5B, 0x5B])).jumpdests == frozenset({3})
 
 
 def test_block_boundaries():

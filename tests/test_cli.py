@@ -70,6 +70,12 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert main([str(tmp_path / "missing.hex")]) == 1
 
 
+@pytest.mark.parametrize("argv", [["lift", "--bogus", "x"], ["lift", "--context-depth", "abc", "x"]])
+def test_usage_error_exits_one_not_the_timeout_code(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_timeout_exits_two(chained_file, capsys):
     assert main([str(chained_file), "--timeout", "0"]) == 2
     assert "timeout" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from evmlift.facts import ConfirmedFacts
 
 
 def cfg(scheme: Scheme, depth: int | None = None) -> SchemeConfig:
-    return SchemeConfig(scheme, depth) if depth else SchemeConfig.default(scheme)
+    return SchemeConfig(scheme, depth or DEFAULT_DEPTH[scheme])
 
 
 def test_initial_context():
@@ -25,7 +25,6 @@ def test_initial_context():
 def test_default_depths():
     assert DEFAULT_DEPTH[Scheme.SHRINKING] == 20
     assert DEFAULT_DEPTH[Scheme.TRANSACTIONAL] == 8
-    assert SchemeConfig.default(Scheme.TRANSACTIONAL).depth == 8
 
 
 def test_public_call_replaces_public_component():

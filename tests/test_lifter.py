@@ -1,5 +1,8 @@
 """Lifted three-address code: naming, PHIs, calls, rendering."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from conftest import (
@@ -115,3 +118,19 @@ def test_parse_rejects_malformed_text():
         parse_tac(good + "\nbroken statement line")
     with pytest.raises(ValueError):
         parse_tac("Begin block 0x1\nprev=[], succ=[]\n" + "=" * 32)
+
+
+def test_readme_tac_sample_is_an_excerpt_of_the_rendered_output(cloned):
+    # The sample in README.md's "TAC format" section shows blocks 0x58 and
+    # 0x1c7 of chained_call_code under the default config; a "..." line
+    # stands for statements left out.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sample = readme.split("## TAC format", 1)[1].split("```\n")[1]
+    blocks = render_tac(cloned.tac).rstrip("\n").split("\n\n")
+    rendered = {text.split("\n", 1)[0]: text for text in blocks}
+    paragraphs = sample.rstrip("\n").split("\n\n")
+    headers = [paragraph.split("\n", 1)[0] for paragraph in paragraphs]
+    assert headers == ["Begin block 0x58", "Begin block 0x1c7"]
+    for header, paragraph in zip(headers, paragraphs):
+        pattern = r"\n(?:.*\n)*".join(map(re.escape, paragraph.split("\n...\n")))
+        assert re.fullmatch(pattern, rendered[header]), paragraph

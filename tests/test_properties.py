@@ -5,13 +5,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import asm, gen_sound_program
-from evmlift.bytecode import extract_blocks, parse_bytecode_text
+from evmlift.bytecode import Terminator, disassemble, extract_blocks, parse_bytecode_text
 from evmlift.context import Context, Scheme, SchemeConfig, merge
 from evmlift.facts import ConfirmedFacts
 from evmlift.interpreter import run_block
 from evmlift.lifter import parse_tac, render_tac
 from evmlift.local import summarize_block
+from evmlift.opcodes import Control, info_for_name
 from evmlift.pipeline import run_pipeline
 from evmlift.values import DefSite, EntrySlot
 
@@ -188,3 +190,73 @@ def test_pipeline_terminates_on_random_bytes():
         assert res.metrics.stop_condition != "timeout", code.hex()
         text = render_tac(res.tac)
         assert render_tac(parse_tac(text)) == text, code.hex()
+
+
+_TERMINATOR_OF = {
+    Control.NORMAL: Terminator.FALLTHROUGH,
+    Control.JUMP: Terminator.JUMP,
+    Control.JUMPI: Terminator.CONDITIONAL_JUMP,
+    Control.HALT: Terminator.HALT,
+}
+
+
+def _scan_jumpdests(code: bytes) -> frozenset[int]:
+    """0x5b bytes outside PUSH immediates, found byte by byte: PUSH1..PUSH32
+    (0x60..0x7f) carry 1..32 immediate bytes, every other opcode none."""
+    dests = set()
+    pc = 0
+    while pc < len(code):
+        byte = code[pc]
+        if byte == 0x5B:
+            dests.add(pc)
+        pc += 1 + (byte - 0x5F if 0x60 <= byte <= 0x7F else 0)
+    return frozenset(dests)
+
+
+def _decoding_inputs() -> list[bytes]:
+    fixtures = (
+        conftest.dispatch_pair_code,
+        conftest.inlined_call_code,
+        conftest.chained_call_code,
+        conftest.never_jumped_code,
+        conftest.non_selector_eq_code,
+        conftest.important_edges_code,
+        conftest.code_address_merge_code,
+        conftest.one_address_merge_code,
+        conftest.underflow_drop_code,
+        conftest.unresolved_operand_code,
+        conftest.balancing_example_code,
+        conftest.poly_merge_code,
+        conftest.recursive_call_code,
+    )
+    # empty code, a lone PUSH1, a trailing JUMP, STOP JUMPDEST
+    inputs = [b"", b"\x60", asm("PUSH1 0x00", "JUMP"), asm("STOP", "JUMPDEST")]
+    inputs += [build() for build in fixtures]
+    rng = random.Random("decoding")
+    inputs += [_random_code(rng, jump_biased=i % 2 == 1) for i in range(1000)]
+    return inputs
+
+
+def test_blocks_cut_the_instruction_stream_at_jumpdests_and_terminators():
+    for code in _decoding_inputs():
+        program = extract_blocks(code)
+        blocks = list(program.blocks.values())
+        assert [b.id for b in blocks] == sorted(program.blocks), code.hex()
+        stream = [ins for block in blocks for ins in block.instructions]
+        assert stream == disassemble(code), code.hex()
+        previous = None
+        for block in blocks:
+            first, last = block.instructions[0], block.instructions[-1]
+            assert block.id == first.pc
+            assert (
+                block.id == 0
+                or first.opcode == "JUMPDEST"
+                or info_for_name(previous.last.opcode).control is not Control.NORMAL
+            ), code.hex()
+            assert all(ins.opcode != "JUMPDEST" for ins in block.instructions[1:]), code.hex()
+            assert all(
+                info_for_name(ins.opcode).control is Control.NORMAL for ins in block.instructions[:-1]
+            ), code.hex()
+            assert block.terminator is _TERMINATOR_OF[info_for_name(last.opcode).control], code.hex()
+            previous = block
+        assert program.jumpdests == _scan_jumpdests(code), code.hex()
