@@ -9,8 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
-from .opcodes import Control, info_for_byte, info_for_name
+from .opcodes import TABLE, Control, info_for_byte, info_for_name
 
 MAX_CODE_SIZE = 24576
 
@@ -30,9 +31,8 @@ class Terminator(Enum):
     FALLTHROUGH = "fallthrough"
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One decoded instruction.
+class Instruction(NamedTuple):
+    """One decoded instruction (a NamedTuple: cheap to build, hashed in C).
 
     pushed_value is present exactly for the PUSH family; truncated immediates
     at the end of code are zero-padded on the right.
@@ -92,31 +92,37 @@ class BytecodeProgram:
         return self.jumpdests | frozenset(extra)
 
 
-def disassemble(code: bytes) -> list[Instruction]:
-    """Decode every byte; total on arbitrary input."""
+def _within_limit(code: bytes) -> bytes:
     if len(code) > MAX_CODE_SIZE:
         raise BytecodeError(f"code is {len(code)} bytes, above the {MAX_CODE_SIZE}-byte deployment limit")
+    return code
+
+
+def disassemble(code: bytes) -> list[Instruction]:
+    """Decode every byte; total on arbitrary input up to the size limit."""
+    _within_limit(code)
     out: list[Instruction] = []
     pc = 0
     while pc < len(code):
         info = info_for_byte(code[pc])
         value = None
         if info.is_push:
-            raw = code[pc + 1 : pc + 1 + info.push_width]
             # zero-pad pushes whose immediate runs off the end of the code
-            raw = raw.ljust(info.push_width, b"\x00")
+            raw = code[pc + 1 : pc + 1 + info.push_width].ljust(info.push_width, b"\x00")
             value = int.from_bytes(raw, "big")
         out.append(Instruction(pc, info.mnemonic, value))
         pc += info.size
     return out
 
 
-_TERMINATOR = {
+_BY_CONTROL = {
     Control.NORMAL: Terminator.FALLTHROUGH,
     Control.JUMP: Terminator.JUMP,
     Control.JUMPI: Terminator.CONDITIONAL_JUMP,
     Control.HALT: Terminator.HALT,
 }
+# Keyed by mnemonic: an Enum key would hash through a Python-level __hash__.
+_TERMINATOR = {info.mnemonic: _BY_CONTROL[info.control] for info in TABLE.values()}
 
 
 def extract_blocks(code: bytes) -> BytecodeProgram:
@@ -141,7 +147,7 @@ def extract_blocks(code: bytes) -> BytecodeProgram:
             if body:
                 cut(Terminator.FALLTHROUGH)
         body.append(ins)
-        terminator = _TERMINATOR[info_for_name(ins.opcode).control]
+        terminator = _TERMINATOR[ins.opcode]
         if terminator is not Terminator.FALLTHROUGH:
             cut(terminator)
     if body:
@@ -190,7 +196,7 @@ def parse_bytecode_text(data: bytes) -> bytes | None:
 
 
 def read_bytecode_file(path: str | Path) -> bytes:
-    """Load a contract from a file holding either hex text or raw binary code."""
+    """Load a contract from a file of hex text or raw code; refuse it over the size limit."""
     data = Path(path).read_bytes()
     decoded = parse_bytecode_text(data)
-    return data if decoded is None else decoded
+    return _within_limit(data if decoded is None else decoded)

@@ -6,9 +6,10 @@ evmlift lift --batch DIR    lift every bytecode file in a directory
 evmlift lift --sweep FILE   compare the four standard configurations
 
 Exit codes: 0 when the analysis ran to completion (fixpoint or fact
-budget), 2 when it timed out, 1 on usage errors, input errors and unwritable
-outputs, 3 when --batch hit an unexpected error in a file (its traceback
-goes to stderr). A batch lifts every file and exits with the worst code.
+budget), 2 when it timed out, 1 on usage errors (negative numbers included),
+input errors (code over 24,576 bytes included) and unwritable outputs, 3
+when --batch hit an unexpected error in a file (its traceback goes to
+stderr). A batch lifts every file and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -45,6 +46,18 @@ SWEEP_CONFIGS = (
 )
 
 
+def _at_least(minimum: int, kind: type = int):
+    """argparse type for a number no smaller than minimum; NaN is refused too."""
+
+    def parse(text: str):
+        if not (value := kind(text)) >= minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # for argparse's "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evmlift", description=__doc__.strip().split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -52,22 +65,22 @@ def _build_parser() -> argparse.ArgumentParser:
     lift = sub.add_parser("lift", help="lift bytecode to three-address code")
     lift.add_argument("input", nargs="?", help="bytecode file (hex text or raw binary)")
     lift.add_argument("--scheme", choices=["shrinking", "transactional"], default="shrinking")
-    lift.add_argument("--context-depth", type=int, default=None, metavar="N")
+    lift.add_argument("--context-depth", type=_at_least(0), default=None, metavar="N")
     lift.add_argument("--no-cloning", action="store_true")
     lift.add_argument("--no-preanalysis", action="store_true")
-    lift.add_argument("--preanalysis-limit", type=int, default=DEFAULT_FACT_LIMIT, metavar="N")
-    lift.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, metavar="SECONDS")
-    lift.add_argument("--max-stack-depth", type=int, default=DEFAULT_MAX_STACK_DEPTH, metavar="N")
+    lift.add_argument("--preanalysis-limit", type=_at_least(0), default=DEFAULT_FACT_LIMIT, metavar="N")
+    lift.add_argument("--timeout", type=_at_least(0, float), default=DEFAULT_TIMEOUT, metavar="SECONDS")
+    lift.add_argument("--max-stack-depth", type=_at_least(0), default=DEFAULT_MAX_STACK_DEPTH, metavar="N")
     lift.add_argument("--tac-out", metavar="PATH")
     lift.add_argument("--metrics-out", metavar="PATH")
     lift.add_argument("--batch", metavar="DIR", help="lift every file in DIR")
-    lift.add_argument("--jobs", type=int, default=1, metavar="N")
+    lift.add_argument("--jobs", type=_at_least(1), default=1, metavar="N")
     lift.add_argument("--sweep", action="store_true", help="print a table over standard configs")
 
     trace = sub.add_parser("trace", help="run the concrete interpreter and print the visited blocks")
     trace.add_argument("input")
     trace.add_argument("--calldata", default="", metavar="HEX")
-    trace.add_argument("--max-steps", type=int, default=10_000, metavar="N")
+    trace.add_argument("--max-steps", type=_at_least(0), default=10_000, metavar="N")
     return parser
 
 

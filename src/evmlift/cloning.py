@@ -10,7 +10,7 @@ rewritten, and the transform runs exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
@@ -71,7 +71,7 @@ def _block_span(block: BasicBlock) -> int:
 
 def _rebase(block: BasicBlock, clone_id: int) -> BasicBlock:
     offset = clone_id - block.id
-    instructions = tuple(replace(ins, pc=ins.pc + offset) for ins in block.instructions)
+    instructions = tuple(ins._replace(pc=ins.pc + offset) for ins in block.instructions)
     return BasicBlock(id=clone_id, instructions=instructions, terminator=block.terminator)
 
 
@@ -106,7 +106,7 @@ def apply_cloning(
         bid = owner[inst.push_pc]
         block = blocks[bid]
         rewritten = tuple(
-            replace(ins, pushed_value=inst.clone_id) if ins.pc == inst.push_pc else ins
+            ins._replace(pushed_value=inst.clone_id) if ins.pc == inst.push_pc else ins
             for ins in block.instructions
         )
         blocks[bid] = BasicBlock(id=block.id, instructions=rewritten, terminator=block.terminator)

@@ -6,13 +6,15 @@ with a single incoming value uses that value's name directly, a slot with
 several gets a PHI, and a slot the analysis knows nothing about reads as
 the placeholder "?". Call blocks whose unique jump target is a confirmed
 private entry render as CALLPRIVATE, carrying the target and the argument
-slots up to and including the pushed continuation address.
+slots up to and including the pushed continuation address. Statements and
+blocks are NamedTuples, built without a setattr per field and compared in C.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analysis import AnalysisResult, Env, per_block, transfer_block
 from .bytecode import BytecodeProgram, Terminator
@@ -24,8 +26,7 @@ PLACEHOLDER = "?"
 RULE = "=" * 33
 
 
-@dataclass(frozen=True)
-class TACStatement:
+class TACStatement(NamedTuple):
     label: str
     opcode: str
     operands: tuple[str, ...] = ()
@@ -45,8 +46,7 @@ class TACStatement:
         return text
 
 
-@dataclass(frozen=True)
-class TACBlock:
+class TACBlock(NamedTuple):
     id: int
     statements: tuple[TACStatement, ...]
     preds: tuple[int, ...] = ()
@@ -98,14 +98,8 @@ def _name_entry_slots(
         else:
             def_name = f"v{bid:x}_{slot:x}"
             names.tokens[slot] = def_name
-            names.phis.append(
-                TACStatement(
-                    label=f"0x{bid:x}_0x{slot:x}",
-                    opcode="PHI",
-                    operands=tuple(_value_name(v) for v in real),
-                    def_name=def_name,
-                )
-            )
+            operands = tuple(_value_name(v) for v in real)
+            names.phis.append(TACStatement(f"0x{bid:x}_0x{slot:x}", "PHI", operands, def_name))
     return names
 
 
@@ -208,34 +202,22 @@ class _Lifter:
 
         statements = list(names.phis)
         for rec in summary.ops:
-            if rec.opcode.startswith("PUSH"):
-                statements.append(
-                    TACStatement(
-                        label=f"0x{rec.pc:x}",
-                        opcode="CONST",
-                        def_name=_value_name(rec.result),
-                        const=rec.result.constant,
-                    )
-                )
-            elif rec.opcode == "JUMP" and call_info is not None:
+            if rec.opcode == "JUMP" and call_info is not None:
                 statements.append(self._call_statement(rec, call_info, names, token, exit_token))
-            else:
-                def_name = None
-                const = None
-                if rec.result is not None:
-                    def_name = _value_name(rec.result)
-                    const = rec.result.constant
-                statements.append(
-                    TACStatement(
-                        label=f"0x{rec.pc:x}",
-                        opcode=rec.opcode,
-                        operands=tuple(token(v) for v in rec.operands),
-                        def_name=def_name,
-                        const=const,
-                    )
+                continue
+            result = rec.result
+            # positional: a NamedTuple built from keywords costs about twice as much
+            statements.append(
+                TACStatement(
+                    f"0x{rec.pc:x}",
+                    "CONST" if rec.opcode.startswith("PUSH") else rec.opcode,
+                    tuple(map(token, rec.operands)),
+                    None if result is None else _value_name(result),
+                    None if result is None else result.constant,
                 )
+            )
 
-        return TACBlock(id=bid, statements=tuple(statements), succs=self._successors(bid, call_info))
+        return TACBlock(bid, tuple(statements), (), self._successors(bid, call_info))
 
     def _call_statement(self, rec: OpRecord, call_info, names: _BlockNames, token, exit_token) -> TACStatement:
         cont_slot, _out = call_info
@@ -311,10 +293,6 @@ def parse_tac(text: str) -> TACProgram:
                     const=int(m.group("const"), 16) if m.group("const") else None,
                 )
             )
-        blocks[bid] = TACBlock(
-            id=bid,
-            statements=tuple(statements),
-            preds=parse_ids(edges.group("prev")),
-            succs=parse_ids(edges.group("succ")),
-        )
+        preds, succs = parse_ids(edges.group("prev")), parse_ids(edges.group("succ"))
+        blocks[bid] = TACBlock(bid, tuple(statements), preds, succs)
     return TACProgram(blocks=blocks)

@@ -2,12 +2,13 @@
 
 Each block is executed once over an unbounded stack of entry placeholders.
 The resulting summary is the only thing the global analysis ever needs from
-the block's instructions.
+the block's instructions. Summaries and op records are NamedTuples, one per
+block or instruction, built without a setattr per field and hashed in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
@@ -24,8 +25,7 @@ FOLDABLE = {"AND", "ADD", "SUB", "SHL", "SHR", "DIV", "EQ", "ISZERO"}
 _BALANCING_OK = {"JUMPDEST", "POP"} | {f"SWAP{n}" for n in range(1, 17)} | {f"DUP{n}" for n in range(1, 17)}
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(NamedTuple):
     """Operand/result view of one instruction, in entry-relative terms."""
 
     pc: int
@@ -34,8 +34,7 @@ class OpRecord:
     result: AbstractValue | None
 
 
-@dataclass(frozen=True)
-class BlockSummary:
+class BlockSummary(NamedTuple):
     """Net stack effect of a block over symbolic entry slots.
 
     produced lists the explicit exit-stack prefix (top first); exit slot j for
@@ -53,12 +52,7 @@ class BlockSummary:
 
     def read_slots(self) -> frozenset[int]:
         """Entry-slot indices any instruction actually consumes."""
-        out = set()
-        for rec in self.ops:
-            for v in rec.operands:
-                if isinstance(v, EntrySlot):
-                    out.add(v.index)
-        return frozenset(out)
+        return frozenset(v.index for rec in self.ops for v in rec.operands if isinstance(v, EntrySlot))
 
 
 def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary:
@@ -125,13 +119,7 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
             local_target = t
 
     return BlockSummary(
-        consumed_depth=depth,
-        produced=tuple(reversed(stack)),
-        target_expr=target_expr,
-        cond_expr=cond_expr,
-        local_jump_target=local_target,
-        ops=tuple(ops),
-        too_deep=too_deep,
+        depth, tuple(reversed(stack)), target_expr, cond_expr, local_target, tuple(ops), too_deep
     )
 
 

@@ -17,13 +17,6 @@ from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .lifter import PLACEHOLDER, TACProgram
 
-_REQUIRED_SUCCS = {
-    Terminator.JUMP: 1,
-    Terminator.FALLTHROUGH: 1,
-    Terminator.CONDITIONAL_JUMP: 2,
-    Terminator.HALT: 0,
-}
-
 FIELD_ORDER = (
     "polymorphic_jump_target",
     "unresolved_operand",
@@ -79,7 +72,9 @@ def compute_metrics(
             unstructured += 1
         elif terminator is Terminator.CONDITIONAL_JUMP and succs > 2:
             unstructured += 1
-        if succs < _REQUIRED_SUCCS[terminator]:
+        # compared with `is`: an Enum dict key hashes through a Python-level __hash__
+        required = 2 if terminator is Terminator.CONDITIONAL_JUMP else 0 if terminator is Terminator.HALT else 1
+        if succs < required:
             missing_cf += 1
 
     endpoints = {b for pair in result.edge_pairs() for b in pair}

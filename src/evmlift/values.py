@@ -1,12 +1,16 @@
-"""Abstract values tracked by the local and global analyses."""
+"""Abstract values tracked by the local and global analyses.
+
+DefSite is a NamedTuple, so the slot sets hash and compare it in C.
+EntrySlot stays a dataclass, so it never equals a DefSite of the same ints.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DefSite:
+class DefSite(NamedTuple):
     """A value identified by the pc of the statement producing it.
 
     constant is set when the value is statically known (pushes and folded
@@ -25,12 +29,23 @@ class EntrySlot:
     index: int
 
 
-@dataclass(frozen=True)
 class Underflow:
-    """Sentinel for a read below every value any predecessor supplied."""
+    """Sentinel for a read below every value any predecessor supplied.
+    Compared by identity: Underflow(), copies and unpickling give UNDERFLOW."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> Underflow:
+        return UNDERFLOW
+
+    def __reduce__(self) -> str:
+        return "UNDERFLOW"
+
+    def __repr__(self) -> str:
+        return "UNDERFLOW"
 
 
-UNDERFLOW = Underflow()
+UNDERFLOW = object.__new__(Underflow)
 
 AbstractValue = DefSite | EntrySlot | Underflow
 

@@ -45,6 +45,15 @@ def test_code_size_limit():
         disassemble(bytes(MAX_CODE_SIZE + 1))
 
 
+def test_reading_a_file_enforces_the_code_size_limit(tmp_path):
+    path = tmp_path / "code.hex"
+    path.write_text("00" * MAX_CODE_SIZE)
+    assert read_bytecode_file(path) == bytes(MAX_CODE_SIZE)
+    path.write_bytes(bytes(MAX_CODE_SIZE + 1))  # raw binary
+    with pytest.raises(BytecodeError, match="above the 24576-byte deployment limit"):
+        read_bytecode_file(path)
+
+
 def test_jumpdest_in_push_data_is_not_valid():
     # 0x61 0x5b 0x5b consumes both 0x5b bytes as immediate; only pc 3 counts
     assert extract_blocks(bytes([0x61, 0x5B, 0x5B, 0x5B])).jumpdests == frozenset({3})

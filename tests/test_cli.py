@@ -76,6 +76,47 @@ def test_usage_error_exits_one_not_the_timeout_code(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("lift", "--context-depth=-1"),
+        ("lift", "--max-stack-depth=-1"),
+        ("lift", "--preanalysis-limit=-1"),
+        ("lift", "--timeout=-0.5"),
+        ("lift", "--timeout=nan"),
+        ("lift", "--jobs=0"),
+        ("lift", "--jobs=-2"),
+        ("trace", "--max-steps=-1"),
+    ],
+)
+def test_negative_numeric_option_is_a_usage_error(chained_file, capsys, command, option):
+    assert main([command, str(chained_file), option]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and option.split("=")[0] in err
+    assert not (chained_file.parent / (chained_file.name + ".tac")).exists()
+
+
+@pytest.mark.parametrize("flag", ["--context-depth", "--max-stack-depth", "--preanalysis-limit"])
+def test_zero_count_is_still_accepted(chained_file, capsys, flag):
+    assert main([str(chained_file), flag, "0"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["{big}"], ["{big}", "--sweep"], ["lift", "--batch", "{dir}"], ["trace", "{big}"]],
+    ids=["lift", "sweep", "batch", "trace"],
+)
+def test_code_over_the_size_limit_is_an_input_error(tmp_path, capsys, argv):
+    big = tmp_path / "big.hex"
+    big.write_text("00" * 24577)
+    assert main([arg.format(big=big, dir=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert "code is 24577 bytes, above the 24576-byte deployment limit" in captured.out + captured.err
+    assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["big.hex"]
+
+
 def test_timeout_exits_two(chained_file, capsys):
     assert main([str(chained_file), "--timeout", "0"]) == 2
     assert "timeout" in capsys.readouterr().out
