@@ -20,7 +20,7 @@ from .bytecode import BytecodeProgram, Terminator
 from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge
 from .facts import ConfirmedFacts
 from .local import BlockSummary
-from .values import UNDERFLOW, AbstractValue, EntrySlot, constant_of, sort_key
+from .values import UNDERFLOW, AbstractValue, EntrySlot, sort_key
 
 STOP_FIXPOINT = "fixpoint"
 STOP_FACT_LIMIT = "fact-limit"
@@ -167,7 +167,7 @@ def analyze(
     result = AnalysisResult()
     if 0 not in program.blocks:
         return result
-    jump_target_ids = program.jump_target_ids
+    jump_target = program.jump_target
 
     queue: deque[PairKey] = deque()
     queued: set[PairKey] = set()
@@ -214,8 +214,8 @@ def analyze(
             else:
                 targets = {summary.target_expr}
             for value in sorted(targets, key=sort_key):
-                const = constant_of(value)
-                if const not in jump_target_ids:
+                const = jump_target(value)
+                if const is None:
                     continue
                 before = len(result.block_jump_target)
                 result.block_jump_target.add((ctx, bid, value, const))

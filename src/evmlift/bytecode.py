@@ -1,17 +1,19 @@
 """Bytecode decoding: instructions, basic blocks, and input file handling.
 
-Decoding is one walk: `extract_blocks` cuts the `disassemble` stream into
-basic blocks and collects the valid JUMPDESTs as it goes.
+Decoding is one walk: `disassemble` reads each opcode's record from the
+byte-indexed `opcodes.TABLE`, and `extract_blocks` cuts that stream into
+basic blocks at each record's `Terminator` and collects the valid JUMPDESTs
+as it goes. `Terminator` lives in `opcodes` and is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .opcodes import TABLE, Control, info_for_byte, info_for_name
+from .opcodes import BY_NAME, TABLE, Terminator
+from .values import AbstractValue, DefSite, constant_of
 
 MAX_CODE_SIZE = 24576
 
@@ -22,13 +24,6 @@ class BytecodeError(ValueError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
         self.offset = offset
-
-
-class Terminator(Enum):
-    JUMP = "jump"
-    CONDITIONAL_JUMP = "conditional-jump"
-    HALT = "halt"
-    FALLTHROUGH = "fallthrough"
 
 
 class Instruction(NamedTuple):
@@ -44,11 +39,7 @@ class Instruction(NamedTuple):
 
     @property
     def size(self) -> int:
-        return info_for_name(self.opcode).size
-
-    @property
-    def is_push(self) -> bool:
-        return self.pushed_value is not None
+        return BY_NAME[self.opcode].size
 
 
 @dataclass(frozen=True)
@@ -73,17 +64,30 @@ class BytecodeProgram:
     """A decoded contract: code bytes, block map, and jump-target bookkeeping.
 
     clone_of maps synthetic block ids (introduced by block cloning) to the
-    original block they copy; it is empty for freshly decoded programs.
+    original block they copy, and clone_pushes holds the value of each push
+    cloning rewrote to a clone id; both are empty for freshly decoded programs.
     """
 
     code: bytes
     blocks: dict[int, BasicBlock]
     jumpdests: frozenset[int]
     clone_of: dict[int, int] = field(default_factory=dict)
+    clone_pushes: frozenset[DefSite] = frozenset()
+
+    def jump_target(self, value: AbstractValue) -> int | None:
+        """The block a jump on value lands on, or None when it names none.
+
+        Any value carrying a jumpdest names it. A clone id is named only by
+        the push cloning rewrote to it: a data constant that happens to
+        equal a clone id names no block.
+        """
+        const = constant_of(value)
+        return const if const in self.jumpdests or value in self.clone_pushes else None
 
     @property
     def jump_target_ids(self) -> frozenset[int]:
-        """Block ids a JUMP may legally land on: jumpdests plus jumpdest-headed clones."""
+        """Block ids a jump on an int of unknown origin may land on, as in the
+        concrete interpreter: jumpdests plus jumpdest-headed clones."""
         extra = {
             fresh
             for fresh in self.clone_of
@@ -104,7 +108,7 @@ def disassemble(code: bytes) -> list[Instruction]:
     out: list[Instruction] = []
     pc = 0
     while pc < len(code):
-        info = info_for_byte(code[pc])
+        info = TABLE[code[pc]]
         value = None
         if info.is_push:
             # zero-pad pushes whose immediate runs off the end of the code
@@ -113,16 +117,6 @@ def disassemble(code: bytes) -> list[Instruction]:
         out.append(Instruction(pc, info.mnemonic, value))
         pc += info.size
     return out
-
-
-_BY_CONTROL = {
-    Control.NORMAL: Terminator.FALLTHROUGH,
-    Control.JUMP: Terminator.JUMP,
-    Control.JUMPI: Terminator.CONDITIONAL_JUMP,
-    Control.HALT: Terminator.HALT,
-}
-# Keyed by mnemonic: an Enum key would hash through a Python-level __hash__.
-_TERMINATOR = {info.mnemonic: _BY_CONTROL[info.control] for info in TABLE.values()}
 
 
 def extract_blocks(code: bytes) -> BytecodeProgram:
@@ -147,7 +141,7 @@ def extract_blocks(code: bytes) -> BytecodeProgram:
             if body:
                 cut(Terminator.FALLTHROUGH)
         body.append(ins)
-        terminator = _TERMINATOR[ins.opcode]
+        terminator = BY_NAME[ins.opcode].terminator
         if terminator is not Terminator.FALLTHROUGH:
             cut(terminator)
     if body:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
 from .local import detect_stack_balancing_blocks
+from .values import DefSite
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def select_clone_candidates(
     if balancing_pushes:
         for block in program.blocks.values():
             for ins in block.instructions:
-                if ins.is_push and ins.pushed_value in balancing_pushes:
+                if ins.pushed_value in balancing_pushes:
                     balancing_pushes[ins.pushed_value].add(ins.pc)
     for bid, pcs in balancing_pushes.items():
         if len(pcs) >= 2:
@@ -62,11 +63,6 @@ def select_clone_candidates(
             continue
         out[bid] = tuple(sorted(pcs))
     return out
-
-
-def _block_span(block: BasicBlock) -> int:
-    last = block.instructions[-1]
-    return last.pc + last.size - block.id
 
 
 def _rebase(block: BasicBlock, clone_id: int) -> BasicBlock:
@@ -85,7 +81,7 @@ def apply_cloning(
     instances: list[CloneInstance] = []
     next_id = (len(program.code) // 16 + 1) * 16
     for original in sorted(candidates):
-        span = _block_span(program.blocks[original])
+        span = program.blocks[original].fallthrough_pc - original
         stride = max(16, -(-span // 16) * 16)
         for push_pc in candidates[original]:
             instances.append(CloneInstance(push_pc, original, next_id))
@@ -118,5 +114,6 @@ def apply_cloning(
         blocks=blocks,
         jumpdests=program.jumpdests,
         clone_of=clone_of,
+        clone_pushes=program.clone_pushes | {DefSite(inst.push_pc, inst.clone_id) for inst in instances},
     )
     return cloned, tuple(instances)

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .bytecode import BytecodeProgram
-from .opcodes import Control, info_for_name
+from .opcodes import BY_NAME, STACK_LIMIT, Terminator
 
 WORD = 1 << 256
-STACK_LIMIT = 1024
 MAX_VALUATIONS = 10_000
 
 
@@ -185,7 +184,7 @@ class _Machine:
     def step(self, ins, info) -> tuple[str, int | None, int | None]:
         """Run one instruction; returns (kind, jump_target, condition)."""
         op = ins.opcode
-        if ins.is_push:
+        if info.is_push:
             self.push(ins.pushed_value)
         elif info.dup_index:
             if len(self.stack) < info.dup_index:
@@ -206,7 +205,7 @@ class _Machine:
             target = self.pop()
             cond = self.pop()
             return ("jumpi", target, cond)
-        elif info.control is Control.HALT:
+        elif info.terminator is Terminator.HALT:
             for _ in range(info.pops):
                 self.pop()
             raise _Halt(_HALT_REASON.get(op, "invalid"))
@@ -270,7 +269,7 @@ def concrete_execute(
                 if steps >= max_steps:
                     return done("out-of-steps")
                 steps += 1
-                kind, target, cond = machine.step(ins, info_for_name(ins.opcode))
+                kind, target, cond = machine.step(ins, BY_NAME[ins.opcode])
                 if kind == "jump" or (kind == "jumpi" and cond != 0):
                     if target not in jump_target_ids:
                         return done("invalid")
@@ -298,7 +297,7 @@ def run_block(
     condition = None
     try:
         for ins in program.blocks[block_id].instructions:
-            kind, target, cond = machine.step(ins, info_for_name(ins.opcode))
+            kind, target, cond = machine.step(ins, BY_NAME[ins.opcode])
             if kind in ("jump", "jumpi"):
                 jump_target = target
                 condition = cond

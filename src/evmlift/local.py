@@ -13,11 +13,10 @@ from typing import NamedTuple
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
 from .interpreter import binop
-from .opcodes import Control, info_for_name
+from .opcodes import BY_NAME, STACK_LIMIT
 from .values import AbstractValue, DefSite, EntrySlot, constant_of
 
 MAX_SELECTOR = 0xFFFFFFFF
-EVM_STACK_LIMIT = 1024
 
 # Folding is deliberately limited to the operators dispatchers are built from.
 FOLDABLE = {"AND", "ADD", "SUB", "SHL", "SHR", "DIV", "EQ", "ISZERO"}
@@ -76,8 +75,8 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
         return popped
 
     for ins in block.instructions:
-        info = info_for_name(ins.opcode)
-        if ins.is_push:
+        info = BY_NAME[ins.opcode]
+        if info.is_push:
             result = DefSite(ins.pc, ins.pushed_value)
             stack.append(result)
             ops.append(OpRecord(ins.pc, ins.opcode, (), result))
@@ -91,10 +90,10 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
         elif ins.opcode in ("POP", "JUMPDEST"):
             if ins.opcode == "POP":
                 pop(1)
-        elif info.control is Control.JUMP:
+        elif info.terminator is Terminator.JUMP:
             target_expr = pop(1)[0]
             ops.append(OpRecord(ins.pc, "JUMP", (target_expr,), None))
-        elif info.control is Control.JUMPI:
+        elif info.terminator is Terminator.CONDITIONAL_JUMP:
             target_expr, cond_expr = pop(2)
             ops.append(OpRecord(ins.pc, "JUMPI", (target_expr, cond_expr), None))
         else:
@@ -108,14 +107,14 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
                     result = DefSite(ins.pc)
                 stack.append(result)
             ops.append(OpRecord(ins.pc, ins.opcode, tuple(operands), result))
-        if depth > EVM_STACK_LIMIT:
+        if depth > STACK_LIMIT:
             too_deep = True
             break
 
     local_target = None
     if isinstance(target_expr, DefSite) and target_expr.constant is not None:
         t = target_expr.constant
-        if t < len(program.code) or t in program.clone_of:
+        if t < len(program.code) or target_expr in program.clone_pushes:
             local_target = t
 
     return BlockSummary(
@@ -188,19 +187,18 @@ def detect_private_call_candidates(
     statement, however many copies of it the exit stack holds.
     """
     out = set()
-    targets = program.jump_target_ids
     for bid, summary in summaries.items():
         block = program.blocks[bid]
         if block.terminator is not Terminator.JUMP or summary.too_deep:
             continue
         if summary.local_jump_target is None:
             continue
-        push_pcs = {ins.pc for ins in block.instructions if ins.is_push}
+        push_pcs = {ins.pc for ins in block.instructions if ins.pushed_value is not None}
         seen: set[int] = set()
         for value in summary.produced:
             if not isinstance(value, DefSite) or value.constant is None:
                 continue
-            if value.pc in push_pcs and value.pc not in seen and value.constant in targets:
+            if value.pc in push_pcs and value.pc not in seen and program.jump_target(value) is not None:
                 seen.add(value.pc)
                 out.add((bid, value.constant, value.pc))
     return frozenset(out)

@@ -17,15 +17,6 @@ from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .lifter import PLACEHOLDER, TACProgram
 
-FIELD_ORDER = (
-    "polymorphic_jump_target",
-    "unresolved_operand",
-    "unstructured_control_flow",
-    "missing_ir_block",
-    "missing_control_flow",
-    "stop_condition",
-)
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -35,10 +26,6 @@ class MetricsReport:
     missing_ir_block: int
     missing_control_flow: int
     stop_condition: str
-
-    def render(self) -> str:
-        values = asdict(self)
-        return "".join(f"{name}: {values[name]}\n" for name in FIELD_ORDER)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"

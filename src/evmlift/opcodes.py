@@ -1,46 +1,61 @@
-"""EVM opcode table: stack arity and control behaviour for every opcode."""
+"""The one EVM opcode table: every per-opcode fact the lifter reads.
+
+`TABLE` is indexed by byte. Each record carries the opcode's stack arity,
+how it ends a basic block (`Terminator`), its width and whether it pushes,
+all set once when the table is built. A byte no opcode uses holds INVALID's
+record, so it decodes as a one-byte, halting INVALID. `BY_NAME` maps a
+mnemonic to its record.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+STACK_LIMIT = 1024
 
 
-class Control(Enum):
-    """How an instruction affects control flow."""
+class Terminator(Enum):
+    """How an instruction ends a basic block; FALLTHROUGH when it does not."""
 
-    NORMAL = "normal"
     JUMP = "jump"
-    JUMPI = "jumpi"
+    CONDITIONAL_JUMP = "conditional-jump"
     HALT = "halt"
+    FALLTHROUGH = "fallthrough"
 
 
-@dataclass(frozen=True)
-class OpInfo:
+class OpInfo(NamedTuple):
+    byte: int
     mnemonic: str
     pops: int
     pushes: int
-    control: Control = Control.NORMAL
-    push_width: int = 0
-    dup_index: int = 0
-    swap_index: int = 0
-
-    @property
-    def is_push(self) -> bool:
-        return self.mnemonic == "PUSH0" or self.push_width > 0
-
-    @property
-    def size(self) -> int:
-        return 1 + self.push_width
+    terminator: Terminator
+    push_width: int
+    dup_index: int
+    swap_index: int
+    size: int
+    is_push: bool
 
 
-def _build_table() -> dict[int, OpInfo]:
+def _build_table() -> tuple[OpInfo, ...]:
     t: dict[int, OpInfo] = {}
 
-    def op(byte: int, mnemonic: str, pops: int, pushes: int, control: Control = Control.NORMAL) -> None:
-        t[byte] = OpInfo(mnemonic, pops, pushes, control)
+    def op(
+        byte: int,
+        mnemonic: str,
+        pops: int,
+        pushes: int,
+        terminator: Terminator = Terminator.FALLTHROUGH,
+        push_width: int = 0,
+        dup_index: int = 0,
+        swap_index: int = 0,
+    ) -> None:
+        is_push = mnemonic.startswith("PUSH")
+        t[byte] = OpInfo(
+            byte, mnemonic, pops, pushes, terminator, push_width, dup_index, swap_index, 1 + push_width, is_push
+        )
 
-    op(0x00, "STOP", 0, 0, Control.HALT)
+    op(0x00, "STOP", 0, 0, Terminator.HALT)
     op(0x01, "ADD", 2, 1)
     op(0x02, "MUL", 2, 1)
     op(0x03, "SUB", 2, 1)
@@ -100,8 +115,8 @@ def _build_table() -> dict[int, OpInfo]:
     op(0x53, "MSTORE8", 2, 0)
     op(0x54, "SLOAD", 1, 1)
     op(0x55, "SSTORE", 2, 0)
-    op(0x56, "JUMP", 1, 0, Control.JUMP)
-    op(0x57, "JUMPI", 2, 0, Control.JUMPI)
+    op(0x56, "JUMP", 1, 0, Terminator.JUMP)
+    op(0x57, "JUMPI", 2, 0, Terminator.CONDITIONAL_JUMP)
     op(0x58, "PC", 0, 1)
     op(0x59, "MSIZE", 0, 1)
     op(0x5A, "GAS", 0, 1)
@@ -111,36 +126,25 @@ def _build_table() -> dict[int, OpInfo]:
     op(0x5E, "MCOPY", 3, 0)
     op(0x5F, "PUSH0", 0, 1)
     for n in range(1, 33):
-        t[0x5F + n] = OpInfo(f"PUSH{n}", 0, 1, Control.NORMAL, push_width=n)
+        op(0x5F + n, f"PUSH{n}", 0, 1, push_width=n)
     for n in range(1, 17):
-        t[0x7F + n] = OpInfo(f"DUP{n}", n, n + 1, Control.NORMAL, dup_index=n)
+        op(0x7F + n, f"DUP{n}", n, n + 1, dup_index=n)
     for n in range(1, 17):
-        t[0x8F + n] = OpInfo(f"SWAP{n}", n + 1, n + 1, Control.NORMAL, swap_index=n)
+        op(0x8F + n, f"SWAP{n}", n + 1, n + 1, swap_index=n)
     for n in range(0, 5):
-        t[0xA0 + n] = OpInfo(f"LOG{n}", 2 + n, 0)
+        op(0xA0 + n, f"LOG{n}", 2 + n, 0)
     op(0xF0, "CREATE", 3, 1)
     op(0xF1, "CALL", 7, 1)
     op(0xF2, "CALLCODE", 7, 1)
-    op(0xF3, "RETURN", 2, 0, Control.HALT)
+    op(0xF3, "RETURN", 2, 0, Terminator.HALT)
     op(0xF4, "DELEGATECALL", 6, 1)
     op(0xF5, "CREATE2", 4, 1)
     op(0xFA, "STATICCALL", 6, 1)
-    op(0xFD, "REVERT", 2, 0, Control.HALT)
-    op(0xFE, "INVALID", 0, 0, Control.HALT)
-    op(0xFF, "SELFDESTRUCT", 1, 0, Control.HALT)
-    return t
+    op(0xFD, "REVERT", 2, 0, Terminator.HALT)
+    op(0xFE, "INVALID", 0, 0, Terminator.HALT)
+    op(0xFF, "SELFDESTRUCT", 1, 0, Terminator.HALT)
+    return tuple(t.get(byte, t[0xFE]) for byte in range(256))
 
 
-TABLE: dict[int, OpInfo] = _build_table()
-BY_NAME: dict[str, tuple[int, OpInfo]] = {info.mnemonic: (byte, info) for byte, info in TABLE.items()}
-
-# Undefined bytes halt like INVALID and touch no stack slots.
-INVALID_INFO = TABLE[0xFE]
-
-
-def info_for_byte(byte: int) -> OpInfo:
-    return TABLE.get(byte, INVALID_INFO)
-
-
-def info_for_name(mnemonic: str) -> OpInfo:
-    return BY_NAME[mnemonic][1]
+TABLE: tuple[OpInfo, ...] = _build_table()
+BY_NAME: dict[str, OpInfo] = {info.mnemonic: info for info in TABLE}

@@ -143,14 +143,14 @@ def compute_important_edges(
     imprecision neither flowed out of the predecessor in the same slot nor
     arrived imprecise from some predecessor's output.
     """
-    targets = program.jump_target_ids
+    jump_target = program.jump_target
 
     def imprecise(env: Env) -> set[int]:
         # The size test first: most slots hold one value and cost no scan.
         return {
             slot
             for slot, vals in env.items()
-            if len(vals) >= 2 and len(targets.intersection(map(constant_of, vals))) >= 2
+            if len(vals) >= 2 and len(set(map(jump_target, vals)) - {None}) >= 2
         }
 
     imprecise_in = {

@@ -41,8 +41,8 @@ def asm(*items: str | int) -> bytes:
             out.append(item)
             continue
         name, _, arg = item.partition(" ")
-        byte, info = BY_NAME[name]
-        out.append(byte)
+        info = BY_NAME[name]
+        out.append(info.byte)
         if info.push_width:
             out += int(arg, 0).to_bytes(info.push_width, "big")
         elif arg:
@@ -87,7 +87,7 @@ class Assembler:
                 pc += 1
             else:
                 name, _, _arg = str(item).partition(" ")
-                pc += 1 + BY_NAME[name][1].push_width
+                pc += BY_NAME[name].size
         out = bytearray()
         for kind, item in self._items:
             if kind == "label":
@@ -96,8 +96,8 @@ class Assembler:
                 out.append(int(item))
                 continue
             name, _, arg = str(item).partition(" ")
-            byte, info = BY_NAME[name]
-            out.append(byte)
+            info = BY_NAME[name]
+            out.append(info.byte)
             if info.push_width:
                 value = addr[arg[1:]] if arg.startswith("@") else int(arg, 0)
                 out += value.to_bytes(info.push_width, "big")

@@ -13,6 +13,7 @@ from evmlift.bytecode import (
     parse_bytecode_text,
     read_bytecode_file,
 )
+from evmlift.opcodes import BY_NAME, TABLE
 
 MAX_CODE_SIZE = 24576
 
@@ -22,6 +23,30 @@ def test_disassemble_simple():
     assert [(i.pc, i.opcode) for i in ins] == [(0, "PUSH1"), (2, "PUSH1"), (4, "ADD"), (5, "STOP")]
     assert ins[0].pushed_value == 1 and ins[1].pushed_value == 2
     assert ins[0].size == 2 and ins[2].size == 1
+
+
+def test_every_byte_decodes_through_the_one_table():
+    halting = {"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
+    for b in range(256):
+        info = TABLE[b]
+        ins = disassemble(bytes([b]))[0]
+        assert ins.opcode == info.mnemonic
+        if info.byte != b:
+            assert (ins.opcode, ins.size) == ("INVALID", 1)
+            assert extract_blocks(bytes([b])).blocks[0].terminator is Terminator.HALT
+            continue
+        assert BY_NAME[info.mnemonic].byte == b
+        assert info.is_push is (0x5F <= b <= 0x7F)
+        if info.is_push:
+            assert info.size == ins.size == b - 0x5F + 1
+        if info.mnemonic == "JUMP":
+            assert info.terminator is Terminator.JUMP
+        elif info.mnemonic == "JUMPI":
+            assert info.terminator is Terminator.CONDITIONAL_JUMP
+        elif info.mnemonic in halting:
+            assert info.terminator is Terminator.HALT
+        else:
+            assert info.terminator is Terminator.FALLTHROUGH
 
 
 def test_disassemble_truncated_push_zero_padded():

@@ -4,7 +4,10 @@ from conftest import asm, chained_call_code, layout
 from evmlift.bytecode import extract_blocks
 from evmlift.cloning import CloneInstance, apply_cloning, select_clone_candidates
 from evmlift.facts import PatternFacts
+from evmlift.interpreter import concrete_execute
+from evmlift.lifter import render_tac
 from evmlift.local import detect_patterns, summarize_program
+from evmlift.pipeline import RunConfig, run_pipeline
 
 
 def _chained():
@@ -117,3 +120,48 @@ def test_clone_id_stride_covers_wide_blocks():
     _, instances = apply_cloning(prog, facts)
     # 17-byte block span rounds the stride up to 32
     assert [i.clone_id for i in instances] == [0x30, 0x50]
+
+
+def test_a_data_constant_equal_to_a_clone_id_names_no_block():
+    # 0x30 is a balancing block pushed at 0x2 and 0x23, so cloning copies it
+    # to 0x40 and 0x50. Block 0x28 jumps on PUSH2 0x40, which no JUMPDEST
+    # holds: a concrete run halts there and, without cloning, no edge leaves
+    # it. The clone id it happens to equal must not make it a jump.
+    code = layout(
+        {
+            0x00: asm("PUSH1 0x20", "PUSH1 0x30", "JUMP"),
+            0x20: asm("JUMPDEST", "PUSH1 0x28", "PUSH1 0x30", "JUMP"),
+            0x28: asm("JUMPDEST", "PUSH2 0x40", "JUMP"),
+            0x30: asm("JUMPDEST", "JUMP"),
+        }
+    )
+    trace = concrete_execute(extract_blocks(code))
+    assert (trace.visits[-1], trace.halted) == (0x28, "invalid")
+    plain = run_pipeline(code, RunConfig(cloning=False))
+    assert not {succ for bid, succ in plain.analysis.edge_pairs() if bid == 0x28}
+
+    res = run_pipeline(code)
+    assert [(i.push_pc, i.clone_id) for i in res.clones] == [(0x2, 0x40), (0x23, 0x50)]
+    edges = res.analysis.edge_pairs()
+    assert {(0x0, 0x40), (0x20, 0x50)} <= edges
+    assert not {succ for bid, succ in edges if bid == 0x28}
+    assert res.summaries[0x28].local_jump_target is None
+    assert "0x2c: JUMP v29\n" in render_tac(res.tac)
+
+
+def test_a_data_constant_equal_to_a_clone_id_is_no_call_continuation():
+    # As above, but block 0x28 calls 0x20 and leaves PUSH2 0x40 behind: once
+    # 0x30 is cloned to 0x40 that data constant must not read as a pushed
+    # return address.
+    code = layout(
+        {
+            0x00: asm("PUSH1 0x20", "PUSH1 0x30", "JUMP"),
+            0x20: asm("JUMPDEST", "PUSH1 0x28", "PUSH1 0x30", "JUMP"),
+            0x28: asm("JUMPDEST", "PUSH2 0x40", "PUSH1 0x20", "JUMP"),
+            0x30: asm("JUMPDEST", "JUMP"),
+        }
+    )
+    res = run_pipeline(code)
+    assert [i.clone_id for i in res.clones] == [0x40, 0x50]
+    assert res.summaries[0x28].local_jump_target == 0x20
+    assert not {c for c in res.patterns.private_call_candidates if c[0] == 0x28}

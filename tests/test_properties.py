@@ -13,7 +13,7 @@ from evmlift.facts import ConfirmedFacts
 from evmlift.interpreter import run_block
 from evmlift.lifter import parse_tac, render_tac
 from evmlift.local import summarize_block
-from evmlift.opcodes import Control, info_for_name
+from evmlift.opcodes import BY_NAME
 from evmlift.pipeline import run_pipeline
 from evmlift.values import DefSite, EntrySlot
 
@@ -192,14 +192,6 @@ def test_pipeline_terminates_on_random_bytes():
         assert render_tac(parse_tac(text)) == text, code.hex()
 
 
-_TERMINATOR_OF = {
-    Control.NORMAL: Terminator.FALLTHROUGH,
-    Control.JUMP: Terminator.JUMP,
-    Control.JUMPI: Terminator.CONDITIONAL_JUMP,
-    Control.HALT: Terminator.HALT,
-}
-
-
 def _scan_jumpdests(code: bytes) -> frozenset[int]:
     """0x5b bytes outside PUSH immediates, found byte by byte: PUSH1..PUSH32
     (0x60..0x7f) carry 1..32 immediate bytes, every other opcode none."""
@@ -251,12 +243,12 @@ def test_blocks_cut_the_instruction_stream_at_jumpdests_and_terminators():
             assert (
                 block.id == 0
                 or first.opcode == "JUMPDEST"
-                or info_for_name(previous.last.opcode).control is not Control.NORMAL
+                or BY_NAME[previous.last.opcode].terminator is not Terminator.FALLTHROUGH
             ), code.hex()
             assert all(ins.opcode != "JUMPDEST" for ins in block.instructions[1:]), code.hex()
             assert all(
-                info_for_name(ins.opcode).control is Control.NORMAL for ins in block.instructions[:-1]
+                BY_NAME[ins.opcode].terminator is Terminator.FALLTHROUGH for ins in block.instructions[:-1]
             ), code.hex()
-            assert block.terminator is _TERMINATOR_OF[info_for_name(last.opcode).control], code.hex()
+            assert block.terminator is BY_NAME[last.opcode].terminator, code.hex()
             previous = block
         assert program.jumpdests == _scan_jumpdests(code), code.hex()
