@@ -53,7 +53,9 @@ class AnalysisResult:
     fact_count counts the tuples of the three relations: one entry-stack
     value, jump target or edge each. The slot sets of block_input are
     frozensets shared with other keys and exit envs; a slot that grows is
-    replaced by a new set, never updated in place.
+    replaced by a new set, never updated in place. facts and cfg are what
+    the run merged contexts under, so a later run can tell which of its
+    merges can differ (see _replays).
     """
 
     block_input: dict[PairKey, Env] = field(default_factory=dict)
@@ -62,6 +64,8 @@ class AnalysisResult:
     stop_condition: str = STOP_FIXPOINT
     fact_count: int = 0
     transfers: int = 0
+    facts: ConfirmedFacts | None = None
+    cfg: SchemeConfig | None = None
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         """Context-free projection of the edge relation."""
@@ -128,21 +132,53 @@ def _replays(
     The fixpoint reads facts and cfg only through merge, once per resolved
     jump. If merge gives the recorded successor context on every recorded
     jump edge, the run makes the same calls in the same order as the one
-    that built prior. A JUMPI whose fallthrough is its own target records a
-    fallthrough edge under the same key, which must then match as well. The
-    fact limit, checked between steps, cannot stop a run whose final count
-    is within it.
+    that built prior. Under prior's own cfg, a merge that reads no fact in
+    which facts and prior.facts differ gives what it gave then, so only the
+    edges _reading_changed_facts keeps are evaluated; under another cfg
+    every jump edge is. A JUMPI whose fallthrough is its own target records
+    a fallthrough edge under the same key, which must then match as well
+    where the key is evaluated. The fact limit, checked between steps,
+    cannot stop a run whose final count is within it.
     """
     if prior.stop_condition != STOP_FIXPOINT:
         return False
     if limits.fact_limit is not None and prior.fact_count > limits.fact_limit:
         return False
-    jumps = {(ctx, bid, t) for ctx, bid, _value, t in prior.block_jump_target}
+    edges = prior.global_block_edge
+    if cfg == prior.cfg:
+        edges = _reading_changed_facts(prior.facts, facts, edges)
+    sources = {bid for _ctx, bid, _ctx2, _t in edges}
+    jumps = {(ctx, bid, t) for ctx, bid, _value, t in prior.block_jump_target if bid in sources}
     return all(
         merge(cfg, facts, ctx, bid, t) == ctx2
-        for ctx, bid, ctx2, t in prior.global_block_edge
+        for ctx, bid, ctx2, t in edges
         if (ctx, bid, t) in jumps
     )
+
+
+def _reading_changed_facts(
+    old: ConfirmedFacts, new: ConfirmedFacts, edges: set[tuple[Context, int, Context, int]]
+) -> list[tuple[Context, int, Context, int]]:
+    """The edges from cur to nxt whose merge reads a fact old and new disagree on.
+
+    merge reads whether (cur, nxt) is a public call or an important edge,
+    whether cur is a private caller or a private return, and, at a return,
+    which call sites have nxt as their continuation. After confirmation,
+    which only drops candidates and adds important edges, these are the
+    dropped public calls, the important edges, the edges out of dropped
+    callers, and the return edges into the continuation of a dropped call.
+    """
+    pairs = (old.public_calls ^ new.public_calls) | (old.important_edges ^ new.important_edges)
+    sources = (old.private_callers ^ new.private_callers) | (
+        old.private_returns ^ new.private_returns
+    )
+    returns = old.private_returns | new.private_returns
+    continuations = {cont for _caller, cont in old.private_calls ^ new.private_calls}
+    return [
+        (ctx, bid, ctx2, t)
+        for ctx, bid, ctx2, t in edges
+        if bid in sources or (t in continuations and bid in returns) or (bid, t) in pairs
+    ]
 
 
 def analyze(
@@ -159,12 +195,14 @@ def analyze(
     max_stack_depth; only its facts, scheme and fact limit may differ. It is
     returned as it is, not copied, when it reached its fixpoint within
     limits.fact_limit and every merge it recorded gives the same context
-    under facts and cfg.
+    under facts and cfg. Under prior's own cfg only the merges that read a
+    fact prior.facts and facts disagree on are evaluated; under another cfg
+    all of them are.
     """
     limits = limits or AnalysisLimits()
     if prior is not None and _replays(prior, facts, cfg, limits):
         return prior
-    result = AnalysisResult()
+    result = AnalysisResult(facts=facts, cfg=cfg)
     if 0 not in program.blocks:
         return result
     jump_target = program.jump_target

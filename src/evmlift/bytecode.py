@@ -86,8 +86,8 @@ class BytecodeProgram:
 
     @property
     def jump_target_ids(self) -> frozenset[int]:
-        """Block ids a jump on an int of unknown origin may land on, as in the
-        concrete interpreter: jumpdests plus jumpdest-headed clones."""
+        """Block ids a jump on an int of unknown origin may land on:
+        jumpdests plus jumpdest-headed clones."""
         extra = {
             fresh
             for fresh in self.clone_of

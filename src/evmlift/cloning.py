@@ -74,6 +74,13 @@ def _rebase(block: BasicBlock, clone_id: int) -> BasicBlock:
 def apply_cloning(
     program: BytecodeProgram, facts: PatternFacts
 ) -> tuple[BytecodeProgram, tuple[CloneInstance, ...]]:
+    """Copy each candidate block per push site and point the pushes at the copies.
+
+    The result shares program's code. Every block cloning does not rewrite,
+    that is every block but the clones and the blocks holding a rewritten
+    push, comes back as the same BasicBlock object, so its summary carries
+    over (see local.summarize_program).
+    """
     candidates = select_clone_candidates(program, facts)
     if not candidates:
         return program, ()

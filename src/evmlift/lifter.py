@@ -111,11 +111,12 @@ class _Lifter:
         result: AnalysisResult,
         confirmed: ConfirmedFacts,
         max_stack_depth: int,
+        merged_in: dict[int, Env] | None,
     ):
         self.program = program
         self.summaries = summaries
         self.max_stack_depth = max_stack_depth
-        self.merged_in = per_block(result.block_input)
+        self.merged_in = per_block(result.block_input) if merged_in is None else merged_in
 
         self.jump_targets: dict[int, set[int]] = {}
         for _ctx, bid, _value, target in result.block_jump_target:
@@ -249,8 +250,12 @@ def lift(
     result: AnalysisResult,
     confirmed: ConfirmedFacts,
     max_stack_depth: int,
+    merged_in: dict[int, Env] | None = None,
 ) -> TACProgram:
-    return _Lifter(program, summaries, result, confirmed, max_stack_depth).lift()
+    """Lift result to TAC. merged_in, when given, must be
+    per_block(result.block_input), which the caller already built; it is
+    only read."""
+    return _Lifter(program, summaries, result, confirmed, max_stack_depth, merged_in).lift()
 
 
 def render_tac(tac: TACProgram) -> str:

@@ -122,8 +122,24 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
     )
 
 
-def summarize_program(program: BytecodeProgram) -> dict[int, BlockSummary]:
-    return {bid: summarize_block(program.blocks[bid], program) for bid in sorted(program.blocks)}
+def summarize_program(
+    program: BytecodeProgram,
+    prior: tuple[BytecodeProgram, dict[int, BlockSummary]] | None = None,
+) -> dict[int, BlockSummary]:
+    """Summaries of every block, in block order.
+
+    prior is a program with the same code and its summaries. A block that
+    is the same object there keeps its summary: summarize_block reads the
+    program only through len(program.code) and the clone_pushes inside the
+    block, so this holds for apply_cloning's output, which adds clone
+    pushes only in the blocks it rewrites.
+    """
+    old_blocks, old = (prior[0].blocks, prior[1]) if prior else ({}, {})
+    out = {}
+    for bid in sorted(program.blocks):
+        block = program.blocks[bid]
+        out[bid] = old[bid] if old_blocks.get(bid) is block else summarize_block(block, program)
+    return out
 
 
 def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpRecord | None:

@@ -3,7 +3,11 @@
 Phases run in a fixed order: decode, local patterns, cloning, local
 patterns again over the cloned program, pre-analysis and fact
 confirmation, the main context-sensitive analysis, lifting, metrics. All
-phases share one wall-clock deadline.
+phases share one wall-clock deadline. The second local pass summarizes
+only the blocks cloning wrote (the clones and the blocks whose push it
+rewrote); every other block keeps its first summary. When the main pass
+returns the pre-analysis fixpoint, the lifter takes the per-block
+projection the pre-analysis built instead of building it again.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .analysis import (
     STOP_FIXPOINT,
     AnalysisLimits,
     AnalysisResult,
+    Env,
     analyze,
 )
 from .bytecode import BytecodeProgram, extract_blocks
@@ -74,15 +79,17 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
 
     clones: tuple[CloneInstance, ...] = ()
     if config.cloning:
-        program, clones = apply_cloning(program, patterns)
+        cloned, clones = apply_cloning(program, patterns)
         if clones:
-            summaries = summarize_program(program)
-            patterns = detect_patterns(program, summaries)
+            summaries = summarize_program(cloned, prior=(program, summaries))
+            patterns = detect_patterns(cloned, summaries)
+        program = cloned
 
     pre: PreanalysisOutcome | None = None
+    pre_inputs: dict[int, Env] | None = None
     if config.preanalysis:
         pre_limits = AnalysisLimits(config.preanalysis_fact_limit, deadline, config.max_stack_depth)
-        pre = run_preanalysis(program, summaries, patterns, config.depth, pre_limits)
+        pre, pre_inputs = run_preanalysis(program, summaries, patterns, config.depth, pre_limits)
     if pre is not None and pre.result.stop_condition == STOP_FIXPOINT:
         confirmed = pre.confirmed
     else:
@@ -94,7 +101,12 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
     limits = AnalysisLimits(config.main_fact_limit, deadline, config.max_stack_depth)
     prior = pre.result if pre is not None else None
     analysis = analyze(program, summaries, confirmed, scheme_cfg, limits, prior)
-    tac = lift(program, summaries, analysis, confirmed, config.max_stack_depth)
+    # The pre-analysis projection is the lifter's own only when the main pass
+    # returned that fixpoint. It is dropped once lifted, so no result holds it.
+    if analysis is not prior:
+        pre_inputs = None
+    tac = lift(program, summaries, analysis, confirmed, config.max_stack_depth, pre_inputs)
+    del pre_inputs
     # A truncated pre-analysis is reported. If the main pass stopped short too,
     # its stop wins, so a run that ran out of time always reads timeout.
     stop = analysis.stop_condition

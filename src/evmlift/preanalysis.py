@@ -185,7 +185,10 @@ def run_preanalysis(
     raw: PatternFacts,
     depth: int,
     limits: AnalysisLimits | None = None,
-) -> PreanalysisOutcome:
+) -> tuple[PreanalysisOutcome, dict[int, Env]]:
+    """The pre-analysis outcome, and the per-block projection of its entry
+    envs (analysis.per_block) that confirmation read, for the lifter to
+    reuse when the main pass returns this fixpoint."""
     limits = limits or AnalysisLimits(fact_limit=DEFAULT_FACT_LIMIT)
     cfg = SchemeConfig(Scheme.SHRINKING, depth)
     result = analyze(program, summaries, raw_confirmed(raw), cfg, limits)
@@ -202,4 +205,7 @@ def run_preanalysis(
             result, program, summaries, limits.max_stack_depth
         ),
     )
-    return PreanalysisOutcome(result=result, confirmed=confirmed, public_call_sites=public_triples)
+    outcome = PreanalysisOutcome(
+        result=result, confirmed=confirmed, public_call_sites=public_triples
+    )
+    return outcome, resolver.inputs

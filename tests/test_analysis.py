@@ -14,6 +14,7 @@ from conftest import (
 )
 from evmlift.analysis import (
     AnalysisLimits,
+    _reading_changed_facts,
     analyze,
     per_block,
     transfer_block,
@@ -21,7 +22,7 @@ from evmlift.analysis import (
 from evmlift.bytecode import BytecodeProgram, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.context import DEFAULT_DEPTH, INITIAL_CONTEXT, Context, Scheme, SchemeConfig
-from evmlift.facts import ConfirmedFacts
+from evmlift.facts import ConfirmedFacts, raw_confirmed
 from evmlift.local import summarize_block, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
 from evmlift.values import UNDERFLOW, DefSite, EntrySlot
@@ -288,3 +289,54 @@ def test_reuse_declines_a_prior_above_the_main_fact_limit():
     assert res.preanalysis.result.stop_condition == "fixpoint"
     assert not _reused(res)
     assert res.analysis.stop_condition == "fact-limit"
+
+
+# 0x0 calls 0x10 leaving continuations 0x20 and 0x30 behind. 0x10 pushes
+# 0x20 again and falls through to the return 0x13, which jumps on that second
+# push; 0x20 then returns to 0x30 on the pushed value. So only (0x0, 0x30) is
+# confirmed: 0x0 stays a caller and nothing else changes, yet the return edge
+# 0x13 -> 0x20 no longer matches the call at 0x0.
+DROPPED_CONTINUATION = layout(
+    {
+        0x00: asm("PUSH1 0x20", "PUSH1 0x30", "PUSH1 0x10", "JUMP"),
+        0x10: asm("JUMPDEST", "PUSH1 0x20"),
+        0x13: asm("JUMPDEST", "JUMP"),
+        0x20: asm("JUMPDEST", "CALLVALUE", "POP", "JUMP"),
+        0x30: asm("JUMPDEST", "STOP"),
+    }
+)
+
+
+def test_main_pass_reruns_when_a_dropped_call_changes_a_return_merge():
+    res = run_pipeline(DROPPED_CONTINUATION)
+    raw = raw_confirmed(res.patterns)
+    assert res.confirmed == ConfirmedFacts(
+        private_calls=frozenset({(0x0, 0x30)}), private_returns=raw.private_returns
+    )
+    assert raw.private_calls == {(0x0, 0x20), (0x0, 0x30)}
+    assert raw.private_returns == {0x13, 0x20}
+    assert not _reused(res)
+    called = Context(None, (0x0,))
+    return_edge = (called, 0x13, INITIAL_CONTEXT, 0x20)
+    pre_edges = res.preanalysis.result.global_block_edge
+    assert _reading_changed_facts(raw, res.confirmed, pre_edges) == [return_edge]
+    assert (called, 0x13, Context(None, (0x13, 0x0)), 0x20) in res.analysis.global_block_edge
+
+
+def test_only_merges_reading_a_changed_fact_are_checked():
+    ctx = INITIAL_CONTEXT
+    edges = {(ctx, bid, ctx, t) for bid in (1, 2, 3, 4, 5) for t in (10, 11)}
+    old = ConfirmedFacts(
+        public_calls=frozenset({(1, 10), (5, 10)}),
+        private_calls=frozenset({(2, 12), (3, 11), (9, 11)}),
+        private_returns=frozenset({4, 5}),
+    )
+    new = ConfirmedFacts(
+        public_calls=frozenset({(5, 10)}),  # (1, 10) dropped
+        private_calls=frozenset({(3, 11)}),  # caller 2 and continuation 11 of 9 dropped
+        private_returns=old.private_returns,
+        important_edges=frozenset({(3, 10)}),
+    )
+    picked = {(bid, t) for _c, bid, _c2, t in _reading_changed_facts(old, new, edges)}
+    assert picked == {(1, 10), (2, 10), (2, 11), (3, 10), (4, 11), (5, 11)}
+    assert _reading_changed_facts(new, new, edges) == []

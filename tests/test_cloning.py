@@ -147,6 +147,12 @@ def test_a_data_constant_equal_to_a_clone_id_names_no_block():
     assert not {succ for bid, succ in edges if bid == 0x28}
     assert res.summaries[0x28].local_jump_target is None
     assert "0x2c: JUMP v29\n" in render_tac(res.tac)
+    # The interpreter applies the same rule: over the cloned program it walks
+    # the clones where the input walks their originals and halts at 0x28 too.
+    cloned_trace = concrete_execute(res.program)
+    assert (cloned_trace.visits[-1], cloned_trace.halted) == (0x28, "invalid")
+    assert cloned_trace.visits == (0x0, 0x40, 0x20, 0x50, 0x28)
+    assert tuple(res.program.clone_of.get(b, b) for b in cloned_trace.visits) == trace.visits
 
 
 def test_a_data_constant_equal_to_a_clone_id_is_no_call_continuation():

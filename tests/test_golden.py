@@ -13,9 +13,14 @@ import random
 import pytest
 
 import conftest
-from evmlift.analysis import AnalysisLimits, analyze
+from evmlift import local
+from evmlift.analysis import AnalysisLimits, _replays, analyze
+from evmlift.bytecode import extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
+from evmlift.cloning import apply_cloning
+from evmlift.context import merge
 from evmlift.lifter import render_tac
+from evmlift.local import detect_patterns, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
 
 
@@ -51,6 +56,17 @@ GOLDEN = {
 }
 
 
+# Runs per config whose main pass returns the pre-analysis fixpoint. A
+# change that loses reuse, and with it the main pass it saves, shows here.
+REUSED = {
+    "fixtures": {"default": 7, "no-shrinking": 6, "no-cloning": 7},
+    "sound": {"default": 200, "no-shrinking": 24, "no-cloning": 200},
+    "deep": {"default": 2, "no-shrinking": 0, "no-cloning": 2},
+    "dispatch": {"default": 3, "no-shrinking": 0, "no-cloning": 3},
+    "recursion": {"default": 1, "no-shrinking": 0, "no-cloning": 1},
+}
+
+
 def output_digest(programs: list[bytes]) -> str:
     digest = hashlib.sha256()
     for code in programs:
@@ -77,22 +93,83 @@ def _outputs(result) -> tuple:
     )
 
 
+def _full_replay_check(prior, facts, cfg, fact_limit) -> bool:
+    """The reuse decision evaluating merge on every recorded jump edge."""
+    if prior.stop_condition != "fixpoint":
+        return False
+    if fact_limit is not None and prior.fact_count > fact_limit:
+        return False
+    jumps = {(ctx, bid, t) for ctx, bid, _value, t in prior.block_jump_target}
+    return all(
+        merge(cfg, facts, ctx, bid, t) == ctx2
+        for ctx, bid, ctx2, t in prior.global_block_edge
+        if (ctx, bid, t) in jumps
+    )
+
+
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_a_reused_preanalysis_equals_a_fresh_main_pass(corpus):
-    reused = 0
+    reused = dict.fromkeys(REUSED[corpus], 0)
     for code in CORPORA[corpus]():
         for name, overrides in SWEEP_CONFIGS:
             config = RunConfig(**overrides)
             if not config.preanalysis:
                 continue  # no prior to reuse
             res = run_pipeline(code, config)
-            if res.analysis is not res.preanalysis.result:
-                continue
-            reused += 1
+            prior = res.preanalysis.result
             limits = AnalysisLimits(config.main_fact_limit, None, config.max_stack_depth)
+            decided = _replays(prior, res.confirmed, res.scheme_used, limits)
+            assert decided == (res.analysis is prior), name
+            full = _full_replay_check(prior, res.confirmed, res.scheme_used, config.main_fact_limit)
+            assert decided == full, name
+            if not decided:
+                continue
+            reused[name] += 1
             fresh = analyze(res.program, res.summaries, res.confirmed, res.scheme_used, limits)
             assert _outputs(fresh) == _outputs(res.analysis), name
-    assert reused
+    assert reused == REUSED[corpus]
+
+
+# Neither dispatch nor recursion has a block worth cloning.
+@pytest.mark.parametrize("corpus", sorted(set(CORPORA) - {"dispatch", "recursion"}))
+def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
+    summarized = []
+    summarize_block = local.summarize_block
+
+    def counted(block, program):
+        summarized.append(block.id)
+        return summarize_block(block, program)
+
+    monkeypatch.setattr(local, "summarize_block", counted)
+    cloned_programs = 0
+    for code in CORPORA[corpus]():
+        program = extract_blocks(code)
+        summaries = summarize_program(program)
+        cloned, clones = apply_cloning(program, detect_patterns(program, summaries))
+        if not clones:
+            continue
+        cloned_programs += 1
+        push_pcs = {i.push_pc for i in clones}
+        written = {i.clone_id for i in clones} | {
+            bid
+            for bid, block in program.blocks.items()
+            if any(ins.pc in push_pcs for ins in block.instructions)
+        }
+        kept = {bid for bid, block in cloned.blocks.items() if program.blocks.get(bid) is block}
+        assert kept == set(cloned.blocks) - written
+        summarized.clear()
+        resummarized = summarize_program(cloned, prior=(program, summaries))
+        assert sorted(summarized) == sorted(written)
+        assert all(resummarized[bid] is summaries[bid] for bid in kept)
+        for name, overrides in SWEEP_CONFIGS:
+            config = RunConfig(**overrides)
+            if not config.cloning:
+                continue
+            summarized.clear()
+            res = run_pipeline(code, config)
+            assert len(summarized) == len(program.blocks) + len(written), name
+            assert res.summaries == resummarized == summarize_program(res.program), name
+    assert cloned_programs
 
 
 def test_recursion_resolves_the_same_jumps_under_every_config():

@@ -35,7 +35,7 @@ def _pre(code: bytes, depth: int = 8):
     prog = extract_blocks(code)
     summaries = summarize_program(prog)
     raw = detect_patterns(prog, summaries)
-    return raw, run_preanalysis(prog, summaries, raw, depth), summaries
+    return raw, run_preanalysis(prog, summaries, raw, depth)[0], summaries
 
 
 def test_raw_confirmed_projects_candidates():
@@ -84,7 +84,7 @@ def test_selector_values_seeded_by_shift():
     prog = extract_blocks(dispatch_pair_code())
     summaries = summarize_program(prog)
     raw = detect_patterns(prog, summaries)
-    outcome = run_preanalysis(prog, summaries, raw, 8)
+    outcome, _inputs = run_preanalysis(prog, summaries, raw, 8)
     selectors = selector_values(summaries, _Resolver(outcome.result))
     assert DefSite(0x1D) in selectors  # the 224-bit shift of call-data word zero
 
@@ -163,7 +163,7 @@ def _blamed(code: bytes):
     on one program's pre-analysis."""
     prog = extract_blocks(code)
     summaries = summarize_program(prog)
-    outcome = run_preanalysis(prog, summaries, detect_patterns(prog, summaries), 8)
+    outcome, _inputs = run_preanalysis(prog, summaries, detect_patterns(prog, summaries), 8)
     assert outcome.result.stop_condition == "fixpoint"
     computed = compute_important_edges(outcome.result, prog, summaries, DEFAULT_MAX_STACK_DEPTH)
     oracle = rule_based_important_edges(outcome.result, summaries, prog.jump_target_ids)
