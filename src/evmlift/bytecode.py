@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .opcodes import BY_NAME, TABLE, Terminator
-from .values import AbstractValue, DefSite, constant_of
+from .values import AbstractValue, constant_of
 
 MAX_CODE_SIZE = 24576
 
@@ -63,37 +63,36 @@ class BasicBlock:
 class BytecodeProgram:
     """A decoded contract: code bytes, block map, and jump-target bookkeeping.
 
-    clone_of maps synthetic block ids (introduced by block cloning) to the
-    original block they copy, and clone_pushes holds the value of each push
-    cloning rewrote to a clone id; both are empty for freshly decoded programs.
+    Instructions always hold the bytecode's own values. Block cloning adds
+    copies of blocks past the end of the code and records two maps, both
+    empty for freshly decoded programs: clone_of takes each clone id to the
+    original block it copies, and clone_pushes takes the pc of each push
+    cloning chose to the clone it names. A clone is a name for a jump
+    target, not a value, so jump_target is the one rule that maps a value
+    to the block a jump on it lands on.
     """
 
     code: bytes
     blocks: dict[int, BasicBlock]
     jumpdests: frozenset[int]
     clone_of: dict[int, int] = field(default_factory=dict)
-    clone_pushes: frozenset[DefSite] = frozenset()
+    clone_pushes: dict[int, int] = field(default_factory=dict)
 
     def jump_target(self, value: AbstractValue) -> int | None:
         """The block a jump on value lands on, or None when it names none.
 
-        Any value carrying a jumpdest names it. A clone id is named only by
-        the push cloning rewrote to it: a data constant that happens to
-        equal a clone id names no block.
+        The value of a push cloning chose names that push's clone. Any other
+        constant names the jumpdest it equals: a data constant that equals a
+        clone id names no block, and a value folded from a chosen push names
+        the jumpdest it carries, as the bytecode would jump.
         """
         const = constant_of(value)
-        return const if const in self.jumpdests or value in self.clone_pushes else None
-
-    @property
-    def jump_target_ids(self) -> frozenset[int]:
-        """Block ids a jump on an int of unknown origin may land on:
-        jumpdests plus jumpdest-headed clones."""
-        extra = {
-            fresh
-            for fresh in self.clone_of
-            if self.blocks[fresh].instructions[0].opcode == "JUMPDEST"
-        }
-        return self.jumpdests | frozenset(extra)
+        if const is None:
+            return None
+        clone = self.clone_pushes.get(value.pc)
+        if clone is not None:
+            return clone
+        return const if const in self.jumpdests else None
 
 
 def _within_limit(code: bytes) -> bytes:

@@ -2,10 +2,12 @@
 
 Blocks whose address is pushed from several places act as shared join
 points and are the main source of value merging in the global analysis.
-Each qualifying push site gets a private copy of the block: the copy is
-placed at a fresh id past the end of the code and the push is rewritten to
-point at it. Copies are made from the pristine originals before any push is
-rewritten, and the transform runs exactly once.
+Each qualifying push site gets a private copy of the block, placed at a
+fresh id past the end of the code. Cloning decides which block a jump
+lands on; it does not change what the bytecode computes. No instruction is
+rewritten: the copy is named by its push's pc (BytecodeProgram.clone_pushes)
+and BytecodeProgram.jump_target resolves a jump on that push's value to it.
+The transform runs exactly once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
 from .local import detect_stack_balancing_blocks
-from .values import DefSite
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,10 @@ def _rebase(block: BasicBlock, clone_id: int) -> BasicBlock:
 def apply_cloning(
     program: BytecodeProgram, facts: PatternFacts
 ) -> tuple[BytecodeProgram, tuple[CloneInstance, ...]]:
-    """Copy each candidate block per push site and point the pushes at the copies.
+    """Copy each candidate block per push site and name each copy by its push.
 
-    The result shares program's code. Every block cloning does not rewrite,
-    that is every block but the clones and the blocks holding a rewritten
-    push, comes back as the same BasicBlock object, so its summary carries
-    over (see local.summarize_program).
+    The result shares program's code and every one of its blocks, so only
+    the clones need a summary (see local.summarize_program).
     """
     candidates = select_clone_candidates(program, facts)
     if not candidates:
@@ -97,30 +96,11 @@ def apply_cloning(
     blocks = dict(program.blocks)
     for inst in instances:
         blocks[inst.clone_id] = _rebase(program.blocks[inst.original], inst.clone_id)
-
-    # pc -> owning block, from the pre-clone program so rewrites never chase
-    # a moved instruction
-    owner: dict[int, int] = {}
-    for bid, block in program.blocks.items():
-        for ins in block.instructions:
-            owner[ins.pc] = bid
-
-    for inst in instances:
-        bid = owner[inst.push_pc]
-        block = blocks[bid]
-        rewritten = tuple(
-            ins._replace(pushed_value=inst.clone_id) if ins.pc == inst.push_pc else ins
-            for ins in block.instructions
-        )
-        blocks[bid] = BasicBlock(id=block.id, instructions=rewritten, terminator=block.terminator)
-
-    clone_of = dict(program.clone_of)
-    clone_of.update({inst.clone_id: inst.original for inst in instances})
     cloned = BytecodeProgram(
         code=program.code,
         blocks=blocks,
         jumpdests=program.jumpdests,
-        clone_of=clone_of,
-        clone_pushes=program.clone_pushes | {DefSite(inst.push_pc, inst.clone_id) for inst in instances},
+        clone_of={inst.clone_id: inst.original for inst in instances},
+        clone_pushes={inst.push_pc: inst.clone_id for inst in instances},
     )
     return cloned, tuple(instances)

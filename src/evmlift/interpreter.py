@@ -29,15 +29,6 @@ def _unsigned(x: int) -> int:
     return x % WORD
 
 
-class _CloneAddress(int):
-    """A clone id as the push cloning rewrote to it produced it.
-
-    Only this value jumps into a clone, as in BytecodeProgram.jump_target;
-    an equal data constant does not. DUP and SWAP move the object and keep
-    the mark; arithmetic makes a plain int and drops it.
-    """
-
-
 class _Halt(Exception):
     def __init__(self, reason: str):
         self.reason = reason
@@ -126,7 +117,7 @@ def binop(opcode: str, a: int, b: int = 0) -> int:
         return pow(a, b, WORD)
     if opcode == "SIGNEXTEND":
         if a >= 31:
-            return int(b)  # a plain int, like every other result
+            return b
         bit = a * 8 + 7
         if b & (1 << bit):
             return b | (WORD - (1 << (bit + 1)))
@@ -175,11 +166,10 @@ _HALT_REASON = {
 
 
 class _Machine:
-    def __init__(self, env: EnvValuation, clone_push_pcs: frozenset[int] = frozenset()):
+    def __init__(self, env: EnvValuation):
         self.stack: list[int] = []  # bottom at index 0
         self.env = env
         self.storage = dict(env.storage)
-        self.clone_push_pcs = clone_push_pcs
 
     def push(self, v: int) -> None:
         if len(self.stack) >= STACK_LIMIT:
@@ -195,10 +185,7 @@ class _Machine:
         """Run one instruction; returns (kind, jump_target, condition)."""
         op = ins.opcode
         if info.is_push:
-            if ins.pc in self.clone_push_pcs:
-                self.push(_CloneAddress(ins.pushed_value))
-            else:
-                self.push(ins.pushed_value)
+            self.push(ins.pushed_value)
         elif info.dup_index:
             if len(self.stack) < info.dup_index:
                 raise _Halt("invalid")
@@ -261,10 +248,10 @@ def concrete_execute(
     max_steps: int = 10_000,
     entry_block: int = 0,
 ) -> Trace:
-    """Run program from entry_block. A jump lands on a jumpdest, or on a
-    clone when the target is the value a push cloning rewrote produced; any
-    other target halts the run as invalid."""
-    machine = _Machine(env or EnvValuation(), frozenset(site.pc for site in program.clone_pushes))
+    """Run program's bytecode from entry_block. A jump lands on a jumpdest;
+    any other target halts the run as invalid. Clones name no value the
+    bytecode computes, so a run never enters one."""
+    machine = _Machine(env or EnvValuation())
     jumpdests = program.jumpdests
     visits: list[int] = []
     steps = 0
@@ -287,7 +274,7 @@ def concrete_execute(
                 steps += 1
                 kind, target, cond = machine.step(ins, BY_NAME[ins.opcode])
                 if kind == "jump" or (kind == "jumpi" and cond != 0):
-                    if target not in jumpdests and type(target) is not _CloneAddress:
+                    if target not in jumpdests:
                         return done("invalid")
                     bid = target
                     break

@@ -20,7 +20,7 @@ from .analysis import AnalysisResult, Env, per_block, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary, OpRecord
-from .values import UNDERFLOW, AbstractValue, DefSite, EntrySlot, constant_of, sort_key
+from .values import UNDERFLOW, AbstractValue, DefSite, EntrySlot, sort_key
 
 PLACEHOLDER = "?"
 RULE = "=" * 33
@@ -125,10 +125,11 @@ class _Lifter:
         for bid, succ in result.edge_pairs():
             self.edges.setdefault(bid, set()).add(succ)
 
+        jump_target = program.jump_target
         self.private_entries = frozenset(
             target
             for caller, _cont in confirmed.private_calls
-            if (target := summaries[caller].local_jump_target) is not None
+            if (target := jump_target(summaries[caller].target_expr)) is not None
         )
         self.continuation_ids = frozenset(cont for _caller, cont in confirmed.private_calls)
 
@@ -162,10 +163,11 @@ class _Lifter:
             return None
         cont_slot = None
         # From the merged entry env, which differs from the per-context
-        # union only by UNDERFLOW; only constants are read here.
+        # union only by UNDERFLOW; only the blocks values name are read here.
         out = transfer_block(self.summaries[bid], self.merged_in[bid], self.max_stack_depth)
+        jump_target = self.program.jump_target
         for slot in sorted(out):
-            if {constant_of(v) for v in out[slot]} & self.continuation_ids:
+            if set(map(jump_target, out[slot])) & self.continuation_ids:
                 cont_slot = slot
                 break
         return cont_slot, out
@@ -239,7 +241,7 @@ class _Lifter:
     def _successors(self, bid: int, call_info) -> tuple[int, ...]:
         if call_info is not None and call_info[0] is not None:
             cont_slot, out = call_info
-            succs = {c for v in out[cont_slot] if (c := constant_of(v)) is not None}
+            succs = set(map(self.program.jump_target, out[cont_slot])) - {None}
             return tuple(sorted(succs))
         return tuple(sorted(self.edges.get(bid, ())))
 

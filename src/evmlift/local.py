@@ -113,9 +113,8 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
 
     local_target = None
     if isinstance(target_expr, DefSite) and target_expr.constant is not None:
-        t = target_expr.constant
-        if t < len(program.code) or target_expr in program.clone_pushes:
-            local_target = t
+        if target_expr.constant < len(program.code):
+            local_target = target_expr.constant
 
     return BlockSummary(
         depth, tuple(reversed(stack)), target_expr, cond_expr, local_target, tuple(ops), too_deep
@@ -123,23 +122,20 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
 
 
 def summarize_program(
-    program: BytecodeProgram,
-    prior: tuple[BytecodeProgram, dict[int, BlockSummary]] | None = None,
+    program: BytecodeProgram, known: dict[int, BlockSummary] | None = None
 ) -> dict[int, BlockSummary]:
     """Summaries of every block, in block order.
 
-    prior is a program with the same code and its summaries. A block that
-    is the same object there keeps its summary: summarize_block reads the
-    program only through len(program.code) and the clone_pushes inside the
-    block, so this holds for apply_cloning's output, which adds clone
-    pushes only in the blocks it rewrites.
+    A summary depends only on the block and len(program.code), so a block
+    id in known, summarized over the same code and blocks, keeps that
+    summary. apply_cloning returns every original block unchanged, so with
+    the first summaries as known only the clones are summarized.
     """
-    old_blocks, old = (prior[0].blocks, prior[1]) if prior else ({}, {})
-    out = {}
-    for bid in sorted(program.blocks):
-        block = program.blocks[bid]
-        out[bid] = old[bid] if old_blocks.get(bid) is block else summarize_block(block, program)
-    return out
+    known = known or {}
+    return {
+        bid: known[bid] if bid in known else summarize_block(program.blocks[bid], program)
+        for bid in sorted(program.blocks)
+    }
 
 
 def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpRecord | None:
@@ -164,7 +160,8 @@ def detect_public_call_candidates(
     """Blocks that look like function-selector dispatch checks.
 
     An EQ against a constant of at most four bytes must feed the block's JUMPI
-    condition, and the JUMPI target must be a block-local constant jumpdest.
+    condition, and the JUMPI target must be a block-local constant that names
+    a block (BytecodeProgram.jump_target).
     Whether the compared value is really the call-data selector is left to the
     pre-analysis.
     """
@@ -173,10 +170,8 @@ def detect_public_call_candidates(
         block = program.blocks[bid]
         if block.terminator is not Terminator.CONDITIONAL_JUMP or summary.too_deep:
             continue
-        target = summary.target_expr
-        if not isinstance(target, DefSite) or target.constant is None:
-            continue
-        if target.constant not in program.jumpdests:
+        target = program.jump_target(summary.target_expr)
+        if target is None:
             continue
         eq = chase_condition_to_eq(summary, summary.cond_expr)
         if eq is None:
@@ -190,17 +185,19 @@ def detect_public_call_candidates(
             None,
         )
         if selector is not None:
-            out.add((bid, selector, target.constant))
+            out.add((bid, selector, target))
     return frozenset(out)
 
 
 def detect_private_call_candidates(
     program: BytecodeProgram, summaries: dict[int, BlockSummary]
 ) -> frozenset[tuple[int, int, int]]:
-    """Blocks that jump to a constant while leaving a pushed jumpdest behind.
+    """Blocks that jump to a constant while leaving a pushed block address behind.
 
     One (caller, continuation, push_pc) triple is emitted per qualifying push
-    statement, however many copies of it the exit stack holds.
+    statement, however many copies of it the exit stack holds; the
+    continuation is the block jump_target names, a clone for a push cloning
+    chose.
     """
     out = set()
     for bid, summary in summaries.items():
@@ -212,11 +209,12 @@ def detect_private_call_candidates(
         push_pcs = {ins.pc for ins in block.instructions if ins.pushed_value is not None}
         seen: set[int] = set()
         for value in summary.produced:
-            if not isinstance(value, DefSite) or value.constant is None:
+            if not isinstance(value, DefSite) or value.pc not in push_pcs or value.pc in seen:
                 continue
-            if value.pc in push_pcs and value.pc not in seen and program.jump_target(value) is not None:
+            continuation = program.jump_target(value)
+            if continuation is not None:
                 seen.add(value.pc)
-                out.add((bid, value.constant, value.pc))
+                out.add((bid, continuation, value.pc))
     return frozenset(out)
 
 

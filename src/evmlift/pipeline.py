@@ -3,11 +3,13 @@
 Phases run in a fixed order: decode, local patterns, cloning, local
 patterns again over the cloned program, pre-analysis and fact
 confirmation, the main context-sensitive analysis, lifting, metrics. All
-phases share one wall-clock deadline. The second local pass summarizes
-only the blocks cloning wrote (the clones and the blocks whose push it
-rewrote); every other block keeps its first summary. When the main pass
-returns the pre-analysis fixpoint, the lifter takes the per-block
-projection the pre-analysis built instead of building it again.
+phases share one wall-clock deadline. Cloning rewrites no instruction and
+returns every original block unchanged, so the second local pass
+summarizes only the clones; every other block keeps its first summary.
+Every phase maps a value to a block through BytecodeProgram.jump_target,
+the one rule that names clones. When the main pass returns the
+pre-analysis fixpoint, the lifter takes the per-block projection the
+pre-analysis built instead of building it again.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
     if config.cloning:
         cloned, clones = apply_cloning(program, patterns)
         if clones:
-            summaries = summarize_program(cloned, prior=(program, summaries))
+            summaries = summarize_program(cloned, summaries)
             patterns = detect_patterns(cloned, summaries)
         program = cloned
 

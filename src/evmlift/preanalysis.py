@@ -52,12 +52,13 @@ class _Resolver:
 def confirm_private_calls(
     raw: PatternFacts, result: AnalysisResult
 ) -> frozenset[tuple[int, int, int]]:
-    """Keep call triples whose pushed continuation is jumped to somewhere."""
-    jumped = {(value, target) for _ctx, _bid, value, target in result.block_jump_target}
+    """Keep call triples whose pushed continuation is jumped to somewhere:
+    some jump on the value of the push at push_pc lands on cont."""
+    jumped = {(value.pc, target) for _ctx, _bid, value, target in result.block_jump_target}
     return frozenset(
         (caller, cont, push_pc)
         for caller, cont, push_pc in raw.private_call_candidates
-        if (DefSite(push_pc, cont), cont) in jumped
+        if (push_pc, cont) in jumped
     )
 
 

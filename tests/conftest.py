@@ -360,6 +360,45 @@ def poly_merge_code() -> bytes:
     )
 
 
+def lost_edge_code() -> bytes:
+    """A balancing block reached once through a folded copy of its address.
+
+    Block 0x0 pushes the continuation 0x20 and jumps to 0x30 + 0 (a folded
+    ADD); 0x20 pushes 0x28 and jumps to 0x30 directly. 0x30 is pushed at
+    0x2 and 0x23, so cloning copies it for each push, yet the folded jump
+    out of 0x0 still lands on the original. Concrete edges: 0x0->0x30,
+    0x30->0x20, 0x20->0x30, 0x30->0x28.
+    """
+    return layout(
+        {
+            0x00: asm("PUSH1 0x20", "PUSH1 0x30", "PUSH1 0x00", "ADD", "JUMP"),
+            0x20: asm("JUMPDEST", "PUSH1 0x28", "PUSH1 0x30", "JUMP"),
+            0x28: asm("JUMPDEST", "STOP"),
+            0x30: asm("JUMPDEST", "JUMP"),
+        }
+    )
+
+
+def push_as_data_code() -> bytes:
+    """A balancing-block address pushed once as data and twice as a target.
+
+    The balancing block 0x20 is pushed at 0x0 as the CALLDATALOAD offset
+    that picks the branch, and at 0xa and 0x15 as the block the two
+    branches jump to, each leaving 0x18 as its return address. Cloning
+    copies 0x20 for all three pushes; the copy for the data push is never
+    jumped to.
+    """
+    return layout(
+        {
+            0x00: asm("PUSH1 0x20", "CALLDATALOAD", "PUSH1 0x10", "JUMPI"),
+            0x06: asm("PUSH1 0x18", "PUSH1 0x07", "PUSH1 0x20", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x18", "PUSH1 0x05", "PUSH1 0x20", "JUMP"),
+            0x18: asm("JUMPDEST", "STOP"),
+            0x20: asm("JUMPDEST", "POP", "JUMP"),
+        }
+    )
+
+
 def recursive_call_code() -> bytes:
     """Private recursion: main calls f(calldata[0] & 7) with continuation
     `ret`. f(0) returns 0; f(n) calls f(n - 1) with continuation `after`,
@@ -490,6 +529,86 @@ def gen_sound_program(rng: random.Random) -> bytes:
     a.label("balancer")
     a.emit("JUMPDEST", "POP", "JUMP")
     return a.assemble()
+
+
+def _push_address(a: Assembler, label: str, rng: random.Random) -> None:
+    """Leave label's address on the stack: pushed directly, or pushed and
+    folded through ADD, ADD then SUB, or AND so the value is the address
+    but not the push's own value."""
+    how = rng.randrange(4)
+    if how == 0:
+        a.emit(f"PUSH2 @{label}")
+    elif how == 1:
+        a.emit("PUSH1 0x00", f"PUSH2 @{label}", "ADD")
+    elif how == 2:
+        k = rng.randrange(1, 256)
+        a.emit(f"PUSH1 {k}", f"PUSH2 @{label}", "ADD", f"PUSH1 {k}", "SWAP1", "SUB")
+    else:
+        a.emit("PUSH2 0xffff", f"PUSH2 @{label}", "AND")
+
+
+def gen_folded_program(rng: random.Random) -> bytes:
+    """Random terminating program whose shared-block addresses are also data.
+
+    The shared continuation, the stack-balancing block and the helper are
+    each pushed as jump targets, directly or through folded ADD/SUB/AND
+    (so a push cloning chooses may reach its jump only as a folded value),
+    and as plain data: a CALLDATALOAD offset, a stored value, an ADD
+    operand. All jumps go forward, so every concrete run halts; branch
+    conditions read calldata words 0 and 32.
+    """
+    a = Assembler()
+    for i in range(rng.randint(3, 7)):
+        kind = rng.choices(
+            ["line", "data", "branch", "balance", "chained"], weights=[15, 25, 15, 20, 25]
+        )[0]
+        if kind == "line":
+            _emit_line(a, rng)
+        elif kind == "data":
+            label = rng.choice(["shared", "balancer", "helper"])
+            use = rng.randrange(3)
+            if use == 0:
+                a.emit(f"PUSH2 @{label}", "CALLDATALOAD", "POP")
+            elif use == 1:
+                a.emit(f"PUSH2 @{label}", f"PUSH1 {rng.randrange(8)}", "SSTORE")
+            else:
+                a.emit(f"PUSH2 @{label}", f"PUSH1 {rng.randrange(256)}", "ADD", "POP")
+        elif kind == "branch":
+            a.emit(f"PUSH1 {rng.choice([0, 32])}", "CALLDATALOAD", f"PUSH2 @taken{i}", "JUMPI")
+            _emit_line(a, rng)
+            a.label(f"taken{i}")
+            a.emit("JUMPDEST")
+        elif kind == "balance":
+            a.emit(f"PUSH2 @next{i}", f"PUSH1 {rng.randrange(256)}")
+            _push_address(a, "balancer", rng)
+            a.emit("JUMP")
+            a.label(f"next{i}")
+            a.emit("JUMPDEST")
+        else:  # chained: helper, then shared twice, then next
+            a.emit(f"PUSH2 @next{i}", f"PUSH1 {rng.randrange(256)}")
+            _push_address(a, "shared", rng)
+            a.emit(f"PUSH1 {rng.randrange(256)}")
+            _push_address(a, "shared", rng)
+            a.emit(f"PUSH1 {rng.randrange(256)}", f"PUSH1 {rng.randrange(256)}")
+            _push_address(a, "helper", rng)
+            a.emit("JUMP")
+            a.label(f"next{i}")
+            a.emit("JUMPDEST", "POP")
+    a.emit("STOP")
+    a.label("helper")
+    a.emit("JUMPDEST", "ADD", "SWAP1", "JUMP")
+    a.label("shared")
+    a.emit("JUMPDEST", "PUSH2 @helper", "JUMP")
+    a.label("balancer")
+    a.emit("JUMPDEST", "POP", "JUMP")
+    return a.assemble()
+
+
+def lifted_edges(res) -> set[tuple[int, int]]:
+    """A pipeline result's block edges with each clone mapped back to its
+    original, comparable with the oracle's edges over the input bytecode."""
+    original = res.program.clone_of
+    return {(original.get(a, a), original.get(b, b)) for a, b in res.analysis.edge_pairs()}
 
 
 def oracle_calldatas() -> list[bytes]:

@@ -20,13 +20,17 @@ from conftest import (
     gen_chained_program,
     gen_deep_program,
     gen_dispatch_program,
+    gen_folded_program,
     gen_sound_program,
     important_edges_code,
     inlined_call_code,
+    lifted_edges,
+    lost_edge_code,
     never_jumped_code,
     non_selector_eq_code,
     oracle_calldatas,
     poly_merge_code,
+    push_as_data_code,
     recursion_calldatas,
     recursive_call_code,
     toggled_words,
@@ -119,24 +123,28 @@ def test_criterion_2_cloning_straightens_the_chained_calls():
 
 
 def test_criterion_3_analysis_edges_cover_concrete_edges():
+    # The oracle runs the input bytecode, so cloning cannot shape the reference.
     env_sets = EnvSets(calldatas=oracle_calldatas())
     with criterion(3, "oracle edges of 1000 generated programs all covered", 300.0):
         checked = 0
         for seed in range(1000):
-            res = run_pipeline(gen_sound_program(random.Random(seed)))
-            oracle = enumerate_edges(res.program, env_sets)
-            missing = oracle - res.analysis.edge_pairs()
+            code = gen_sound_program(random.Random(seed))
+            oracle = enumerate_edges(extract_blocks(code), env_sets)
+            missing = oracle - lifted_edges(run_pipeline(code))
             assert not missing, f"seed {seed}: oracle edges {sorted(missing)} missed"
             checked += 1
         assert checked >= 1000
 
 
-# Loops and public calls, clones mapped back to their originals, and recursion:
-# the shapes gen_sound_program lacks. Each with the calldatas that reach them.
+# Loops and public calls, clones mapped back to their originals, recursion, and
+# cloned addresses reached through folded values or pushed as data: the shapes
+# gen_sound_program lacks. Each with the calldatas that reach them.
 ORACLE_PROGRAMS = {
     "dispatch-16": (lambda: gen_dispatch_program(16), lambda: dispatch_calldatas(16)),
     "deep-8": (lambda: gen_deep_program(8, 4), lambda: toggled_words(7)),
     "recursion": (recursive_call_code, recursion_calldatas),
+    "lost-edge": (lost_edge_code, lambda: [b""]),
+    "push-as-data": (push_as_data_code, oracle_calldatas),
 }
 
 
@@ -147,10 +155,25 @@ def test_oracle_edges_are_covered_under_every_sweep_config(program):
     oracle = enumerate_edges(extract_blocks(code), EnvSets(calldatas=calldatas()))
     assert oracle
     for name, overrides in SWEEP_CONFIGS:
-        res = run_pipeline(code, RunConfig(**overrides))
-        original = res.program.clone_of
-        lifted = {(original.get(a, a), original.get(b, b)) for a, b in res.analysis.edge_pairs()}
+        lifted = lifted_edges(run_pipeline(code, RunConfig(**overrides)))
         assert oracle <= lifted, (name, sorted(oracle - lifted))
+
+
+FOLDED_SEEDS = range(50)
+
+
+def test_folded_address_programs_cover_the_oracle_under_every_sweep_config():
+    env_sets = EnvSets(calldatas=oracle_calldatas())
+    cloned = 0
+    for seed in FOLDED_SEEDS:
+        code = gen_folded_program(random.Random(seed))
+        oracle = enumerate_edges(extract_blocks(code), env_sets)
+        for name, overrides in SWEEP_CONFIGS:
+            res = run_pipeline(code, RunConfig(**overrides))
+            cloned += bool(res.clones)
+            missing = oracle - lifted_edges(res)
+            assert not missing, (seed, name, sorted(missing))
+    assert cloned  # the family must reach cloning, or it checks nothing new
 
 
 def _preanalyze(code: bytes):
@@ -182,7 +205,7 @@ def test_criterion_4_preanalysis_filters_and_blames():
         _, outcome = _preanalyze(code_address_merge_code())
         prog = extract_blocks(code_address_merge_code())
         expected = rule_based_important_edges(
-            outcome.result, summarize_program(prog), prog.jump_target_ids
+            outcome.result, summarize_program(prog), prog.jumpdests, prog.clone_pushes
         )
         assert expected == frozenset({(0x6, 0x1C), (0x10, 0x1C)})
         assert outcome.confirmed.important_edges == expected

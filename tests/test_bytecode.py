@@ -1,10 +1,8 @@
 """Decoder and basic-block extraction."""
 
-from dataclasses import replace
-
 import pytest
 
-from conftest import asm, chained_call_code, layout
+from conftest import asm, chained_call_code, layout, lost_edge_code
 from evmlift.bytecode import (
     BytecodeError,
     Terminator,
@@ -13,7 +11,10 @@ from evmlift.bytecode import (
     parse_bytecode_text,
     read_bytecode_file,
 )
+from evmlift.cloning import apply_cloning
+from evmlift.facts import PatternFacts
 from evmlift.opcodes import BY_NAME, TABLE
+from evmlift.values import DefSite, EntrySlot
 
 MAX_CODE_SIZE = 24576
 
@@ -127,12 +128,18 @@ def test_chained_call_layout_is_byte_exact():
     assert prog.blocks[0x1C7].last.pc == 0x1CA
 
 
-def test_jump_target_ids_cover_clones():
-    prog = extract_blocks(asm("JUMPDEST", "STOP"))
-    assert prog.jump_target_ids == frozenset({0x0})
-    prog.blocks[0x40] = replace(prog.blocks[0x0], id=0x40)
-    prog.clone_of[0x40] = 0x0
-    assert 0x40 in prog.jump_target_ids
+def test_jump_target_names_a_clone_only_through_its_push():
+    # 0x30 is pushed at 0x2 (then folded by the ADD at 0x6) and at 0x23.
+    cloned, _ = apply_cloning(extract_blocks(lost_edge_code()), PatternFacts())
+    assert cloned.clone_pushes == {0x2: 0x40, 0x23: 0x50}
+    # a chosen push names its clone
+    assert cloned.jump_target(DefSite(0x23, 0x30)) == 0x50
+    # a data constant equal to a clone id names nothing
+    assert cloned.jump_target(DefSite(0x4, 0x50)) is None
+    # a value folded from a chosen push names the jumpdest it carries
+    assert cloned.jump_target(DefSite(0x6, 0x30)) == 0x30
+    assert cloned.jump_target(DefSite(0x6)) is None
+    assert cloned.jump_target(EntrySlot(0x30, 0)) is None
 
 
 def test_parse_bytecode_text():

@@ -1,13 +1,14 @@
-"""Block cloning: candidate selection and program rewriting."""
+"""Block cloning: candidate selection, and clones named by their push pcs."""
 
-from conftest import asm, chained_call_code, layout
+from conftest import asm, chained_call_code, layout, lifted_edges, lost_edge_code
 from evmlift.bytecode import extract_blocks
 from evmlift.cloning import CloneInstance, apply_cloning, select_clone_candidates
 from evmlift.facts import PatternFacts
-from evmlift.interpreter import concrete_execute
+from evmlift.interpreter import concrete_execute, enumerate_edges
 from evmlift.lifter import render_tac
 from evmlift.local import detect_patterns, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
+from evmlift.values import DefSite
 
 
 def _chained():
@@ -40,25 +41,19 @@ def test_apply_cloning_instances_and_ids():
         CloneInstance(0x9E, 0x72, 0x210),
     )
     assert cloned.clone_of == {0x1E0: 0x72, 0x1F0: 0x72, 0x200: 0x72, 0x210: 0x72}
-    assert {i.clone_id for i in instances} <= cloned.jump_target_ids
+    assert cloned.clone_pushes == {0x60: 0x1E0, 0x66: 0x1F0, 0x98: 0x200, 0x9E: 0x210}
 
 
-def test_apply_cloning_rewrites_only_the_push_sites():
+def test_apply_cloning_rewrites_no_push():
     prog, facts = _chained()
     cloned, _ = apply_cloning(prog, facts)
-
-    def push_at(program, bid, pc):
-        (ins,) = [i for i in program.blocks[bid].instructions if i.pc == pc]
-        return ins.pushed_value
-
-    assert push_at(cloned, 0x58, 0x60) == 0x1E0
-    assert push_at(cloned, 0x58, 0x66) == 0x1F0
-    assert push_at(cloned, 0x90, 0x98) == 0x200
-    assert push_at(cloned, 0x90, 0x9E) == 0x210
-    # the halting continuation keeps its original address
-    assert push_at(cloned, 0x58, 0x5A) == 0x77
-    # originals in the source program are untouched
-    assert push_at(prog, 0x58, 0x60) == 0x72
+    # every original block comes back as the same object, pushes included
+    assert all(cloned.blocks[bid] is block for bid, block in prog.blocks.items())
+    (push,) = [i for i in cloned.blocks[0x58].instructions if i.pc == 0x60]
+    assert push.pushed_value == 0x72
+    # the clone is named by the push's pc, not by its value
+    assert cloned.jump_target(DefSite(0x60, 0x72)) == 0x1E0
+    assert cloned.jump_target(DefSite(0x5A, 0x77)) == 0x77
 
 
 def test_clone_bodies_are_pristine_rebased_copies():
@@ -91,8 +86,9 @@ def test_balancing_block_cloned_per_push_site():
     assert select_clone_candidates(prog, facts) == {0x10: (0x0, 0x3)}
     cloned, instances = apply_cloning(prog, facts)
     assert [i.clone_id for i in instances] == [0x20, 0x30]
+    assert cloned.clone_pushes == {0x0: 0x20, 0x3: 0x30}
     entry = cloned.blocks[0x0].instructions
-    assert (entry[0].pushed_value, entry[1].pushed_value) == (0x20, 0x30)
+    assert (entry[0].pushed_value, entry[1].pushed_value) == (0x10, 0x10)
 
 
 def test_single_push_site_keeps_block_shared():
@@ -147,12 +143,10 @@ def test_a_data_constant_equal_to_a_clone_id_names_no_block():
     assert not {succ for bid, succ in edges if bid == 0x28}
     assert res.summaries[0x28].local_jump_target is None
     assert "0x2c: JUMP v29\n" in render_tac(res.tac)
-    # The interpreter applies the same rule: over the cloned program it walks
-    # the clones where the input walks their originals and halts at 0x28 too.
-    cloned_trace = concrete_execute(res.program)
-    assert (cloned_trace.visits[-1], cloned_trace.halted) == (0x28, "invalid")
-    assert cloned_trace.visits == (0x0, 0x40, 0x20, 0x50, 0x28)
-    assert tuple(res.program.clone_of.get(b, b) for b in cloned_trace.visits) == trace.visits
+    # The interpreter runs the bytecode only: over the cloned program it
+    # never enters a clone, and the lifted path maps back to its walk.
+    assert concrete_execute(res.program) == trace
+    assert set(zip(trace.visits, trace.visits[1:])) <= lifted_edges(res)
 
 
 def test_a_data_constant_equal_to_a_clone_id_is_no_call_continuation():
@@ -171,3 +165,18 @@ def test_a_data_constant_equal_to_a_clone_id_is_no_call_continuation():
     assert [i.clone_id for i in res.clones] == [0x40, 0x50]
     assert res.summaries[0x28].local_jump_target == 0x20
     assert not {c for c in res.patterns.private_call_candidates if c[0] == 0x28}
+
+
+def test_a_folded_copy_of_a_chosen_push_jumps_to_the_original():
+    # The push at 0x2 is chosen for a clone, but only its folded copy (the
+    # ADD at 0x6) is jumped on: that jump lands on the original 0x30, whose
+    # return then reaches 0x20 and, through the push at 0x23, the clone 0x50.
+    code = lost_edge_code()
+    oracle = enumerate_edges(extract_blocks(code))
+    assert oracle == {(0x0, 0x30), (0x30, 0x20), (0x20, 0x30), (0x30, 0x28)}
+    res = run_pipeline(code)
+    assert [(i.push_pc, i.clone_id) for i in res.clones] == [(0x2, 0x40), (0x23, 0x50)]
+    edges = res.analysis.edge_pairs()
+    assert edges == {(0x0, 0x30), (0x30, 0x20), (0x20, 0x50), (0x50, 0x28)}
+    assert lifted_edges(res) == oracle
+    assert res.metrics.missing_control_flow == 0

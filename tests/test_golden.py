@@ -15,7 +15,7 @@ import pytest
 import conftest
 from evmlift import local
 from evmlift.analysis import AnalysisLimits, _replays, analyze
-from evmlift.bytecode import extract_blocks
+from evmlift.bytecode import disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import apply_cloning
 from evmlift.context import merge
@@ -35,6 +35,8 @@ FIXTURES = (
     conftest.unresolved_operand_code,
     conftest.balancing_example_code,
     conftest.poly_merge_code,
+    conftest.lost_edge_code,
+    conftest.push_as_data_code,
 )
 
 CORPORA = {
@@ -48,9 +50,9 @@ CORPORA = {
 }
 
 GOLDEN = {
-    "fixtures": "b7da9e242dab7f9e18be8de64830c7f000bc85bf9a305e0c0f96bbe6d67c32b9",
-    "sound": "93d3187badeac2b43c352d9ea177e93d93a0d357454891f1c11c1b1522fb3141",
-    "deep": "6b9cc61cf6b0c93a53df2b911425a5f74608fe41324b3ab04c8aee2fc04642f8",
+    "fixtures": "a21e3b67ce7d33b0106d7e39d023a12c526bb8ab26b5c3441d62104533de21ee",
+    "sound": "e892cea679662aa9b27f777aadccf9f4da9f37c91c2ca3e908c2a83c694cb32f",
+    "deep": "3644b6a69788fc67d4965c57910288fdc7e5a54637dbe1407d3d1540f882deaa",
     "dispatch": "86a162f068426e32644e112f0d3bab84c8cb5845200717ccd63c111f9adc61e8",
     "recursion": "c0948b9fde34894367a9214f7a27872dea3d51d28c082645025db85bace57078",
 }
@@ -59,7 +61,7 @@ GOLDEN = {
 # Runs per config whose main pass returns the pre-analysis fixpoint. A
 # change that loses reuse, and with it the main pass it saves, shows here.
 REUSED = {
-    "fixtures": {"default": 7, "no-shrinking": 6, "no-cloning": 7},
+    "fixtures": {"default": 9, "no-shrinking": 6, "no-cloning": 9},
     "sound": {"default": 200, "no-shrinking": 24, "no-cloning": 200},
     "deep": {"default": 2, "no-shrinking": 0, "no-cloning": 2},
     "dispatch": {"default": 3, "no-shrinking": 0, "no-cloning": 3},
@@ -149,27 +151,41 @@ def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
         if not clones:
             continue
         cloned_programs += 1
-        push_pcs = {i.push_pc for i in clones}
-        written = {i.clone_id for i in clones} | {
-            bid
-            for bid, block in program.blocks.items()
-            if any(ins.pc in push_pcs for ins in block.instructions)
-        }
-        kept = {bid for bid, block in cloned.blocks.items() if program.blocks.get(bid) is block}
-        assert kept == set(cloned.blocks) - written
+        # Cloning writes the clones and nothing else.
+        clone_ids = {i.clone_id for i in clones}
+        assert all(cloned.blocks[bid] is block for bid, block in program.blocks.items())
+        assert set(cloned.blocks) == set(program.blocks) | clone_ids
         summarized.clear()
-        resummarized = summarize_program(cloned, prior=(program, summaries))
-        assert sorted(summarized) == sorted(written)
-        assert all(resummarized[bid] is summaries[bid] for bid in kept)
+        resummarized = summarize_program(cloned, summaries)
+        assert sorted(summarized) == sorted(clone_ids)
+        assert all(resummarized[bid] is summaries[bid] for bid in program.blocks)
         for name, overrides in SWEEP_CONFIGS:
             config = RunConfig(**overrides)
             if not config.cloning:
                 continue
             summarized.clear()
             res = run_pipeline(code, config)
-            assert len(summarized) == len(program.blocks) + len(written), name
+            assert len(summarized) == len(program.blocks) + len(clones), name
             assert res.summaries == resummarized == summarize_program(res.program), name
     assert cloned_programs
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_every_const_carries_the_value_the_bytecode_pushes(corpus):
+    # A clone's statements carry the copy's pcs; the value is the one pushed
+    # at the pc of the instruction copied.
+    consts = 0
+    for code in CORPORA[corpus]():
+        pushed = {ins.pc: ins.pushed_value for ins in disassemble(code) if ins.pushed_value is not None}
+        for name, overrides in SWEEP_CONFIGS:
+            res = run_pipeline(code, RunConfig(**overrides))
+            for bid, block in res.tac.blocks.items():
+                shift = res.program.clone_of.get(bid, bid) - bid
+                for stmt in block.statements:
+                    if stmt.opcode == "CONST":
+                        consts += 1
+                        assert stmt.const == pushed[int(stmt.label, 16) + shift], (name, stmt)
+    assert consts
 
 
 def test_recursion_resolves_the_same_jumps_under_every_config():

@@ -1,7 +1,5 @@
 """Concrete reference interpreter."""
 
-from dataclasses import replace
-
 import pytest
 
 from conftest import asm, layout
@@ -13,7 +11,6 @@ from evmlift.interpreter import (
     enumerate_edges,
     run_block,
 )
-from evmlift.values import DefSite
 
 WORD = 1 << 256
 
@@ -175,20 +172,3 @@ def test_enumerate_edges_covers_both_branches():
     prog = extract_blocks(code)
     edges = enumerate_edges(prog, EnvSets(calldatas=[b"", bytes(31) + b"\x01"]))
     assert edges == frozenset({(0, 6), (0, 8)})
-
-
-@pytest.mark.parametrize(
-    "moves, halted",
-    [(("DUP1", "SWAP1"), "stop"), (("PUSH1 0x1f", "SIGNEXTEND"), "invalid")],
-    ids=["dup-swap-keep-it", "arithmetic-drops-it"],
-)
-def test_only_the_value_of_a_rewritten_push_jumps_into_a_clone(moves, halted):
-    # Block 0x10 has no JUMPDEST, as a clone has none at its id; the push at
-    # 0x0 is marked as one cloning rewrote to it.
-    code = layout({0x00: asm("PUSH1 0x10", *moves, "JUMP"), 0x10: asm("PUSH1 0x01", "STOP")})
-    plain = extract_blocks(code)
-    assert concrete_execute(plain).halted == "invalid"
-    cloned = replace(plain, clone_pushes=frozenset({DefSite(0x0, 0x10)}))
-    trace = concrete_execute(cloned)
-    assert trace.halted == halted
-    assert trace.visits == ((0x0, 0x10) if halted == "stop" else (0x0,))

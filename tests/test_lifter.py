@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    asm,
     inlined_call_code,
     chained_call_code,
+    layout,
     underflow_drop_code,
     unresolved_operand_code,
 )
@@ -74,6 +76,48 @@ def test_merged_continuation_without_cloning(uncloned):
         "0x73: v73(0x1c7) = CONST",
         "0x76: v76_0 = CALLPRIVATE v73, v72_0, v72_1, v72_2",
     ]
+
+
+def test_a_data_constant_equal_to_a_clone_id_is_no_continuation_operand():
+    # A chain of three calls to the helper 0x28 through the shared 0x30,
+    # pushed at 0x4 and 0x8 and cloned to 0x40 and 0x50. The data push at 0x6
+    # sits between them and equals 0x50, the continuation of block 0x0's
+    # call. The call in clone 0x50 returns to 0x40, through the push at 0x4.
+    code = layout(
+        {
+            0x00: asm(
+                "PUSH1 0x20", "PUSH1 0x01", "PUSH1 0x30", "PUSH1 0x50", "PUSH1 0x30",
+                "PUSH1 0x03", "PUSH1 0x04", "PUSH1 0x28", "JUMP",
+            ),
+            0x20: asm("JUMPDEST", "POP", "STOP"),
+            0x28: asm("JUMPDEST", "ADD", "SWAP1", "JUMP"),
+            0x30: asm("JUMPDEST", "PUSH1 0x28", "JUMP"),
+        }
+    )
+    res = run_pipeline(code)
+    assert [(i.push_pc, i.clone_id) for i in res.clones] == [(0x4, 0x40), (0x8, 0x50)]
+    assert res.tac.blocks[0x50].succs == (0x40,)
+    assert lines(res.tac, 0x50)[-1] == "0x53: v53_0 = CALLPRIVATE v51, v29, v6, v4"
+
+
+def test_a_non_jumpdest_constant_is_no_call_successor():
+    # 0x30 calls the helper 0x28 and returns through its entry slot 1, which
+    # holds the continuation 0x20 on the path through 0x06 and the data
+    # constant 0x07 on the path through 0x10. Only 0x20 names a block.
+    code = layout(
+        {
+            0x00: asm("PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x10", "JUMPI"),
+            0x06: asm("PUSH1 0x20", "PUSH1 0x30", "PUSH1 0x03", "PUSH1 0x28", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x07", "PUSH1 0x30", "PUSH1 0x03", "PUSH1 0x28", "JUMP"),
+            0x20: asm("JUMPDEST", "POP", "STOP"),
+            0x28: asm("JUMPDEST", "ISZERO", "SWAP1", "JUMP"),
+            0x30: asm("JUMPDEST", "PUSH1 0x28", "JUMP"),
+        }
+    )
+    res = run_pipeline(code, RunConfig(cloning=False))
+    assert lines(res.tac, 0x30)[-1] == "0x33: v33_0 = CALLPRIVATE v31, v29, v30_1"
+    assert res.tac.blocks[0x30].succs == (0x20,)
+    assert res.metrics.unstructured_control_flow == 0
 
 
 def test_single_call_and_return(cloned):

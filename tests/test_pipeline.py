@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 from conftest import dispatch_pair_code, chained_call_code, gen_deep_program
+from evmlift.bytecode import extract_blocks
 from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
 from evmlift.lifter import render_tac
@@ -35,6 +36,14 @@ def test_cloning_reruns_local_phases_on_cloned_program():
     assert 0x1F0 in res.summaries
     assert (0x58, 0x1F0, 0x66) in res.patterns.private_call_candidates
     assert (0x58, 0x72, 0x66) not in res.patterns.private_call_candidates
+
+
+def test_cloning_keeps_every_input_instruction():
+    code = chained_call_code()
+    res = run_pipeline(code)
+    decoded = extract_blocks(code).blocks
+    assert {bid: res.program.blocks[bid] for bid in decoded} == decoded
+    assert set(res.program.blocks) - set(decoded) == set(res.program.clone_of)
 
 
 def test_cloning_disabled_keeps_program_intact():

@@ -20,6 +20,7 @@ from conftest import (
 )
 from evmlift.analysis import DEFAULT_MAX_STACK_DEPTH, transfer_block
 from evmlift.bytecode import extract_blocks
+from evmlift.cloning import apply_cloning
 from evmlift.facts import PatternFacts, raw_confirmed
 from evmlift.local import detect_patterns, summarize_program
 from evmlift.preanalysis import (
@@ -121,17 +122,24 @@ def test_division_and_mask_selector_is_confirmed():
     assert DefSite(0x22) in selectors and DefSite(0x28) in selectors
 
 
-def rule_based_important_edges(result, summaries, jump_targets):
+def rule_based_important_edges(result, summaries, jumpdests, clone_pushes):
     """Independent evaluation of the imprecision-introduction rules.
 
     A slot is imprecise when its values carry two or more distinct jump
-    targets; merged data, or one address from several pushes, never splits
-    a jump, so it blames nothing.
+    targets: the clone of a push cloning chose, or else the jumpdest a
+    constant equals. Merged data, or one address from several pushes,
+    never splits a jump, so it blames nothing.
     """
 
+    def target(v):
+        if not isinstance(v, DefSite) or v.constant is None:
+            return None
+        if v.pc in clone_pushes:
+            return clone_pushes[v.pc]
+        return v.constant if v.constant in jumpdests else None
+
     def splits_a_jump(vals):
-        addresses = {v.constant for v in vals if isinstance(v, DefSite)} & jump_targets
-        return len(addresses) >= 2
+        return len({target(v) for v in vals} - {None}) >= 2
 
     def imprecise_in(ctx, bid, slot):
         return splits_a_jump(result.block_input.get((ctx, bid), {}).get(slot, ()))
@@ -160,13 +168,17 @@ def rule_based_important_edges(result, summaries, jump_targets):
 
 def _blamed(code: bytes):
     """compute_important_edges, the rule oracle and the confirmed facts' edges
-    on one program's pre-analysis."""
+    on one program's pre-analysis, run as the pipeline runs it: after cloning."""
     prog = extract_blocks(code)
     summaries = summarize_program(prog)
+    prog, _clones = apply_cloning(prog, detect_patterns(prog, summaries))
+    summaries = summarize_program(prog, summaries)
     outcome, _inputs = run_preanalysis(prog, summaries, detect_patterns(prog, summaries), 8)
     assert outcome.result.stop_condition == "fixpoint"
     computed = compute_important_edges(outcome.result, prog, summaries, DEFAULT_MAX_STACK_DEPTH)
-    oracle = rule_based_important_edges(outcome.result, summaries, prog.jump_target_ids)
+    oracle = rule_based_important_edges(
+        outcome.result, summaries, prog.jumpdests, prog.clone_pushes
+    )
     return computed, oracle, outcome.confirmed.important_edges
 
 
