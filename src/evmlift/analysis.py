@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TypeVar
 
 from .bytecode import BytecodeProgram, Terminator
@@ -26,6 +27,7 @@ STOP_FIXPOINT = "fixpoint"
 STOP_FACT_LIMIT = "fact-limit"
 STOP_TIMEOUT = "timeout"
 
+DEFAULT_FACT_LIMIT = 1_000_000
 DEFAULT_MAX_STACK_DEPTH = 100
 
 # Slot sets are frozensets shared between envs and keys; none is ever
@@ -38,9 +40,9 @@ _UNDERFLOW_ONLY = frozenset({UNDERFLOW})
 K = TypeVar("K")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisLimits:
-    fact_limit: int | None = None
+    fact_limit: int | None = DEFAULT_FACT_LIMIT
     deadline: float | None = None  # time.monotonic() value
     max_stack_depth: int = DEFAULT_MAX_STACK_DEPTH
 
@@ -55,7 +57,9 @@ class AnalysisResult:
     frozensets shared with other keys and exit envs; a slot that grows is
     replaced by a new set, never updated in place. facts and cfg are what
     the run merged contexts under, so a later run can tell which of its
-    merges can differ (see _replays).
+    merges can differ (see _replays). per_block is built on its first read,
+    which must come after analyze returns, and kept with the result, so
+    every reader of one result shares one projection.
     """
 
     block_input: dict[PairKey, Env] = field(default_factory=dict)
@@ -71,14 +75,14 @@ class AnalysisResult:
         """Context-free projection of the edge relation."""
         return frozenset((b, b2) for _c, b, _c2, b2 in self.global_block_edge)
 
-
-def per_block(store: dict[PairKey, Env]) -> dict[int, Env]:
-    """Project a per-(context, block) store onto blocks, merging contexts
-    slot-wise with the fixpoint's own join."""
-    merged: dict[int, Env] = {}
-    for (_ctx, bid), env in store.items():
-        _join(merged, bid, env)
-    return merged
+    @cached_property
+    def per_block(self) -> dict[int, Env]:
+        """block_input projected onto blocks, merging contexts slot-wise
+        with the fixpoint's own join."""
+        merged: dict[int, Env] = {}
+        for (_ctx, bid), env in self.block_input.items():
+            _join(merged, bid, env)
+        return merged
 
 
 def transfer_block(summary: BlockSummary, input_env: Env, max_stack_depth: int) -> Env:
@@ -186,7 +190,7 @@ def analyze(
     summaries: dict[int, BlockSummary],
     facts: ConfirmedFacts,
     cfg: SchemeConfig,
-    limits: AnalysisLimits | None = None,
+    limits: AnalysisLimits = AnalysisLimits(),
     prior: AnalysisResult | None = None,
 ) -> AnalysisResult:
     """Run the fixpoint, or return prior itself when the run would replay it.
@@ -197,9 +201,9 @@ def analyze(
     limits.fact_limit and every merge it recorded gives the same context
     under facts and cfg. Under prior's own cfg only the merges that read a
     fact prior.facts and facts disagree on are evaluated; under another cfg
-    all of them are.
+    all of them are. The default limits stop a run past DEFAULT_FACT_LIMIT
+    facts.
     """
-    limits = limits or AnalysisLimits()
     if prior is not None and _replays(prior, facts, cfg, limits):
         return prior
     result = AnalysisResult(facts=facts, cfg=cfg)

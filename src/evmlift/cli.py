@@ -22,13 +22,12 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from .analysis import DEFAULT_MAX_STACK_DEPTH, STOP_TIMEOUT
+from .analysis import DEFAULT_FACT_LIMIT, DEFAULT_MAX_STACK_DEPTH, STOP_TIMEOUT
 from .bytecode import BytecodeError, extract_blocks, read_bytecode_file
 from .context import Scheme
 from .interpreter import EnvValuation, concrete_execute
 from .lifter import render_tac
 from .pipeline import DEFAULT_TIMEOUT, RunConfig, run_pipeline
-from .preanalysis import DEFAULT_FACT_LIMIT
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .analysis import AnalysisResult, Env, per_block, transfer_block
+from .analysis import AnalysisResult, Env, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary, OpRecord
@@ -111,16 +111,12 @@ class _Lifter:
         result: AnalysisResult,
         confirmed: ConfirmedFacts,
         max_stack_depth: int,
-        merged_in: dict[int, Env] | None,
     ):
         self.program = program
         self.summaries = summaries
         self.max_stack_depth = max_stack_depth
-        self.merged_in = per_block(result.block_input) if merged_in is None else merged_in
+        self.merged_in = result.per_block
 
-        self.jump_targets: dict[int, set[int]] = {}
-        for _ctx, bid, _value, target in result.block_jump_target:
-            self.jump_targets.setdefault(bid, set()).add(target)
         self.edges: dict[int, set[int]] = {}
         for bid, succ in result.edge_pairs():
             self.edges.setdefault(bid, set()).add(succ)
@@ -156,7 +152,8 @@ class _Lifter:
         """(continuation slot, exit env) when the block is a private call."""
         if self.program.blocks[bid].terminator is not Terminator.JUMP:
             return None
-        targets = self.jump_targets.get(bid, set())
+        # A JUMP block's edges are its jump targets.
+        targets = self.edges.get(bid, set())
         if len(targets) != 1:
             return None
         if next(iter(targets)) not in self.private_entries:
@@ -252,12 +249,10 @@ def lift(
     result: AnalysisResult,
     confirmed: ConfirmedFacts,
     max_stack_depth: int,
-    merged_in: dict[int, Env] | None = None,
 ) -> TACProgram:
-    """Lift result to TAC. merged_in, when given, must be
-    per_block(result.block_input), which the caller already built; it is
-    only read."""
-    return _Lifter(program, summaries, result, confirmed, max_stack_depth, merged_in).lift()
+    """Lift result to TAC from its per-block projection, which result owns
+    and which is only read here."""
+    return _Lifter(program, summaries, result, confirmed, max_stack_depth).lift()
 
 
 def render_tac(tac: TACProgram) -> str:

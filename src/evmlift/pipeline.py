@@ -7,9 +7,11 @@ phases share one wall-clock deadline. Cloning rewrites no instruction and
 returns every original block unchanged, so the second local pass
 summarizes only the clones; every other block keeps its first summary.
 Every phase maps a value to a block through BytecodeProgram.jump_target,
-the one rule that names clones. When the main pass returns the
-pre-analysis fixpoint, the lifter takes the per-block projection the
-pre-analysis built instead of building it again.
+the one rule that names clones. The pre-analysis decides what it confirms,
+also when it stops short; the main pass runs under those facts. Each
+analysis result owns its per-block projection, so when the main pass
+returns the pre-analysis fixpoint, the lifter reads the projection
+confirmation built.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import time
 from dataclasses import dataclass
 
 from .analysis import (
+    DEFAULT_FACT_LIMIT,
     DEFAULT_MAX_STACK_DEPTH,
     STOP_FIXPOINT,
     AnalysisLimits,
     AnalysisResult,
-    Env,
     analyze,
 )
 from .bytecode import BytecodeProgram, extract_blocks
@@ -32,7 +34,7 @@ from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
 from .lifter import TACProgram, lift
 from .local import BlockSummary, detect_patterns, summarize_program
 from .metrics import MetricsReport, compute_metrics
-from .preanalysis import DEFAULT_FACT_LIMIT, PreanalysisOutcome, run_preanalysis
+from .preanalysis import PreanalysisOutcome, run_preanalysis
 
 DEFAULT_TIMEOUT = 200.0
 
@@ -88,27 +90,16 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
         program = cloned
 
     pre: PreanalysisOutcome | None = None
-    pre_inputs: dict[int, Env] | None = None
     if config.preanalysis:
         pre_limits = AnalysisLimits(config.preanalysis_fact_limit, deadline, config.max_stack_depth)
-        pre, pre_inputs = run_preanalysis(program, summaries, patterns, config.depth, pre_limits)
-    if pre is not None and pre.result.stop_condition == STOP_FIXPOINT:
-        confirmed = pre.confirmed
-    else:
-        # A truncated pre-analysis has not seen every jump, so filtering by it
-        # would drop real calls; the raw candidates are a sound superset.
-        confirmed = raw_confirmed(patterns)
+        pre = run_preanalysis(program, summaries, patterns, config.depth, pre_limits)
+    confirmed = pre.confirmed if pre is not None else raw_confirmed(patterns)
     scheme_cfg = SchemeConfig(config.scheme, config.depth)
 
     limits = AnalysisLimits(config.main_fact_limit, deadline, config.max_stack_depth)
     prior = pre.result if pre is not None else None
     analysis = analyze(program, summaries, confirmed, scheme_cfg, limits, prior)
-    # The pre-analysis projection is the lifter's own only when the main pass
-    # returned that fixpoint. It is dropped once lifted, so no result holds it.
-    if analysis is not prior:
-        pre_inputs = None
-    tac = lift(program, summaries, analysis, confirmed, config.max_stack_depth, pre_inputs)
-    del pre_inputs
+    tac = lift(program, summaries, analysis, confirmed, config.max_stack_depth)
     # A truncated pre-analysis is reported. If the main pass stopped short too,
     # its stop wins, so a run that ran out of time always reads timeout.
     stop = analysis.stop_condition

@@ -6,20 +6,22 @@ if the pushed continuation address is actually jumped to, public call
 candidates only if the compared constant is checked against a value
 derived from the first four bytes of call data, and edges that introduce
 imprecision are collected so the main pass can split contexts there.
+Confirmation reads the fixpoint's own per-block projection
+(AnalysisResult.per_block). A pass that stops short of its fixpoint does
+none of this: its outcome carries the raw candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import AnalysisLimits, AnalysisResult, Env, analyze, per_block, transfer_block
+from .analysis import STOP_FIXPOINT, AnalysisLimits, AnalysisResult, Env, analyze, transfer_block
 from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
 from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
 from .local import BlockSummary, chase_condition_to_eq
 from .values import AbstractValue, DefSite, EntrySlot, constant_of
 
-DEFAULT_FACT_LIMIT = 1_000_000
 SELECTOR_SHIFT = 0xE0
 SELECTOR_DIVISOR = 1 << 224
 SELECTOR_MASK = 0xFFFFFFFF
@@ -36,7 +38,7 @@ class _Resolver:
     """Resolves record operands to value sets using context-merged inputs."""
 
     def __init__(self, result: AnalysisResult):
-        self.inputs = per_block(result.block_input)
+        self.inputs = result.per_block
 
     def values(self, operand: AbstractValue) -> frozenset[AbstractValue]:
         if isinstance(operand, EntrySlot):
@@ -185,14 +187,19 @@ def run_preanalysis(
     summaries: dict[int, BlockSummary],
     raw: PatternFacts,
     depth: int,
-    limits: AnalysisLimits | None = None,
-) -> tuple[PreanalysisOutcome, dict[int, Env]]:
-    """The pre-analysis outcome, and the per-block projection of its entry
-    envs (analysis.per_block) that confirmation read, for the lifter to
-    reuse when the main pass returns this fixpoint."""
-    limits = limits or AnalysisLimits(fact_limit=DEFAULT_FACT_LIMIT)
+    limits: AnalysisLimits = AnalysisLimits(),
+) -> PreanalysisOutcome:
+    """Run the fixpoint over the raw candidates and confirm what it saw.
+
+    A run that stops before its fixpoint has not seen every jump, so
+    filtering by it would drop real calls: it confirms nothing, returns the
+    raw candidates, which are a sound superset, and blames no edge.
+    """
+    raw_facts = raw_confirmed(raw)
     cfg = SchemeConfig(Scheme.SHRINKING, depth)
-    result = analyze(program, summaries, raw_confirmed(raw), cfg, limits)
+    result = analyze(program, summaries, raw_facts, cfg, limits)
+    if result.stop_condition != STOP_FIXPOINT:
+        return PreanalysisOutcome(result, raw_facts, raw.public_call_candidates)
 
     resolver = _Resolver(result)
     private_triples = confirm_private_calls(raw, result)
@@ -206,7 +213,4 @@ def run_preanalysis(
             result, program, summaries, limits.max_stack_depth
         ),
     )
-    outcome = PreanalysisOutcome(
-        result=result, confirmed=confirmed, public_call_sites=public_triples
-    )
-    return outcome, resolver.inputs
+    return PreanalysisOutcome(result, confirmed, public_triples)

@@ -180,7 +180,7 @@ def _preanalyze(code: bytes):
     prog = extract_blocks(code)
     summaries = summarize_program(prog)
     raw = detect_patterns(prog, summaries)
-    return raw, run_preanalysis(prog, summaries, raw, 8)[0]
+    return raw, run_preanalysis(prog, summaries, raw, 8)
 
 
 def test_criterion_4_preanalysis_filters_and_blames():

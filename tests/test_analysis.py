@@ -14,9 +14,9 @@ from conftest import (
 )
 from evmlift.analysis import (
     AnalysisLimits,
+    AnalysisResult,
     _reading_changed_facts,
     analyze,
-    per_block,
     transfer_block,
 )
 from evmlift.bytecode import BytecodeProgram, extract_blocks
@@ -72,7 +72,7 @@ def test_transfer_truncates_at_max_stack_depth():
     assert out == {0: {DefSite(0x0, 7)}, 1: {A}}
 
 
-def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, limits=None):
+def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, limits=AnalysisLimits()):
     prog = extract_blocks(code)
     config = SchemeConfig(scheme, DEFAULT_DEPTH[scheme])
     return analyze(prog, summarize_program(prog), facts, config, limits)
@@ -208,7 +208,7 @@ def test_per_block_merges_contexts_without_touching_the_store():
         (inner, 0x8): {0: frozenset({B})},
         (inner, 0x6): {},
     }
-    merged = per_block(store)
+    merged = AnalysisResult(block_input=store).per_block
     assert merged == {0x8: {0: {A, B}, 1: {C}}, 0x6: {}}
     assert store[(INITIAL_CONTEXT, 0x8)] == {0: {A}, 1: {C}}
     assert all(isinstance(vals, frozenset) for vals in _slot_sets(merged))

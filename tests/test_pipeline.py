@@ -1,14 +1,18 @@
 """Pipeline driver: phase wiring and configuration."""
 
 from dataclasses import replace
+from functools import cached_property
 
-from conftest import dispatch_pair_code, chained_call_code, gen_deep_program
+import pytest
+
+from conftest import dispatch_pair_code, chained_call_code, gen_deep_program, never_jumped_code
+from evmlift import preanalysis
+from evmlift.analysis import DEFAULT_FACT_LIMIT, AnalysisLimits, AnalysisResult
 from evmlift.bytecode import extract_blocks
 from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
 from evmlift.lifter import render_tac
 from evmlift.pipeline import RunConfig, run_pipeline
-from evmlift.preanalysis import DEFAULT_FACT_LIMIT
 
 
 def test_depth_defaults_follow_scheme():
@@ -64,11 +68,31 @@ def test_truncated_preanalysis_falls_back_to_raw_candidates():
     assert truncated.preanalysis.result.stop_condition == "fact-limit"
     assert truncated.analysis.stop_condition == "fixpoint"
     assert truncated.metrics.stop_condition == "fact-limit"
-    assert truncated.confirmed == raw_confirmed(truncated.patterns)
+    pre, raw = truncated.preanalysis, truncated.patterns
+    assert pre.confirmed == truncated.confirmed == raw_confirmed(raw)
+    assert pre.public_call_sites == raw.public_call_candidates
     plain = run_pipeline(code, RunConfig(preanalysis=False))
     assert render_tac(truncated.tac) == render_tac(plain.tac)
     assert replace(truncated.metrics, stop_condition="fixpoint") == plain.metrics
     assert truncated.metrics.polymorphic_jump_target == 0
+
+
+def test_a_truncated_preanalysis_does_no_confirmation_work(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("confirmation ran on a truncated pre-analysis")
+
+    confirmation = (
+        "confirm_private_calls",
+        "selector_values",
+        "confirm_public_calls",
+        "compute_important_edges",
+    )
+    for name in confirmation:
+        monkeypatch.setattr(preanalysis, name, refuse)
+    truncated = run_pipeline(gen_deep_program(8, 4), RunConfig(preanalysis_fact_limit=10))
+    assert truncated.preanalysis.result.stop_condition == "fact-limit"
+    with pytest.raises(AssertionError, match="truncated"):
+        run_pipeline(gen_deep_program(8, 4))
 
 
 def test_zero_timeout_reports_timeout():
@@ -77,8 +101,45 @@ def test_zero_timeout_reports_timeout():
     assert res.metrics.stop_condition == "timeout"
 
 
-def test_default_config_bounds_the_main_pass():
+def test_every_pass_is_bounded_by_one_default_fact_limit():
+    assert AnalysisLimits().fact_limit == DEFAULT_FACT_LIMIT
+    assert RunConfig().preanalysis_fact_limit == DEFAULT_FACT_LIMIT
     assert RunConfig().main_fact_limit == DEFAULT_FACT_LIMIT
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """The results whose per_block projection was built, one entry per build."""
+    build = AnalysisResult.__dict__["per_block"].func
+    built = []
+
+    def counted(result):
+        built.append(result)
+        return build(result)
+
+    prop = cached_property(counted)
+    prop.__set_name__(AnalysisResult, "per_block")
+    monkeypatch.setattr(AnalysisResult, "per_block", prop)
+    return built
+
+
+def test_a_reused_fixpoint_shares_one_projection(projections):
+    res = run_pipeline(chained_call_code())
+    assert res.analysis is res.preanalysis.result
+    assert res.analysis.per_block is res.preanalysis.result.per_block
+    assert projections == [res.analysis]
+
+
+@pytest.mark.parametrize(
+    "code, config",
+    [(never_jumped_code, RunConfig()), (chained_call_code, RunConfig(scheme=Scheme.TRANSACTIONAL))],
+    ids=["default", "no-shrinking"],
+)
+def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, config):
+    res = run_pipeline(code(), config)
+    assert res.analysis is not res.preanalysis.result
+    assert projections == [res.preanalysis.result, res.analysis]
+    assert res.analysis.per_block is not res.preanalysis.result.per_block
 
 
 def test_main_fact_limit_reports_fact_limit():

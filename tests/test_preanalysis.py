@@ -36,7 +36,7 @@ def _pre(code: bytes, depth: int = 8):
     prog = extract_blocks(code)
     summaries = summarize_program(prog)
     raw = detect_patterns(prog, summaries)
-    return raw, run_preanalysis(prog, summaries, raw, depth)[0], summaries
+    return raw, run_preanalysis(prog, summaries, raw, depth), summaries
 
 
 def test_raw_confirmed_projects_candidates():
@@ -85,7 +85,7 @@ def test_selector_values_seeded_by_shift():
     prog = extract_blocks(dispatch_pair_code())
     summaries = summarize_program(prog)
     raw = detect_patterns(prog, summaries)
-    outcome, _inputs = run_preanalysis(prog, summaries, raw, 8)
+    outcome = run_preanalysis(prog, summaries, raw, 8)
     selectors = selector_values(summaries, _Resolver(outcome.result))
     assert DefSite(0x1D) in selectors  # the 224-bit shift of call-data word zero
 
@@ -173,7 +173,7 @@ def _blamed(code: bytes):
     summaries = summarize_program(prog)
     prog, _clones = apply_cloning(prog, detect_patterns(prog, summaries))
     summaries = summarize_program(prog, summaries)
-    outcome, _inputs = run_preanalysis(prog, summaries, detect_patterns(prog, summaries), 8)
+    outcome = run_preanalysis(prog, summaries, detect_patterns(prog, summaries), 8)
     assert outcome.result.stop_condition == "fixpoint"
     computed = compute_important_edges(outcome.result, prog, summaries, DEFAULT_MAX_STACK_DEPTH)
     oracle = rule_based_important_edges(

@@ -186,8 +186,9 @@ def test_pipeline_terminates_on_random_bytes():
     for i in range(300):
         code = _random_code(rng, jump_biased=i % 2 == 1)
         res = run_pipeline(code)
-        # The default fact limit, not the wall clock, bounds every run.
-        assert res.metrics.stop_condition != "timeout", code.hex()
+        # Every input reaches its fixpoint well inside the default fact limit,
+        # so context pumping that grows again shows here as a fact-limit run.
+        assert res.metrics.stop_condition == "fixpoint", code.hex()
         text = render_tac(res.tac)
         assert render_tac(parse_tac(text)) == text, code.hex()
 
