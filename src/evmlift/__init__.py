@@ -1,6 +1,6 @@
 """Static lifter from EVM bytecode to three-address code."""
 
-from .analysis import AnalysisLimits, AnalysisResult, analyze
+from .analysis import AnalysisResult, analyze
 from .bytecode import (
     BasicBlock,
     BytecodeError,
@@ -33,7 +33,6 @@ from .values import UNDERFLOW, DefSite, EntrySlot
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisLimits",
     "AnalysisResult",
     "BasicBlock",
     "BlockSummary",

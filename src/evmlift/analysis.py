@@ -28,7 +28,8 @@ STOP_FACT_LIMIT = "fact-limit"
 STOP_TIMEOUT = "timeout"
 
 DEFAULT_FACT_LIMIT = 1_000_000
-DEFAULT_MAX_STACK_DEPTH = 100
+# Entry-stack slots modeled per (context, block) pair; deeper slots are cut.
+MAX_STACK_DEPTH = 100
 
 # Slot sets are frozensets shared between envs and keys; none is ever
 # mutated, so passing one through a block or into a store needs no copy.
@@ -38,13 +39,6 @@ PairKey = tuple[Context, int]
 _UNDERFLOW_ONLY = frozenset({UNDERFLOW})
 
 K = TypeVar("K")
-
-
-@dataclass(frozen=True)
-class AnalysisLimits:
-    fact_limit: int | None = DEFAULT_FACT_LIMIT
-    deadline: float | None = None  # time.monotonic() value
-    max_stack_depth: int = DEFAULT_MAX_STACK_DEPTH
 
 
 @dataclass
@@ -85,22 +79,23 @@ class AnalysisResult:
         return merged
 
 
-def transfer_block(summary: BlockSummary, input_env: Env, max_stack_depth: int) -> Env:
+def transfer_block(summary: BlockSummary, input_env: Env) -> Env:
     """Exit environment induced by one entry environment.
 
     A read of an empty entry slot yields UNDERFLOW. A slot read or passed
-    through holds the entry env's own set, not a copy.
+    through holds the entry env's own set, not a copy. Slots from
+    MAX_STACK_DEPTH down are dropped.
     """
     produced = summary.produced
     out: Env = {}
-    for j, value in enumerate(produced[:max_stack_depth]):
+    for j, value in enumerate(produced[:MAX_STACK_DEPTH]):
         if isinstance(value, EntrySlot):
             out[j] = input_env.get(value.index) or _UNDERFLOW_ONLY
         else:
             out[j] = frozenset((value,))
     shift = len(produced) - summary.consumed_depth
     for k in sorted(input_env):
-        if k >= summary.consumed_depth and k + shift < max_stack_depth:
+        if k >= summary.consumed_depth and k + shift < MAX_STACK_DEPTH:
             out[k + shift] = input_env[k]
     return out
 
@@ -129,7 +124,7 @@ def _join(store: dict[K, Env], key: K, env: Env) -> int:
 
 
 def _replays(
-    prior: AnalysisResult, facts: ConfirmedFacts, cfg: SchemeConfig, limits: AnalysisLimits
+    prior: AnalysisResult, facts: ConfirmedFacts, cfg: SchemeConfig, fact_limit: int | None
 ) -> bool:
     """Whether analyze under facts and cfg would rebuild prior call for call.
 
@@ -146,7 +141,7 @@ def _replays(
     """
     if prior.stop_condition != STOP_FIXPOINT:
         return False
-    if limits.fact_limit is not None and prior.fact_count > limits.fact_limit:
+    if fact_limit is not None and prior.fact_count > fact_limit:
         return False
     edges = prior.global_block_edge
     if cfg == prior.cfg:
@@ -190,21 +185,22 @@ def analyze(
     summaries: dict[int, BlockSummary],
     facts: ConfirmedFacts,
     cfg: SchemeConfig,
-    limits: AnalysisLimits = AnalysisLimits(),
+    fact_limit: int | None = DEFAULT_FACT_LIMIT,
+    deadline: float | None = None,
     prior: AnalysisResult | None = None,
 ) -> AnalysisResult:
     """Run the fixpoint, or return prior itself when the run would replay it.
 
-    prior must come from analyze over the same program, summaries and
-    max_stack_depth; only its facts, scheme and fact limit may differ. It is
-    returned as it is, not copied, when it reached its fixpoint within
-    limits.fact_limit and every merge it recorded gives the same context
-    under facts and cfg. Under prior's own cfg only the merges that read a
-    fact prior.facts and facts disagree on are evaluated; under another cfg
-    all of them are. The default limits stop a run past DEFAULT_FACT_LIMIT
-    facts.
+    The run stops past fact_limit facts (None for no limit) or once
+    time.monotonic() passes deadline. prior must come from analyze over the
+    same program and summaries; only its facts, scheme and fact limit may
+    differ. It is returned as it is, not copied, when it reached its
+    fixpoint within fact_limit and every merge it recorded gives the same
+    context under facts and cfg. Under prior's own cfg only the merges that
+    read a fact prior.facts and facts disagree on are evaluated; under
+    another cfg all of them are.
     """
-    if prior is not None and _replays(prior, facts, cfg, limits):
+    if prior is not None and _replays(prior, facts, cfg, fact_limit):
         return prior
     result = AnalysisResult(facts=facts, cfg=cfg)
     if 0 not in program.blocks:
@@ -231,10 +227,10 @@ def analyze(
     propagate((INITIAL_CONTEXT, 0), {})
 
     while queue:
-        if limits.fact_limit is not None and result.fact_count > limits.fact_limit:
+        if fact_limit is not None and result.fact_count > fact_limit:
             result.stop_condition = STOP_FACT_LIMIT
             return result
-        if limits.deadline is not None and time.monotonic() > limits.deadline:
+        if deadline is not None and time.monotonic() > deadline:
             result.stop_condition = STOP_TIMEOUT
             return result
 
@@ -247,7 +243,7 @@ def analyze(
         result.transfers += 1
 
         input_env = result.block_input[key]
-        out_env = transfer_block(summary, input_env, limits.max_stack_depth)
+        out_env = transfer_block(summary, input_env)
 
         block = program.blocks[bid]
         if block.terminator in (Terminator.JUMP, Terminator.CONDITIONAL_JUMP):

@@ -22,7 +22,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from .analysis import DEFAULT_FACT_LIMIT, DEFAULT_MAX_STACK_DEPTH, STOP_TIMEOUT
+from .analysis import DEFAULT_FACT_LIMIT, STOP_TIMEOUT
 from .bytecode import BytecodeError, extract_blocks, read_bytecode_file
 from .context import Scheme
 from .interpreter import EnvValuation, concrete_execute
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lift.add_argument("--no-preanalysis", action="store_true")
     lift.add_argument("--preanalysis-limit", type=_at_least(0), default=DEFAULT_FACT_LIMIT, metavar="N")
     lift.add_argument("--timeout", type=_at_least(0, float), default=DEFAULT_TIMEOUT, metavar="SECONDS")
-    lift.add_argument("--max-stack-depth", type=_at_least(0), default=DEFAULT_MAX_STACK_DEPTH, metavar="N")
     lift.add_argument("--tac-out", metavar="PATH")
     lift.add_argument("--metrics-out", metavar="PATH")
     lift.add_argument("--batch", metavar="DIR", help="lift every file in DIR")
@@ -91,7 +90,6 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
         preanalysis=not args.no_preanalysis,
         preanalysis_fact_limit=args.preanalysis_limit,
         timeout=args.timeout,
-        max_stack_depth=args.max_stack_depth,
     )
     base.update(overrides)
     return RunConfig(**base)

@@ -110,11 +110,9 @@ class _Lifter:
         summaries: dict[int, BlockSummary],
         result: AnalysisResult,
         confirmed: ConfirmedFacts,
-        max_stack_depth: int,
     ):
         self.program = program
         self.summaries = summaries
-        self.max_stack_depth = max_stack_depth
         self.merged_in = result.per_block
 
         self.edges: dict[int, set[int]] = {}
@@ -161,7 +159,7 @@ class _Lifter:
         cont_slot = None
         # From the merged entry env, which differs from the per-context
         # union only by UNDERFLOW; only the blocks values name are read here.
-        out = transfer_block(self.summaries[bid], self.merged_in[bid], self.max_stack_depth)
+        out = transfer_block(self.summaries[bid], self.merged_in[bid])
         jump_target = self.program.jump_target
         for slot in sorted(out):
             if set(map(jump_target, out[slot])) & self.continuation_ids:
@@ -191,9 +189,7 @@ class _Lifter:
         def token(value: AbstractValue) -> str:
             if isinstance(value, EntrySlot):
                 return names.tokens.get(value.index, PLACEHOLDER)
-            if isinstance(value, DefSite):
-                return _value_name(value)
-            return PLACEHOLDER
+            return _value_name(value)
 
         def exit_token(slot: int) -> str:
             if slot < len(summary.produced):
@@ -248,11 +244,10 @@ def lift(
     summaries: dict[int, BlockSummary],
     result: AnalysisResult,
     confirmed: ConfirmedFacts,
-    max_stack_depth: int,
 ) -> TACProgram:
     """Lift result to TAC from its per-block projection, which result owns
     and which is only read here."""
-    return _Lifter(program, summaries, result, confirmed, max_stack_depth).lift()
+    return _Lifter(program, summaries, result, confirmed).lift()
 
 
 def render_tac(tac: TACProgram) -> str:

@@ -11,7 +11,7 @@ the one rule that names clones. The pre-analysis decides what it confirms,
 also when it stops short; the main pass runs under those facts. Each
 analysis result owns its per-block projection, so when the main pass
 returns the pre-analysis fixpoint, the lifter reads the projection
-confirmation built.
+confirmation built; when it reruns, that projection is dropped.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .analysis import (
-    DEFAULT_FACT_LIMIT,
-    DEFAULT_MAX_STACK_DEPTH,
-    STOP_FIXPOINT,
-    AnalysisLimits,
-    AnalysisResult,
-    analyze,
-)
+from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, analyze
 from .bytecode import BytecodeProgram, extract_blocks
 from .cloning import CloneInstance, apply_cloning
 from .context import DEFAULT_DEPTH, Scheme, SchemeConfig
@@ -48,7 +41,6 @@ class RunConfig:
     preanalysis_fact_limit: int = DEFAULT_FACT_LIMIT
     main_fact_limit: int | None = DEFAULT_FACT_LIMIT
     timeout: float | None = DEFAULT_TIMEOUT
-    max_stack_depth: int = DEFAULT_MAX_STACK_DEPTH
 
     @property
     def depth(self) -> int:
@@ -91,15 +83,19 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
 
     pre: PreanalysisOutcome | None = None
     if config.preanalysis:
-        pre_limits = AnalysisLimits(config.preanalysis_fact_limit, deadline, config.max_stack_depth)
-        pre = run_preanalysis(program, summaries, patterns, config.depth, pre_limits)
+        pre = run_preanalysis(
+            program, summaries, patterns, config.depth, config.preanalysis_fact_limit, deadline
+        )
     confirmed = pre.confirmed if pre is not None else raw_confirmed(patterns)
     scheme_cfg = SchemeConfig(config.scheme, config.depth)
 
-    limits = AnalysisLimits(config.main_fact_limit, deadline, config.max_stack_depth)
     prior = pre.result if pre is not None else None
-    analysis = analyze(program, summaries, confirmed, scheme_cfg, limits, prior)
-    tac = lift(program, summaries, analysis, confirmed, config.max_stack_depth)
+    analysis = analyze(
+        program, summaries, confirmed, scheme_cfg, config.main_fact_limit, deadline, prior
+    )
+    if prior is not None and analysis is not prior:
+        vars(prior).pop("per_block", None)
+    tac = lift(program, summaries, analysis, confirmed)
     # A truncated pre-analysis is reported. If the main pass stopped short too,
     # its stop wins, so a run that ran out of time always reads timeout.
     stop = analysis.stop_condition

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import STOP_FIXPOINT, AnalysisLimits, AnalysisResult, Env, analyze, transfer_block
+from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, Env, analyze, transfer_block
 from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
 from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
 from .local import BlockSummary, chase_condition_to_eq
-from .values import AbstractValue, DefSite, EntrySlot, constant_of
+from .values import AbstractValue, EntrySlot, constant_of
 
 SELECTOR_SHIFT = 0xE0
 SELECTOR_DIVISOR = 1 << 224
@@ -43,9 +43,7 @@ class _Resolver:
     def values(self, operand: AbstractValue) -> frozenset[AbstractValue]:
         if isinstance(operand, EntrySlot):
             return self.inputs.get(operand.block, {}).get(operand.index, frozenset())
-        if isinstance(operand, DefSite):
-            return frozenset((operand,))
-        return frozenset()
+        return frozenset((operand,))
 
     def has_constant(self, operand: AbstractValue, constant: int) -> bool:
         return any(constant_of(v) == constant for v in self.values(operand))
@@ -132,7 +130,6 @@ def compute_important_edges(
     result: AnalysisResult,
     program: BytecodeProgram,
     summaries: dict[int, BlockSummary],
-    max_stack_depth: int,
 ) -> frozenset[tuple[int, int]]:
     """Edges where a merged-in value set first becomes imprecise for a jump.
 
@@ -142,9 +139,8 @@ def compute_important_edges(
     a jump target later, and values that carry one address all resolve a
     jump alike. Blaming any other merge would only grow contexts (a loop
     counter merged at its header would climb to the depth bound) with no
-    jump resolved more precisely. The edge is blamed only if the
-    imprecision neither flowed out of the predecessor in the same slot nor
-    arrived imprecise from some predecessor's output.
+    jump resolved more precisely. The edge is blamed only if no
+    predecessor's output was already imprecise in that slot.
     """
     jump_target = program.jump_target
 
@@ -164,9 +160,7 @@ def compute_important_edges(
     edges = [edge for edge in result.global_block_edge if edge[2:] in imprecise_in]
     sources = {(ctx, bid) for ctx, bid, _c2, _b2 in edges}
     imprecise_out = {
-        (ctx, bid): imprecise(
-            transfer_block(summaries[bid], result.block_input[(ctx, bid)], max_stack_depth)
-        )
+        (ctx, bid): imprecise(transfer_block(summaries[bid], result.block_input[(ctx, bid)]))
         for ctx, bid in sources
     }
     from_previous = {
@@ -178,7 +172,7 @@ def compute_important_edges(
         (bid, bid2)
         for ctx, bid, ctx2, bid2 in edges
         for slot in imprecise_in[(ctx2, bid2)]
-        if (ctx2, bid2, slot) not in from_previous and slot not in imprecise_out[(ctx, bid)]
+        if (ctx2, bid2, slot) not in from_previous
     )
 
 
@@ -187,7 +181,8 @@ def run_preanalysis(
     summaries: dict[int, BlockSummary],
     raw: PatternFacts,
     depth: int,
-    limits: AnalysisLimits = AnalysisLimits(),
+    fact_limit: int | None = DEFAULT_FACT_LIMIT,
+    deadline: float | None = None,
 ) -> PreanalysisOutcome:
     """Run the fixpoint over the raw candidates and confirm what it saw.
 
@@ -197,7 +192,7 @@ def run_preanalysis(
     """
     raw_facts = raw_confirmed(raw)
     cfg = SchemeConfig(Scheme.SHRINKING, depth)
-    result = analyze(program, summaries, raw_facts, cfg, limits)
+    result = analyze(program, summaries, raw_facts, cfg, fact_limit, deadline)
     if result.stop_condition != STOP_FIXPOINT:
         return PreanalysisOutcome(result, raw_facts, raw.public_call_candidates)
 
@@ -209,8 +204,6 @@ def run_preanalysis(
         public_calls=frozenset((bid, target) for bid, _sel, target in public_triples),
         private_calls=frozenset((caller, cont) for caller, cont, _pc in private_triples),
         private_returns=raw.private_returns,
-        important_edges=compute_important_edges(
-            result, program, summaries, limits.max_stack_depth
-        ),
+        important_edges=compute_important_edges(result, program, summaries),
     )
     return PreanalysisOutcome(result, confirmed, public_triples)

@@ -13,7 +13,7 @@ from conftest import (
     never_jumped_code,
 )
 from evmlift.analysis import (
-    AnalysisLimits,
+    MAX_STACK_DEPTH,
     AnalysisResult,
     _reading_changed_facts,
     analyze,
@@ -38,44 +38,48 @@ A, B, C = DefSite(0x100, 0xA), DefSite(0x101, 0xB), DefSite(0x102, 0xC)
 
 def test_transfer_constants():
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out = transfer_block(summary, {}, 100)
+    out = transfer_block(summary, {})
     assert out == {0: {DefSite(0x0, 0x07)}}
 
 
 def test_transfer_shifts_passthrough_slots():
     summary = _summary(asm("POP", "STOP"))
-    out = transfer_block(summary, {0: {A}, 1: {B}}, 100)
+    out = transfer_block(summary, {0: {A}, 1: {B}})
     assert out == {0: {B}}
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out = transfer_block(summary, {0: {A}}, 100)
+    out = transfer_block(summary, {0: {A}})
     assert out == {0: {DefSite(0x0, 0x07)}, 1: {A}}
 
 
 def test_transfer_reads_entry_slots():
     summary = _summary(asm("DUP2", "STOP"))
-    out = transfer_block(summary, {0: {A}, 1: {B}}, 100)
+    out = transfer_block(summary, {0: {A}, 1: {B}})
     assert out == {0: {B}, 1: {A}, 2: {B}}
 
 
 def test_transfer_flags_underflow():
     summary = _summary(asm("DUP1", "STOP"))
-    out = transfer_block(summary, {}, 100)
+    out = transfer_block(summary, {})
     assert out == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
 
 
-def test_transfer_truncates_at_max_stack_depth():
-    summary = _summary(asm("PUSH1 0x01", "PUSH1 0x02", "PUSH1 0x03", "STOP"))
-    out = transfer_block(summary, {}, 2)
-    assert out == {0: {DefSite(0x4, 3)}, 1: {DefSite(0x2, 2)}}
+def test_transfer_truncates_at_the_modeled_stack_depth():
+    pushes = MAX_STACK_DEPTH + 1
+    summary = _summary(asm(*[f"PUSH1 0x{i:02x}" for i in range(pushes)], "STOP"))
+    out = transfer_block(summary, {})
+    # Slot j holds push number pushes - 1 - j; the first push, past the cap, is cut.
+    kept = {j: pushes - 1 - j for j in range(MAX_STACK_DEPTH)}
+    assert out == {j: {DefSite(2 * i, i)} for j, i in kept.items()}
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out = transfer_block(summary, {0: {A}, 1: {B}, 2: {C}}, 2)
-    assert out == {0: {DefSite(0x0, 7)}, 1: {A}}
+    entry = {0: {A}, MAX_STACK_DEPTH - 2: {B}, MAX_STACK_DEPTH - 1: {C}, MAX_STACK_DEPTH: {C}}
+    out = transfer_block(summary, entry)
+    assert out == {0: {DefSite(0x0, 7)}, 1: {A}, MAX_STACK_DEPTH - 1: {B}}
 
 
-def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, limits=AnalysisLimits()):
+def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, **limits):
     prog = extract_blocks(code)
     config = SchemeConfig(scheme, DEFAULT_DEPTH[scheme])
-    return analyze(prog, summarize_program(prog), facts, config, limits)
+    return analyze(prog, summarize_program(prog), facts, config, **limits)
 
 
 BRANCH = layout(
@@ -115,7 +119,7 @@ def test_underflowing_entry_block_is_flagged():
     code = asm("DUP1", "STOP")
     result = _analyze(code)
     entry = result.block_input[(INITIAL_CONTEXT, 0)]
-    assert transfer_block(_summary(code), entry, 100) == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
+    assert transfer_block(_summary(code), entry) == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
 
 
 CALL_RETURN = layout(
@@ -142,13 +146,13 @@ def test_call_edge_grows_context_and_return_restores_it():
 
 
 def test_fact_limit_stops_early():
-    result = _analyze(chained_call_code(), limits=AnalysisLimits(fact_limit=5))
+    result = _analyze(chained_call_code(), fact_limit=5)
     assert result.stop_condition == "fact-limit"
     assert result.fact_count > 5
 
 
 def test_deadline_stops_early():
-    result = _analyze(BRANCH, limits=AnalysisLimits(deadline=time.monotonic() - 1.0))
+    result = _analyze(BRANCH, deadline=time.monotonic() - 1.0)
     assert result.stop_condition == "timeout"
     assert result.transfers == 0
 

@@ -1,6 +1,8 @@
 """Command line driver."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -70,7 +72,14 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert main([str(tmp_path / "missing.hex")]) == 1
 
 
-@pytest.mark.parametrize("argv", [["lift", "--bogus", "x"], ["lift", "--context-depth", "abc", "x"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--bogus", "x"],
+        ["lift", "--context-depth", "abc", "x"],
+        ["lift", "x", "--max-stack-depth", "5"],  # the modeled depth is fixed
+    ],
+)
 def test_usage_error_exits_one_not_the_timeout_code(argv, capsys):
     assert main(argv) == 1
     assert "usage:" in capsys.readouterr().err
@@ -80,7 +89,6 @@ def test_usage_error_exits_one_not_the_timeout_code(argv, capsys):
     "command, option",
     [
         ("lift", "--context-depth=-1"),
-        ("lift", "--max-stack-depth=-1"),
         ("lift", "--preanalysis-limit=-1"),
         ("lift", "--timeout=-0.5"),
         ("lift", "--timeout=nan"),
@@ -96,7 +104,7 @@ def test_negative_numeric_option_is_a_usage_error(chained_file, capsys, command,
     assert not (chained_file.parent / (chained_file.name + ".tac")).exists()
 
 
-@pytest.mark.parametrize("flag", ["--context-depth", "--max-stack-depth", "--preanalysis-limit"])
+@pytest.mark.parametrize("flag", ["--context-depth", "--preanalysis-limit"])
 def test_zero_count_is_still_accepted(chained_file, capsys, flag):
     assert main([str(chained_file), flag, "0"]) == 0
     capsys.readouterr()
@@ -246,3 +254,31 @@ def test_help_lists_both_subcommands(capsys):
     out = capsys.readouterr().out
     assert "{lift,trace}" in out
     assert "run the concrete interpreter" in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_section() -> str:
+    text = README.read_text()
+    start = text.index("\n## CLI\n")
+    return text[start : text.index("\n## ", start + 1)]
+
+
+def _long_options(command: str) -> set[str]:
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    return {opt for action in actions for opt in action.option_strings if opt.startswith("--")}
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_every_long_option_is_documented(command):
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
+    assert _long_options(command) - {"--help"} - mentioned == set()
+
+
+def test_every_documented_lift_flag_is_accepted():
+    rows = [line for line in _readme_cli_section().splitlines() if line.startswith("| `--")]
+    documented = {flag for row in rows for flag in re.findall(r"--[a-z][a-z-]*", row)}
+    assert documented and documented <= _long_options("lift")

@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 from evmlift import local
-from evmlift.analysis import AnalysisLimits, _replays, analyze
+from evmlift.analysis import _replays, analyze
 from evmlift.bytecode import disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import apply_cloning
@@ -119,15 +119,16 @@ def test_a_reused_preanalysis_equals_a_fresh_main_pass(corpus):
                 continue  # no prior to reuse
             res = run_pipeline(code, config)
             prior = res.preanalysis.result
-            limits = AnalysisLimits(config.main_fact_limit, None, config.max_stack_depth)
-            decided = _replays(prior, res.confirmed, res.scheme_used, limits)
+            decided = _replays(prior, res.confirmed, res.scheme_used, config.main_fact_limit)
             assert decided == (res.analysis is prior), name
             full = _full_replay_check(prior, res.confirmed, res.scheme_used, config.main_fact_limit)
             assert decided == full, name
             if not decided:
                 continue
             reused[name] += 1
-            fresh = analyze(res.program, res.summaries, res.confirmed, res.scheme_used, limits)
+            fresh = analyze(
+                res.program, res.summaries, res.confirmed, res.scheme_used, config.main_fact_limit
+            )
             assert _outputs(fresh) == _outputs(res.analysis), name
     assert reused == REUSED[corpus]
 

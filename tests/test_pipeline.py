@@ -1,13 +1,14 @@
 """Pipeline driver: phase wiring and configuration."""
 
+import inspect
 from dataclasses import replace
 from functools import cached_property
 
 import pytest
 
-from conftest import dispatch_pair_code, chained_call_code, gen_deep_program, never_jumped_code
+from conftest import asm, dispatch_pair_code, chained_call_code, gen_deep_program, never_jumped_code
 from evmlift import preanalysis
-from evmlift.analysis import DEFAULT_FACT_LIMIT, AnalysisLimits, AnalysisResult
+from evmlift.analysis import DEFAULT_FACT_LIMIT, MAX_STACK_DEPTH, AnalysisResult, analyze
 from evmlift.bytecode import extract_blocks
 from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
@@ -102,7 +103,9 @@ def test_zero_timeout_reports_timeout():
 
 
 def test_every_pass_is_bounded_by_one_default_fact_limit():
-    assert AnalysisLimits().fact_limit == DEFAULT_FACT_LIMIT
+    for run in (analyze, preanalysis.run_preanalysis):
+        fact_limit = inspect.signature(run).parameters["fact_limit"]
+        assert fact_limit.default == DEFAULT_FACT_LIMIT, run.__name__
     assert RunConfig().preanalysis_fact_limit == DEFAULT_FACT_LIMIT
     assert RunConfig().main_fact_limit == DEFAULT_FACT_LIMIT
 
@@ -139,7 +142,9 @@ def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, con
     res = run_pipeline(code(), config)
     assert res.analysis is not res.preanalysis.result
     assert projections == [res.preanalysis.result, res.analysis]
-    assert res.analysis.per_block is not res.preanalysis.result.per_block
+    # Confirmation was the pre-analysis projection's last reader.
+    assert "per_block" not in vars(res.preanalysis.result)
+    assert "per_block" in vars(res.analysis)
 
 
 def test_main_fact_limit_reports_fact_limit():
@@ -158,3 +163,12 @@ def test_confirmed_public_calls_on_dispatch_pair():
     res = run_pipeline(dispatch_pair_code())
     assert res.confirmed.public_calls == frozenset({(0x0, 0x38), (0x29, 0x54)})
     assert res.analysis.stop_condition == "fixpoint"
+
+
+def test_a_loop_that_grows_the_stack_stops_at_the_modeled_depth():
+    # Each trip pushes one value and jumps back to 0x0, so the entry env of
+    # 0x0 gains a slot per trip; only the depth cap lets the fixpoint end.
+    res = run_pipeline(asm("JUMPDEST", "PUSH1 0x01", "PUSH1 0x00", "JUMP"))
+    assert res.analysis.stop_condition == "fixpoint"
+    slots = [slot for env in res.analysis.block_input.values() for slot in env]
+    assert max(slots) == MAX_STACK_DEPTH - 1

@@ -18,7 +18,7 @@ from conftest import (
     one_address_merge_code,
     recursive_call_code,
 )
-from evmlift.analysis import DEFAULT_MAX_STACK_DEPTH, transfer_block
+from evmlift.analysis import transfer_block
 from evmlift.bytecode import extract_blocks
 from evmlift.cloning import apply_cloning
 from evmlift.facts import PatternFacts, raw_confirmed
@@ -145,7 +145,7 @@ def rule_based_important_edges(result, summaries, jumpdests, clone_pushes):
         return splits_a_jump(result.block_input.get((ctx, bid), {}).get(slot, ()))
 
     def imprecise_out(ctx, bid, slot):
-        env = transfer_block(summaries[bid], result.block_input[(ctx, bid)], DEFAULT_MAX_STACK_DEPTH)
+        env = transfer_block(summaries[bid], result.block_input[(ctx, bid)])
         return splits_a_jump(env.get(slot, ()))
 
     edges = result.global_block_edge
@@ -175,7 +175,7 @@ def _blamed(code: bytes):
     summaries = summarize_program(prog, summaries)
     outcome = run_preanalysis(prog, summaries, detect_patterns(prog, summaries), 8)
     assert outcome.result.stop_condition == "fixpoint"
-    computed = compute_important_edges(outcome.result, prog, summaries, DEFAULT_MAX_STACK_DEPTH)
+    computed = compute_important_edges(outcome.result, prog, summaries)
     oracle = rule_based_important_edges(
         outcome.result, summaries, prog.jumpdests, prog.clone_pushes
     )

@@ -12,10 +12,11 @@ import pickle
 import pytest
 
 from evmlift import analysis, lifter
-from evmlift.bytecode import Instruction
+from evmlift.bytecode import Instruction, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
+from evmlift.cloning import apply_cloning
 from evmlift.lifter import TACBlock, TACStatement
-from evmlift.local import BlockSummary, OpRecord
+from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
 from evmlift.values import UNDERFLOW, DefSite, EntrySlot, Underflow
 from test_golden import CORPORA
@@ -55,8 +56,8 @@ def test_slot_sets_hold_only_def_sites_and_underflow(monkeypatch):
     seen: set[type] = set()
     real = analysis.transfer_block
 
-    def spy(summary, input_env, max_stack_depth):
-        out = real(summary, input_env, max_stack_depth)
+    def spy(summary, input_env):
+        out = real(summary, input_env)
         seen.update(type(v) for values in out.values() for v in values)
         return out
 
@@ -67,3 +68,21 @@ def test_slot_sets_hold_only_def_sites_and_underflow(monkeypatch):
             for _name, overrides in SWEEP_CONFIGS:
                 run_pipeline(code, RunConfig(**overrides))
     assert seen == {DefSite, Underflow}
+
+
+def test_records_name_only_def_sites_and_entry_slots():
+    # The stack summarize_block keeps holds nothing else, so the lifter and
+    # the resolver need no fallback for any other value. A run's summaries
+    # depend only on whether it cloned, so the summaries of the cloned
+    # program, which keep every original block's, cover all four sweep configs.
+    seen: set[type] = set()
+    for corpus in sorted(CORPORA):
+        for code in CORPORA[corpus]():
+            program = extract_blocks(code)
+            summaries = summarize_program(program)
+            cloned, _clones = apply_cloning(program, detect_patterns(program, summaries))
+            for summary in summarize_program(cloned, summaries).values():
+                named = [summary.target_expr, summary.cond_expr, *summary.produced]
+                named += [v for rec in summary.ops for v in rec.operands]
+                seen.update(type(v) for v in named if v is not None)
+    assert seen == {DefSite, EntrySlot}
