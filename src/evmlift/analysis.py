@@ -5,12 +5,13 @@ at a time, under a chosen context scheme. The analysis is a plain monotone
 worklist fixpoint: per (context, block) pair it joins entry environments,
 applies the block summary as a transfer function, and feeds exit
 environments to the successors the resolved jump targets induce. It is
-deliberately incomplete: it stops at a fact budget or a deadline and
+deliberately incomplete: it stops at a fact limit or a deadline and
 reports which of the three stop conditions ended the run.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,10 +51,11 @@ class AnalysisResult:
     value, jump target or edge each. The slot sets of block_input are
     frozensets shared with other keys and exit envs; a slot that grows is
     replaced by a new set, never updated in place. facts and cfg are what
-    the run merged contexts under, so a later run can tell which of its
-    merges can differ (see _replays). per_block is built on its first read,
-    which must come after analyze returns, and kept with the result, so
-    every reader of one result shares one projection.
+    the run merged contexts under and fact_limit the limit it ran under, so
+    a later run can tell whether it would replay this one (see _replays).
+    per_block is built on its first read, which must come after analyze
+    returns, and kept with the result, so every reader of one result shares
+    one projection.
     """
 
     block_input: dict[PairKey, Env] = field(default_factory=dict)
@@ -64,6 +66,7 @@ class AnalysisResult:
     transfers: int = 0
     facts: ConfirmedFacts | None = None
     cfg: SchemeConfig | None = None
+    fact_limit: int = DEFAULT_FACT_LIMIT
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         """Context-free projection of the edge relation."""
@@ -124,7 +127,7 @@ def _join(store: dict[K, Env], key: K, env: Env) -> int:
 
 
 def _replays(
-    prior: AnalysisResult, facts: ConfirmedFacts, cfg: SchemeConfig, fact_limit: int | None
+    prior: AnalysisResult, facts: ConfirmedFacts, cfg: SchemeConfig, fact_limit: int
 ) -> bool:
     """Whether analyze under facts and cfg would rebuild prior call for call.
 
@@ -136,12 +139,12 @@ def _replays(
     edges _reading_changed_facts keeps are evaluated; under another cfg
     every jump edge is. A JUMPI whose fallthrough is its own target records
     a fallthrough edge under the same key, which must then match as well
-    where the key is evaluated. The fact limit, checked between steps,
-    cannot stop a run whose final count is within it.
+    where the key is evaluated. Under prior's own fact limit, checked
+    between steps, the same calls stop at the same step, so a prior the
+    limit stopped replays as exactly as one that reached its fixpoint. A
+    prior that timed out stopped wherever the clock ran out.
     """
-    if prior.stop_condition != STOP_FIXPOINT:
-        return False
-    if fact_limit is not None and prior.fact_count > fact_limit:
+    if prior.stop_condition == STOP_TIMEOUT or prior.fact_limit != fact_limit:
         return False
     edges = prior.global_block_edge
     if cfg == prior.cfg:
@@ -185,24 +188,24 @@ def analyze(
     summaries: dict[int, BlockSummary],
     facts: ConfirmedFacts,
     cfg: SchemeConfig,
-    fact_limit: int | None = DEFAULT_FACT_LIMIT,
-    deadline: float | None = None,
+    fact_limit: int = DEFAULT_FACT_LIMIT,
+    deadline: float = math.inf,
     prior: AnalysisResult | None = None,
 ) -> AnalysisResult:
     """Run the fixpoint, or return prior itself when the run would replay it.
 
-    The run stops past fact_limit facts (None for no limit) or once
-    time.monotonic() passes deadline. prior must come from analyze over the
-    same program and summaries; only its facts, scheme and fact limit may
-    differ. It is returned as it is, not copied, when it reached its
-    fixpoint within fact_limit and every merge it recorded gives the same
-    context under facts and cfg. Under prior's own cfg only the merges that
-    read a fact prior.facts and facts disagree on are evaluated; under
-    another cfg all of them are.
+    The run stops past fact_limit facts or once time.monotonic() passes
+    deadline. prior must come from analyze over the same program and
+    summaries; only its facts, scheme and fact limit may differ. It is
+    returned as it is, not copied, when it did not time out, ran under
+    fact_limit, and every merge it recorded gives the same context under
+    facts and cfg. Under prior's own cfg only the merges that read a fact
+    prior.facts and facts disagree on are evaluated; under another cfg all
+    of them are.
     """
     if prior is not None and _replays(prior, facts, cfg, fact_limit):
         return prior
-    result = AnalysisResult(facts=facts, cfg=cfg)
+    result = AnalysisResult(facts=facts, cfg=cfg, fact_limit=fact_limit)
     if 0 not in program.blocks:
         return result
     jump_target = program.jump_target
@@ -227,10 +230,10 @@ def analyze(
     propagate((INITIAL_CONTEXT, 0), {})
 
     while queue:
-        if fact_limit is not None and result.fact_count > fact_limit:
+        if result.fact_count > fact_limit:
             result.stop_condition = STOP_FACT_LIMIT
             return result
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             result.stop_condition = STOP_TIMEOUT
             return result
 

@@ -6,7 +6,7 @@ evmlift lift --batch DIR    lift every bytecode file in a directory
 evmlift lift --sweep FILE   compare the four standard configurations
 
 Exit codes: 0 when the analysis ran to completion (fixpoint or fact
-budget), 2 when it timed out, 1 on usage errors (negative numbers included),
+limit), 2 when it timed out, 1 on usage errors (negative numbers included),
 input errors (code over 24,576 bytes included) and unwritable outputs, 3
 when --batch hit an unexpected error in a file (its traceback goes to
 stderr). A batch lifts every file and exits with the worst code.
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lift.add_argument("--context-depth", type=_at_least(0), default=None, metavar="N")
     lift.add_argument("--no-cloning", action="store_true")
     lift.add_argument("--no-preanalysis", action="store_true")
-    lift.add_argument("--preanalysis-limit", type=_at_least(0), default=DEFAULT_FACT_LIMIT, metavar="N")
+    lift.add_argument("--fact-limit", type=_at_least(0), default=DEFAULT_FACT_LIMIT, metavar="N")
     lift.add_argument("--timeout", type=_at_least(0, float), default=DEFAULT_TIMEOUT, metavar="SECONDS")
     lift.add_argument("--tac-out", metavar="PATH")
     lift.add_argument("--metrics-out", metavar="PATH")
@@ -88,7 +88,7 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
         context_depth=args.context_depth,
         cloning=not args.no_cloning,
         preanalysis=not args.no_preanalysis,
-        preanalysis_fact_limit=args.preanalysis_limit,
+        fact_limit=args.fact_limit,
         timeout=args.timeout,
     )
     base.update(overrides)

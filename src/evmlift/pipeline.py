@@ -8,10 +8,12 @@ returns every original block unchanged, so the second local pass
 summarizes only the clones; every other block keeps its first summary.
 Every phase maps a value to a block through BytecodeProgram.jump_target,
 the one rule that names clones. The pre-analysis decides what it confirms,
-also when it stops short; the main pass runs under those facts. Each
-analysis result owns its per-block projection, so when the main pass
-returns the pre-analysis fixpoint, the lifter reads the projection
-confirmation built; when it reruns, that projection is dropped.
+also when it stops short; the main pass runs under those facts and the
+same fact limit, so it returns the pre-analysis result whenever it would
+replay it, also when the limit stopped it. Each analysis result owns its
+per-block projection, so when the main pass returns the pre-analysis
+result, the lifter reads the projection confirmation built; when it
+reruns, that projection is dropped.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ class RunConfig:
     context_depth: int | None = None
     cloning: bool = True
     preanalysis: bool = True
-    preanalysis_fact_limit: int = DEFAULT_FACT_LIMIT
-    main_fact_limit: int | None = DEFAULT_FACT_LIMIT
-    timeout: float | None = DEFAULT_TIMEOUT
+    fact_limit: int = DEFAULT_FACT_LIMIT  # bounds each pass
+    timeout: float = DEFAULT_TIMEOUT  # bounds the whole run
 
     @property
     def depth(self) -> int:
@@ -65,9 +66,7 @@ class PipelineResult:
 
 def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult:
     config = config or RunConfig()
-    deadline = None
-    if config.timeout is not None:
-        deadline = time.monotonic() + config.timeout
+    deadline = time.monotonic() + config.timeout
 
     program = extract_blocks(code)
     summaries = summarize_program(program)
@@ -84,14 +83,14 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
     pre: PreanalysisOutcome | None = None
     if config.preanalysis:
         pre = run_preanalysis(
-            program, summaries, patterns, config.depth, config.preanalysis_fact_limit, deadline
+            program, summaries, patterns, config.depth, config.fact_limit, deadline
         )
     confirmed = pre.confirmed if pre is not None else raw_confirmed(patterns)
     scheme_cfg = SchemeConfig(config.scheme, config.depth)
 
     prior = pre.result if pre is not None else None
     analysis = analyze(
-        program, summaries, confirmed, scheme_cfg, config.main_fact_limit, deadline, prior
+        program, summaries, confirmed, scheme_cfg, config.fact_limit, deadline, prior
     )
     if prior is not None and analysis is not prior:
         vars(prior).pop("per_block", None)

@@ -13,6 +13,7 @@ none of this: its outcome carries the raw candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, Env, analyze, transfer_block
@@ -181,8 +182,8 @@ def run_preanalysis(
     summaries: dict[int, BlockSummary],
     raw: PatternFacts,
     depth: int,
-    fact_limit: int | None = DEFAULT_FACT_LIMIT,
-    deadline: float | None = None,
+    fact_limit: int = DEFAULT_FACT_LIMIT,
+    deadline: float = math.inf,
 ) -> PreanalysisOutcome:
     """Run the fixpoint over the raw candidates and confirm what it saw.
 

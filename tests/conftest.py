@@ -611,6 +611,18 @@ def lifted_edges(res) -> set[tuple[int, int]]:
     return {(original.get(a, a), original.get(b, b)) for a, b in res.analysis.edge_pairs()}
 
 
+def analysis_outputs(result) -> tuple:
+    """What an analysis run computed; two runs that replay each other agree."""
+    return (
+        result.block_input,
+        result.block_jump_target,
+        result.global_block_edge,
+        result.fact_count,
+        result.transfers,
+        result.stop_condition,
+    )
+
+
 def oracle_calldatas() -> list[bytes]:
     """Calldata set toggling the two branch words used by the generators."""
     zero = bytes(64)

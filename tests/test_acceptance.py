@@ -2,6 +2,7 @@
 stated budget.  Results are collected into conftest.ACCEPTANCE_RESULTS and
 printed as a one-line-per-criterion table at the end of the run."""
 
+import math
 import random
 import re
 import time
@@ -234,8 +235,8 @@ def test_criterion_5_schemes_and_cloning_never_regress():
             context_depth=8,
             cloning=cloning,
             preanalysis=False,
-            main_fact_limit=20_000,
-            timeout=None,
+            fact_limit=20_000,
+            timeout=math.inf,
         )
 
     corpus = _direction_corpus()

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from conftest import (
+    analysis_outputs,
     asm,
     chained_call_code,
     gen_deep_program,
@@ -13,6 +14,7 @@ from conftest import (
     never_jumped_code,
 )
 from evmlift.analysis import (
+    DEFAULT_FACT_LIMIT,
     MAX_STACK_DEPTH,
     AnalysisResult,
     _reading_changed_facts,
@@ -285,14 +287,35 @@ def test_main_pass_reruns_when_a_merge_differs():
     assert res.analysis.global_block_edge != res.preanalysis.result.global_block_edge
 
 
-def test_reuse_declines_a_prior_above_the_main_fact_limit():
-    code = gen_deep_program(8, 4)
-    pre_facts = COUNTERS["deep-8"][1]["default"][0][0]
-    assert _reused(run_pipeline(code, RunConfig(main_fact_limit=pre_facts)))
-    res = run_pipeline(code, RunConfig(main_fact_limit=pre_facts - 1))
-    assert res.preanalysis.result.stop_condition == "fixpoint"
-    assert not _reused(res)
-    assert res.analysis.stop_condition == "fact-limit"
+@pytest.mark.parametrize(
+    "limit, stop", [(DEFAULT_FACT_LIMIT, "fixpoint"), (10, "fact-limit")], ids=["fixpoint", "fact-limit"]
+)
+def test_a_prior_is_reused_only_under_its_own_fact_limit(limit, stop):
+    prog = extract_blocks(gen_deep_program(8, 4))
+    summaries = summarize_program(prog)
+    config = SchemeConfig(Scheme.SHRINKING, DEFAULT_DEPTH[Scheme.SHRINKING])
+
+    def run(fact_limit, prior=None):
+        return analyze(prog, summaries, ConfirmedFacts(), config, fact_limit, prior=prior)
+
+    prior = run(limit)
+    assert prior.stop_condition == stop and prior.fact_limit == limit
+    # The limit is checked between steps, so a rerun under it stops where prior did.
+    assert run(limit, prior) is prior
+    assert analysis_outputs(run(limit)) == analysis_outputs(prior)
+    for other in (limit - 1, limit + 1):
+        rerun = run(other, prior)
+        assert rerun is not prior and rerun.fact_limit == other
+
+
+def test_a_prior_that_timed_out_is_never_reused():
+    prog = extract_blocks(BRANCH)
+    summaries = summarize_program(prog)
+    config = SchemeConfig(Scheme.SHRINKING, DEFAULT_DEPTH[Scheme.SHRINKING])
+    prior = analyze(prog, summaries, ConfirmedFacts(), config, deadline=time.monotonic() - 1.0)
+    assert prior.stop_condition == "timeout"
+    rerun = analyze(prog, summaries, ConfirmedFacts(), config, prior=prior)
+    assert rerun is not prior and rerun.stop_condition == "fixpoint"
 
 
 # 0x0 calls 0x10 leaving continuations 0x20 and 0x30 behind. 0x10 pushes

@@ -89,7 +89,7 @@ def test_usage_error_exits_one_not_the_timeout_code(argv, capsys):
     "command, option",
     [
         ("lift", "--context-depth=-1"),
-        ("lift", "--preanalysis-limit=-1"),
+        ("lift", "--fact-limit=-1"),
         ("lift", "--timeout=-0.5"),
         ("lift", "--timeout=nan"),
         ("lift", "--jobs=0"),
@@ -104,7 +104,7 @@ def test_negative_numeric_option_is_a_usage_error(chained_file, capsys, command,
     assert not (chained_file.parent / (chained_file.name + ".tac")).exists()
 
 
-@pytest.mark.parametrize("flag", ["--context-depth", "--preanalysis-limit"])
+@pytest.mark.parametrize("flag", ["--context-depth", "--fact-limit"])
 def test_zero_count_is_still_accepted(chained_file, capsys, flag):
     assert main([str(chained_file), flag, "0"]) == 0
     capsys.readouterr()
@@ -123,6 +123,16 @@ def test_code_over_the_size_limit_is_an_input_error(tmp_path, capsys, argv):
     assert "code is 24577 bytes, above the 24576-byte deployment limit" in captured.out + captured.err
     assert "Traceback" not in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["big.hex"]
+
+
+def test_fact_limit_bounds_the_run(chained_file, capsys):
+    assert main([str(chained_file), "--fact-limit", "5"]) == 0
+    assert "fact-limit" in capsys.readouterr().out
+    metrics_path = chained_file.parent / (chained_file.name + ".metrics.json")
+    assert json.loads(metrics_path.read_text())["stop_condition"] == "fact-limit"
+    # One limit bounds both passes; the pre-analysis no longer has its own.
+    assert main([str(chained_file), "--preanalysis-limit", "5"]) == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_timeout_exits_two(chained_file, capsys):

@@ -13,6 +13,7 @@ import random
 import pytest
 
 import conftest
+from conftest import analysis_outputs
 from evmlift import local
 from evmlift.analysis import _replays, analyze
 from evmlift.bytecode import disassemble, extract_blocks
@@ -84,22 +85,9 @@ def test_output_matches_golden_digest(corpus):
     assert output_digest(CORPORA[corpus]()) == GOLDEN[corpus]
 
 
-def _outputs(result) -> tuple:
-    return (
-        result.block_input,
-        result.block_jump_target,
-        result.global_block_edge,
-        result.fact_count,
-        result.transfers,
-        result.stop_condition,
-    )
-
-
 def _full_replay_check(prior, facts, cfg, fact_limit) -> bool:
     """The reuse decision evaluating merge on every recorded jump edge."""
-    if prior.stop_condition != "fixpoint":
-        return False
-    if fact_limit is not None and prior.fact_count > fact_limit:
+    if prior.stop_condition == "timeout" or prior.fact_limit != fact_limit:
         return False
     jumps = {(ctx, bid, t) for ctx, bid, _value, t in prior.block_jump_target}
     return all(
@@ -109,27 +97,39 @@ def _full_replay_check(prior, facts, cfg, fact_limit) -> bool:
     )
 
 
+def _check_reuse(code: bytes, name: str, config: RunConfig):
+    """Run config; the fast reuse decision must match the full one, and a
+    reused pre-analysis must equal a fresh main pass. Returns the result."""
+    res = run_pipeline(code, config)
+    prior = res.preanalysis.result
+    decided = _replays(prior, res.confirmed, res.scheme_used, config.fact_limit)
+    assert decided == (res.analysis is prior), name
+    full = _full_replay_check(prior, res.confirmed, res.scheme_used, config.fact_limit)
+    assert decided == full, name
+    if decided:
+        fresh = analyze(res.program, res.summaries, res.confirmed, res.scheme_used, config.fact_limit)
+        assert analysis_outputs(fresh) == analysis_outputs(res.analysis), name
+    return res
+
+
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_a_reused_preanalysis_equals_a_fresh_main_pass(corpus):
     reused = dict.fromkeys(REUSED[corpus], 0)
     for code in CORPORA[corpus]():
-        for name, overrides in SWEEP_CONFIGS:
+        for name, overrides in SWEEP_CONFIGS:  # default first
             config = RunConfig(**overrides)
             if not config.preanalysis:
                 continue  # no prior to reuse
-            res = run_pipeline(code, config)
-            prior = res.preanalysis.result
-            decided = _replays(prior, res.confirmed, res.scheme_used, config.main_fact_limit)
-            assert decided == (res.analysis is prior), name
-            full = _full_replay_check(prior, res.confirmed, res.scheme_used, config.main_fact_limit)
-            assert decided == full, name
-            if not decided:
-                continue
-            reused[name] += 1
-            fresh = analyze(
-                res.program, res.summaries, res.confirmed, res.scheme_used, config.main_fact_limit
-            )
-            assert _outputs(fresh) == _outputs(res.analysis), name
+            res = _check_reuse(code, name, config)
+            reused[name] += res.analysis is res.preanalysis.result
+            # Half the default pre-analysis facts stops nearly every pre-analysis
+            # short; under default the main pass then runs the same raw facts,
+            # scheme and limit, so it must return the truncated pre-analysis.
+            if name == "default":
+                half = res.preanalysis.result.fact_count // 2
+            res = _check_reuse(code, name, RunConfig(fact_limit=half, **overrides))
+            if name == "default":
+                assert res.analysis is res.preanalysis.result, name
     assert reused == REUSED[corpus]
 
 

@@ -64,7 +64,7 @@ def test_missing_control_flow_counts_underfilled_terminators():
 
 
 def test_stop_condition_is_carried_through():
-    m = run_pipeline(chained_call_code(), RunConfig(main_fact_limit=5)).metrics
+    m = run_pipeline(chained_call_code(), RunConfig(fact_limit=5)).metrics
     assert m.stop_condition == "fact-limit"
 
 

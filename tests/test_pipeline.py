@@ -1,12 +1,19 @@
 """Pipeline driver: phase wiring and configuration."""
 
 import inspect
-from dataclasses import replace
+from dataclasses import fields
 from functools import cached_property
 
 import pytest
 
-from conftest import asm, dispatch_pair_code, chained_call_code, gen_deep_program, never_jumped_code
+from conftest import (
+    analysis_outputs,
+    asm,
+    chained_call_code,
+    dispatch_pair_code,
+    gen_deep_program,
+    never_jumped_code,
+)
 from evmlift import preanalysis
 from evmlift.analysis import DEFAULT_FACT_LIMIT, MAX_STACK_DEPTH, AnalysisResult, analyze
 from evmlift.bytecode import extract_blocks
@@ -65,17 +72,25 @@ def test_preanalysis_disabled_uses_raw_candidates():
 
 def test_truncated_preanalysis_falls_back_to_raw_candidates():
     code = gen_deep_program(8, 4)
-    truncated = run_pipeline(code, RunConfig(preanalysis_fact_limit=10))
+    truncated = run_pipeline(code, RunConfig(fact_limit=10))
     assert truncated.preanalysis.result.stop_condition == "fact-limit"
-    assert truncated.analysis.stop_condition == "fixpoint"
     assert truncated.metrics.stop_condition == "fact-limit"
     pre, raw = truncated.preanalysis, truncated.patterns
     assert pre.confirmed == truncated.confirmed == raw_confirmed(raw)
     assert pre.public_call_sites == raw.public_call_candidates
-    plain = run_pipeline(code, RunConfig(preanalysis=False))
+    plain = run_pipeline(code, RunConfig(preanalysis=False, fact_limit=10))
     assert render_tac(truncated.tac) == render_tac(plain.tac)
-    assert replace(truncated.metrics, stop_condition="fixpoint") == plain.metrics
+    assert truncated.metrics == plain.metrics
     assert truncated.metrics.polymorphic_jump_target == 0
+
+
+def test_a_preanalysis_the_fact_limit_stopped_is_the_main_pass():
+    # Same raw facts, scheme and limit: a rerun would replay it step for step.
+    res = run_pipeline(gen_deep_program(8, 4), RunConfig(fact_limit=10))
+    assert res.preanalysis.result.stop_condition == "fact-limit"
+    assert res.analysis is res.preanalysis.result
+    fresh = analyze(res.program, res.summaries, raw_confirmed(res.patterns), res.scheme_used, 10)
+    assert analysis_outputs(fresh) == analysis_outputs(res.analysis)
 
 
 def test_a_truncated_preanalysis_does_no_confirmation_work(monkeypatch):
@@ -90,7 +105,7 @@ def test_a_truncated_preanalysis_does_no_confirmation_work(monkeypatch):
     )
     for name in confirmation:
         monkeypatch.setattr(preanalysis, name, refuse)
-    truncated = run_pipeline(gen_deep_program(8, 4), RunConfig(preanalysis_fact_limit=10))
+    truncated = run_pipeline(gen_deep_program(8, 4), RunConfig(fact_limit=10))
     assert truncated.preanalysis.result.stop_condition == "fact-limit"
     with pytest.raises(AssertionError, match="truncated"):
         run_pipeline(gen_deep_program(8, 4))
@@ -106,8 +121,11 @@ def test_every_pass_is_bounded_by_one_default_fact_limit():
     for run in (analyze, preanalysis.run_preanalysis):
         fact_limit = inspect.signature(run).parameters["fact_limit"]
         assert fact_limit.default == DEFAULT_FACT_LIMIT, run.__name__
-    assert RunConfig().preanalysis_fact_limit == DEFAULT_FACT_LIMIT
-    assert RunConfig().main_fact_limit == DEFAULT_FACT_LIMIT
+        assert fact_limit.annotation == "int", run.__name__  # None, for no limit, is not an int
+    limits = [f.name for f in fields(RunConfig) if "limit" in f.name]
+    assert limits == ["fact_limit"]
+    assert RunConfig().fact_limit == DEFAULT_FACT_LIMIT
+    assert {f.name: f.type for f in fields(RunConfig)}["timeout"] == "float"
 
 
 @pytest.fixture
@@ -147,9 +165,11 @@ def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, con
     assert "per_block" in vars(res.analysis)
 
 
-def test_main_fact_limit_reports_fact_limit():
-    res = run_pipeline(chained_call_code(), RunConfig(main_fact_limit=5))
+def test_fact_limit_reports_fact_limit():
+    res = run_pipeline(chained_call_code(), RunConfig(fact_limit=5))
+    assert res.preanalysis.result.stop_condition == "fact-limit"
     assert res.analysis.stop_condition == "fact-limit"
+    assert res.metrics.stop_condition == "fact-limit"
 
 
 def test_pipeline_is_deterministic():

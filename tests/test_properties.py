@@ -193,6 +193,19 @@ def test_pipeline_terminates_on_random_bytes():
         assert render_tac(parse_tac(text)) == text, code.hex()
 
 
+def test_a_run_the_fact_limit_ends_in_the_preanalysis_costs_one_pass():
+    # A 532-byte input whose pre-analysis reaches the default fact limit.
+    # The main pass would replay it under the same raw facts, scheme and
+    # limit, so it returns that result instead of running it again.
+    rng = random.Random("p3")
+    for _ in range(324):
+        code = _random_code(rng, jump_biased=True)
+    res = run_pipeline(code)
+    assert res.preanalysis.result.stop_condition == "fact-limit"
+    assert res.metrics.stop_condition == "fact-limit"
+    assert res.analysis is res.preanalysis.result
+
+
 def _scan_jumpdests(code: bytes) -> frozenset[int]:
     """0x5b bytes outside PUSH immediates, found byte by byte: PUSH1..PUSH32
     (0x60..0x7f) carry 1..32 immediate bytes, every other opcode none."""
