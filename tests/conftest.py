@@ -742,3 +742,34 @@ def gen_chained_program(rng: random.Random) -> bytes:
     a.label("helper")
     a.emit("JUMPDEST", rng.choice(["ADD", "MUL", "XOR"]), "SWAP1", "JUMP")
     return a.assemble()
+
+
+# Jump-heavy byte soup: jumpdests, jumps, stack shuffles and pushes of the
+# jumpdests' own offsets, so random inputs reach the global analysis and not
+# just decoding. Other bytes are drawn from the non-push opcodes, so every
+# byte the generator places is decoded as the instruction it placed.
+_JUMPY = (0x5B, 0x56, 0x57, 0x80, 0x81, 0x90, 0x91, 0x50, 0x5F)
+_NON_PUSH = tuple(b for b in range(256) if not 0x60 <= b <= 0x7F)
+
+
+def random_code(rng: random.Random, jump_biased: bool) -> bytes:
+    size = rng.randint(1, 600)
+    if not jump_biased:
+        return rng.randbytes(size)
+    out = bytearray()
+    pushes: list[int] = []
+    jumpdests: list[int] = []
+    while len(out) < size:
+        roll = rng.random()
+        if roll < 0.25:
+            pushes.append(len(out) + 1)
+            out += b"\x61\x00\x00"  # PUSH2, address filled in below
+            continue
+        op = rng.choice(_JUMPY) if roll < 0.8 else rng.choice(_NON_PUSH)
+        if op == 0x5B:
+            jumpdests.append(len(out))
+        out.append(op)
+    for at in pushes:
+        address = rng.choice(jumpdests) if jumpdests and rng.random() < 0.9 else rng.randrange(size)
+        out[at : at + 2] = address.to_bytes(2, "big")
+    return bytes(out[:size])

@@ -40,6 +40,11 @@ FIXTURES = (
     conftest.push_as_data_code,
 )
 
+def _random_corpus() -> list[bytes]:
+    rng = random.Random("golden-random")
+    return [conftest.random_code(rng, True) for _ in range(200)]
+
+
 CORPORA = {
     "fixtures": lambda: [build() for build in FIXTURES],
     "sound": lambda: [conftest.gen_sound_program(random.Random(seed)) for seed in range(200)],
@@ -48,6 +53,9 @@ CORPORA = {
     "dispatch": lambda: [conftest.gen_dispatch_program(n) for n in (16, 24, 32)],
     # Private recursion, whose call sites no context depth can keep apart.
     "recursion": lambda: [conftest.recursive_call_code()],
+    # Jump-heavy byte soup: dropped blocks, "?" operands and calls no
+    # generator shapes, which the other corpora rarely reach.
+    "random": _random_corpus,
 }
 
 GOLDEN = {
@@ -56,6 +64,7 @@ GOLDEN = {
     "deep": "3644b6a69788fc67d4965c57910288fdc7e5a54637dbe1407d3d1540f882deaa",
     "dispatch": "86a162f068426e32644e112f0d3bab84c8cb5845200717ccd63c111f9adc61e8",
     "recursion": "c0948b9fde34894367a9214f7a27872dea3d51d28c082645025db85bace57078",
+    "random": "69febcd8bd94e68757236c55b1c6607fd6728678e7c7a5754525261c7c164515",
 }
 
 
@@ -67,6 +76,7 @@ REUSED = {
     "deep": {"default": 2, "no-shrinking": 0, "no-cloning": 2},
     "dispatch": {"default": 3, "no-shrinking": 0, "no-cloning": 3},
     "recursion": {"default": 1, "no-shrinking": 0, "no-cloning": 1},
+    "random": {"default": 192, "no-shrinking": 193, "no-cloning": 192},
 }
 
 

@@ -120,6 +120,54 @@ def test_a_non_jumpdest_constant_is_no_call_successor():
     assert res.metrics.unstructured_control_flow == 0
 
 
+def test_a_call_that_passes_no_continuation_has_one_operand():
+    # 0x6 calls the helper 0x28 with the continuation 0x20. 0x10 jumps to the
+    # same helper, but its exit stack holds only data, so no slot names a
+    # confirmed continuation: the call carries its target alone, and its
+    # successor is the jump edge into the helper.
+    code = layout(
+        {
+            0x00: asm("PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x10", "JUMPI"),
+            0x06: asm("PUSH1 0x20", "PUSH1 0x03", "PUSH1 0x28", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x07", "PUSH1 0x03", "PUSH1 0x28", "JUMP"),
+            0x20: asm("JUMPDEST", "POP", "STOP"),
+            0x28: asm("JUMPDEST", "ISZERO", "SWAP1", "JUMP"),
+        }
+    )
+    res = run_pipeline(code)
+    assert res.confirmed.private_calls == frozenset({(0x6, 0x20)})
+    assert lines(res.tac, 0x6)[-1] == "0xc: vc_0 = CALLPRIVATE va, v8, v6"
+    assert res.tac.blocks[0x6].succs == (0x20,)
+    assert lines(res.tac, 0x10)[-1] == "0x17: v17_0 = CALLPRIVATE v15"
+    assert res.tac.blocks[0x10].succs == (0x28,)
+
+
+def test_a_call_named_like_its_blocks_phi_takes_the_r_suffix():
+    # The block 0x14 is a lone JUMP reached by fallthrough, so its JUMP has
+    # the block's pc. Its slot 0 merges two pushes of the helper 0x28, which
+    # 0x30 calls, and gets the PHI v14_0; the call the JUMP renders as
+    # would take the same name, so it gets v14_0r.
+    code = layout(
+        {
+            0x00: asm(
+                "PUSH1 0x20", "PUSH1 0x28", "PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x0d", "JUMPI",
+                "POP", "PUSH1 0x28",
+            ),
+            0x0D: asm("JUMPDEST", "PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x30", "JUMPI", "JUMP"),
+            0x20: asm("JUMPDEST", "STOP"),
+            0x28: asm("JUMPDEST", "CALLVALUE", "POP", "JUMP"),
+            0x30: asm("JUMPDEST", "PUSH1 0x20", "PUSH1 0x28", "JUMP"),
+        }
+    )
+    res = run_pipeline(code)
+    assert res.confirmed.private_calls == frozenset({(0x30, 0x20)})
+    assert lines(res.tac, 0x14) == [
+        "0x14_0x0: v14_0 = PHI v2, vb",
+        "0x14: v14_0r = CALLPRIVATE v14_0, v0",
+    ]
+    assert res.tac.blocks[0x14].succs == (0x20,)
+
+
 def test_single_call_and_return(cloned):
     res = run_pipeline(inlined_call_code())
     assert res.confirmed.private_calls == frozenset({(0x129, 0x132)})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import asm, gen_sound_program
+from conftest import asm, gen_sound_program, random_code
 from evmlift.bytecode import Terminator, disassemble, extract_blocks, parse_bytecode_text
 from evmlift.context import Context, Scheme, SchemeConfig, merge
 from evmlift.facts import ConfirmedFacts
@@ -150,41 +150,10 @@ def test_rendered_output_round_trips_on_generated_programs(seed):
     assert parsed.blocks == tac.blocks
 
 
-# Jump-heavy byte soup: jumpdests, jumps, stack shuffles and pushes of the
-# jumpdests' own offsets, so random inputs reach the global analysis and not
-# just decoding. Other bytes are drawn from the non-push opcodes, so every
-# byte the generator places is decoded as the instruction it placed.
-_JUMPY = (0x5B, 0x56, 0x57, 0x80, 0x81, 0x90, 0x91, 0x50, 0x5F)
-_NON_PUSH = tuple(b for b in range(256) if not 0x60 <= b <= 0x7F)
-
-
-def _random_code(rng: random.Random, jump_biased: bool) -> bytes:
-    size = rng.randint(1, 600)
-    if not jump_biased:
-        return rng.randbytes(size)
-    out = bytearray()
-    pushes: list[int] = []
-    jumpdests: list[int] = []
-    while len(out) < size:
-        roll = rng.random()
-        if roll < 0.25:
-            pushes.append(len(out) + 1)
-            out += b"\x61\x00\x00"  # PUSH2, address filled in below
-            continue
-        op = rng.choice(_JUMPY) if roll < 0.8 else rng.choice(_NON_PUSH)
-        if op == 0x5B:
-            jumpdests.append(len(out))
-        out.append(op)
-    for at in pushes:
-        address = rng.choice(jumpdests) if jumpdests and rng.random() < 0.9 else rng.randrange(size)
-        out[at : at + 2] = address.to_bytes(2, "big")
-    return bytes(out[:size])
-
-
 def test_pipeline_terminates_on_random_bytes():
     rng = random.Random("random-bytes")
     for i in range(300):
-        code = _random_code(rng, jump_biased=i % 2 == 1)
+        code = random_code(rng, jump_biased=i % 2 == 1)
         res = run_pipeline(code)
         # Every input reaches its fixpoint well inside the default fact limit,
         # so context pumping that grows again shows here as a fact-limit run.
@@ -199,7 +168,7 @@ def test_a_run_the_fact_limit_ends_in_the_preanalysis_costs_one_pass():
     # limit, so it returns that result instead of running it again.
     rng = random.Random("p3")
     for _ in range(324):
-        code = _random_code(rng, jump_biased=True)
+        code = random_code(rng, jump_biased=True)
     res = run_pipeline(code)
     assert res.preanalysis.result.stop_condition == "fact-limit"
     assert res.metrics.stop_condition == "fact-limit"
@@ -239,7 +208,7 @@ def _decoding_inputs() -> list[bytes]:
     inputs = [b"", b"\x60", asm("PUSH1 0x00", "JUMP"), asm("STOP", "JUMPDEST")]
     inputs += [build() for build in fixtures]
     rng = random.Random("decoding")
-    inputs += [_random_code(rng, jump_biased=i % 2 == 1) for i in range(1000)]
+    inputs += [random_code(rng, jump_biased=i % 2 == 1) for i in range(1000)]
     return inputs
 
 
