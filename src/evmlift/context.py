@@ -7,7 +7,8 @@ call chains end in the same context they started in. It also pushes the
 source block on every important edge, a merge the pre-analysis blames for
 bringing two or more jump targets into one stack slot, so the paths into
 such a merge are analysed apart; merged data buys no jump precision and
-splits no context. When no pre-analysis ran there are no important edges.
+splits no context. A source already on the stack is cut back to first, so
+a loop through an important edge holds one entry for it. When no pre-analysis ran there are no important edges.
 When the confirmed facts merge every jump the pre-analysis recorded into
 the context it recorded, the main pass returns the pre-analysis fixpoint
 itself (see analysis.analyze). The transactional
@@ -93,7 +94,10 @@ def _merge_shrinking(
         or (cur, nxt) in facts.important_edges
     )
     if grow:
-        return Context(ctx.public, ((cur,) + ctx.private)[: cfg.depth])
+        private = ctx.private
+        if cur in private and not is_return and cur not in facts.private_callers:
+            private = cut_to(private, cur)  # an important edge in a loop: one entry per source
+        return Context(ctx.public, ((cur,) + private)[: cfg.depth])
     if is_return:
         return Context(ctx.public, cut_to(ctx.private, matched))
     return ctx

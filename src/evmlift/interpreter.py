@@ -71,7 +71,6 @@ class Trace:
 class BlockRun:
     exit_stack: tuple[int, ...]  # top first
     jump_target: int | None = None
-    condition: int | None = None
     halted: str | None = None
 
 
@@ -297,16 +296,14 @@ def run_block(
     machine = _Machine(env or EnvValuation())
     machine.stack = list(reversed(entry_stack))
     jump_target = None
-    condition = None
     try:
         for ins in program.blocks[block_id].instructions:
-            kind, target, cond = machine.step(ins, BY_NAME[ins.opcode])
+            kind, target, _cond = machine.step(ins, BY_NAME[ins.opcode])
             if kind in ("jump", "jumpi"):
                 jump_target = target
-                condition = cond
     except _Halt as halt:
         return BlockRun(tuple(reversed(machine.stack)), halted=halt.reason)
-    return BlockRun(tuple(reversed(machine.stack)), jump_target, condition)
+    return BlockRun(tuple(reversed(machine.stack)), jump_target)
 
 
 def enumerate_edges(

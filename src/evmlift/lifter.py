@@ -13,13 +13,14 @@ blocks are NamedTuples, built without a setattr per field and compared in C.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import AnalysisResult, Env, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
-from .local import BlockSummary, OpRecord
+from .local import BlockSummary
 from .values import UNDERFLOW, AbstractValue, DefSite, EntrySlot, sort_key
 
 PLACEHOLDER = "?"
@@ -74,171 +75,6 @@ def _value_name(value: AbstractValue) -> str:
     raise ValueError(f"unnameable value {value!r}")
 
 
-@dataclass
-class _BlockNames:
-    tokens: dict[int, str] = field(default_factory=dict)  # entry slot -> token
-    phis: list[TACStatement] = field(default_factory=list)
-    dropped: bool = False
-
-
-def _name_entry_slots(
-    bid: int, slots: set[int], merged_in: Env
-) -> _BlockNames:
-    names = _BlockNames()
-    for slot in sorted(slots):
-        values = merged_in.get(slot, frozenset())
-        real = sorted((v for v in values if v is not UNDERFLOW), key=sort_key)
-        if not real:
-            names.tokens[slot] = PLACEHOLDER
-        elif UNDERFLOW in values:
-            names.dropped = True
-            return names
-        elif len(real) == 1:
-            names.tokens[slot] = _value_name(real[0])
-        else:
-            def_name = f"v{bid:x}_{slot:x}"
-            names.tokens[slot] = def_name
-            operands = tuple(_value_name(v) for v in real)
-            names.phis.append(TACStatement(f"0x{bid:x}_0x{slot:x}", "PHI", operands, def_name))
-    return names
-
-
-class _Lifter:
-    def __init__(
-        self,
-        program: BytecodeProgram,
-        summaries: dict[int, BlockSummary],
-        result: AnalysisResult,
-        confirmed: ConfirmedFacts,
-    ):
-        self.program = program
-        self.summaries = summaries
-        self.merged_in = result.per_block
-
-        self.edges: dict[int, set[int]] = {}
-        for bid, succ in result.edge_pairs():
-            self.edges.setdefault(bid, set()).add(succ)
-
-        jump_target = program.jump_target
-        self.private_entries = frozenset(
-            target
-            for caller, _cont in confirmed.private_calls
-            if (target := jump_target(summaries[caller].target_expr)) is not None
-        )
-        self.continuation_ids = frozenset(cont for _caller, cont in confirmed.private_calls)
-
-    def lift(self) -> TACProgram:
-        blocks: dict[int, TACBlock] = {}
-        for bid in sorted(self.merged_in):
-            block = self._build_block(bid)
-            if block is not None:
-                blocks[bid] = block
-
-        preds: dict[int, set[int]] = {bid: set() for bid in blocks}
-        for bid, block in blocks.items():
-            for succ in block.succs:
-                if succ in preds:
-                    preds[succ].add(bid)
-        return TACProgram(
-            blocks={
-                bid: TACBlock(bid, block.statements, tuple(sorted(preds[bid])), block.succs)
-                for bid, block in blocks.items()
-            }
-        )
-
-    def _call_info(self, bid: int) -> tuple[int | None, Env] | None:
-        """(continuation slot, exit env) when the block is a private call."""
-        if self.program.blocks[bid].terminator is not Terminator.JUMP:
-            return None
-        # A JUMP block's edges are its jump targets.
-        targets = self.edges.get(bid, set())
-        if len(targets) != 1:
-            return None
-        if next(iter(targets)) not in self.private_entries:
-            return None
-        cont_slot = None
-        # From the merged entry env, which differs from the per-context
-        # union only by UNDERFLOW; only the blocks values name are read here.
-        out = transfer_block(self.summaries[bid], self.merged_in[bid])
-        jump_target = self.program.jump_target
-        for slot in sorted(out):
-            if set(map(jump_target, out[slot])) & self.continuation_ids:
-                cont_slot = slot
-                break
-        return cont_slot, out
-
-    def _build_block(self, bid: int) -> TACBlock | None:
-        summary = self.summaries[bid]
-        call_info = self._call_info(bid)
-
-        consumed = set(summary.read_slots())
-        if call_info is not None and call_info[0] is not None:
-            produced_len = len(summary.produced)
-            for exit_slot in range(call_info[0] + 1):
-                if exit_slot < produced_len:
-                    value = summary.produced[exit_slot]
-                    if isinstance(value, EntrySlot):
-                        consumed.add(value.index)
-                else:
-                    consumed.add(exit_slot - produced_len + summary.consumed_depth)
-
-        names = _name_entry_slots(bid, consumed, self.merged_in.get(bid, {}))
-        if names.dropped:
-            return None
-
-        def token(value: AbstractValue) -> str:
-            if isinstance(value, EntrySlot):
-                return names.tokens.get(value.index, PLACEHOLDER)
-            return _value_name(value)
-
-        def exit_token(slot: int) -> str:
-            if slot < len(summary.produced):
-                return token(summary.produced[slot])
-            return names.tokens.get(slot - len(summary.produced) + summary.consumed_depth, PLACEHOLDER)
-
-        statements = list(names.phis)
-        for rec in summary.ops:
-            if rec.opcode == "JUMP" and call_info is not None:
-                statements.append(self._call_statement(rec, call_info, names, token, exit_token))
-                continue
-            result = rec.result
-            # positional: a NamedTuple built from keywords costs about twice as much
-            statements.append(
-                TACStatement(
-                    f"0x{rec.pc:x}",
-                    "CONST" if rec.opcode.startswith("PUSH") else rec.opcode,
-                    tuple(map(token, rec.operands)),
-                    None if result is None else _value_name(result),
-                    None if result is None else result.constant,
-                )
-            )
-
-        return TACBlock(bid, tuple(statements), (), self._successors(bid, call_info))
-
-    def _call_statement(self, rec: OpRecord, call_info, names: _BlockNames, token, exit_token) -> TACStatement:
-        cont_slot, _out = call_info
-        operands = [token(rec.operands[0])]
-        if cont_slot is not None:
-            operands.extend(exit_token(slot) for slot in range(cont_slot + 1))
-        taken = {phi.def_name for phi in names.phis}
-        def_name = f"v{rec.pc:x}_0"
-        while def_name in taken:
-            def_name += "r"
-        return TACStatement(
-            label=f"0x{rec.pc:x}",
-            opcode="CALLPRIVATE",
-            operands=tuple(operands),
-            def_name=def_name,
-        )
-
-    def _successors(self, bid: int, call_info) -> tuple[int, ...]:
-        if call_info is not None and call_info[0] is not None:
-            cont_slot, out = call_info
-            succs = set(map(self.program.jump_target, out[cont_slot])) - {None}
-            return tuple(sorted(succs))
-        return tuple(sorted(self.edges.get(bid, ())))
-
-
 def lift(
     program: BytecodeProgram,
     summaries: dict[int, BlockSummary],
@@ -247,7 +83,120 @@ def lift(
 ) -> TACProgram:
     """Lift result to TAC from its per-block projection, which result owns
     and which is only read here."""
-    return _Lifter(program, summaries, result, confirmed).lift()
+    edges: dict[int, set[int]] = {}
+    for bid, succ in result.edge_pairs():
+        edges.setdefault(bid, set()).add(succ)
+    jump_target = program.jump_target
+    private_entries = frozenset(
+        target
+        for caller, _cont in confirmed.private_calls
+        if (target := jump_target(summaries[caller].target_expr)) is not None
+    )
+    continuations = frozenset(cont for _caller, cont in confirmed.private_calls)
+
+    lifted: dict[int, tuple[tuple[TACStatement, ...], tuple[int, ...]]] = {}
+    for bid, entry in sorted(result.per_block.items()):
+        # A JUMP block's edges are its jump targets.
+        targets = edges.get(bid, set())
+        is_call = (
+            program.blocks[bid].terminator is Terminator.JUMP
+            and len(targets) == 1
+            and not private_entries.isdisjoint(targets)
+        )
+        block = _lift_block(bid, summaries[bid], entry, targets, is_call, jump_target, continuations)
+        if block is not None:
+            lifted[bid] = block
+
+    preds: dict[int, set[int]] = {bid: set() for bid in lifted}
+    for bid, (_statements, succs) in lifted.items():
+        for succ in succs:
+            if succ in preds:
+                preds[succ].add(bid)
+    return TACProgram(
+        blocks={
+            bid: TACBlock(bid, statements, tuple(sorted(preds[bid])), succs)
+            for bid, (statements, succs) in lifted.items()
+        }
+    )
+
+
+def _lift_block(
+    bid: int,
+    summary: BlockSummary,
+    entry: Env,
+    succs: set[int],
+    is_call: bool,
+    jump_target: Callable[[AbstractValue], int | None],
+    continuations: frozenset[int],
+) -> tuple[tuple[TACStatement, ...], tuple[int, ...]] | None:
+    """(statements, succs) of one block, or None when an entry slot it reads
+    mixes UNDERFLOW with values.
+
+    A call passes the exit slots down to its continuation slot, the first
+    exit slot holding a value that names a confirmed continuation, and
+    returns to the blocks that slot names. A call with no such slot passes
+    its target alone and keeps its jump edge.
+    """
+    produced = summary.produced
+    args: tuple[AbstractValue, ...] = ()
+    if is_call:
+        # From the merged entry env, which differs from the per-context
+        # union only by UNDERFLOW; only the blocks values name are read here.
+        out = transfer_block(summary, entry)
+        cont_slot = next(
+            (slot for slot in sorted(out) if not continuations.isdisjoint(map(jump_target, out[slot]))),
+            None,
+        )
+        if cont_slot is not None:
+            # Exit slot j is produced[j], or else an entry slot passed through.
+            shift = len(produced) - summary.consumed_depth
+            args = tuple(
+                produced[j] if j < len(produced) else EntrySlot(bid, j - shift) for j in range(cont_slot + 1)
+            )
+            succs = set(map(jump_target, out[cont_slot])) - {None}
+
+    tokens: dict[int, str] = {}  # entry slot -> token
+    statements: list[TACStatement] = []
+    read = summary.read_slots().union(v.index for v in args if isinstance(v, EntrySlot))
+    for slot in sorted(read):
+        values = entry.get(slot, frozenset())
+        real = sorted((v for v in values if v is not UNDERFLOW), key=sort_key)
+        if not real:
+            tokens[slot] = PLACEHOLDER
+        elif UNDERFLOW in values:
+            return None
+        elif len(real) == 1:
+            tokens[slot] = _value_name(real[0])
+        else:
+            def_name = tokens[slot] = f"v{bid:x}_{slot:x}"
+            operands = tuple(_value_name(v) for v in real)
+            statements.append(TACStatement(f"0x{bid:x}_0x{slot:x}", "PHI", operands, def_name))
+
+    def token(value: AbstractValue) -> str:
+        if isinstance(value, EntrySlot):
+            return tokens.get(value.index, PLACEHOLDER)
+        return _value_name(value)
+
+    for rec in summary.ops:
+        if is_call and rec.opcode == "JUMP":
+            def_name = f"v{rec.pc:x}_0"
+            if tokens.get(0) == def_name:  # the PHI of a lone JUMP's slot 0
+                def_name += "r"
+            operands = tuple(map(token, (rec.operands[0], *args)))
+            statements.append(TACStatement(f"0x{rec.pc:x}", "CALLPRIVATE", operands, def_name))
+            continue
+        result = rec.result
+        # positional: a NamedTuple built from keywords costs about twice as much
+        statements.append(
+            TACStatement(
+                f"0x{rec.pc:x}",
+                "CONST" if rec.opcode.startswith("PUSH") else rec.opcode,
+                tuple(map(token, rec.operands)),
+                None if result is None else _value_name(result),
+                None if result is None else result.constant,
+            )
+        )
+    return tuple(statements), tuple(sorted(succs))
 
 
 def render_tac(tac: TACProgram) -> str:

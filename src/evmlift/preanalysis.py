@@ -35,19 +35,15 @@ class PreanalysisOutcome:
     public_call_sites: frozenset[tuple[int, int, int]]  # (block, selector, target)
 
 
-class _Resolver:
-    """Resolves record operands to value sets using context-merged inputs."""
+def _values(per_block: dict[int, Env], operand: AbstractValue) -> frozenset[AbstractValue]:
+    """The values operand can hold, over every context's entry env."""
+    if isinstance(operand, EntrySlot):
+        return per_block.get(operand.block, {}).get(operand.index, frozenset())
+    return frozenset((operand,))
 
-    def __init__(self, result: AnalysisResult):
-        self.inputs = result.per_block
 
-    def values(self, operand: AbstractValue) -> frozenset[AbstractValue]:
-        if isinstance(operand, EntrySlot):
-            return self.inputs.get(operand.block, {}).get(operand.index, frozenset())
-        return frozenset((operand,))
-
-    def has_constant(self, operand: AbstractValue, constant: int) -> bool:
-        return any(constant_of(v) == constant for v in self.values(operand))
+def _has_constant(per_block: dict[int, Env], operand: AbstractValue, constant: int) -> bool:
+    return any(constant_of(v) == constant for v in _values(per_block, operand))
 
 
 def confirm_private_calls(
@@ -64,7 +60,7 @@ def confirm_private_calls(
 
 
 def selector_values(
-    summaries: dict[int, BlockSummary], resolver: _Resolver
+    summaries: dict[int, BlockSummary], per_block: dict[int, Env]
 ) -> frozenset[AbstractValue]:
     """Values derived from the first four bytes of call data.
 
@@ -76,19 +72,19 @@ def selector_values(
 
     calldata_zero: set[AbstractValue] = set()
     for rec in records:
-        if rec.opcode == "CALLDATALOAD" and resolver.has_constant(rec.operands[0], 0):
+        if rec.opcode == "CALLDATALOAD" and _has_constant(per_block, rec.operands[0], 0):
             calldata_zero.add(rec.result)
 
     selectors: set[AbstractValue] = set()
     for rec in records:
         if rec.opcode == "SHR":
-            if resolver.has_constant(rec.operands[0], SELECTOR_SHIFT) and (
-                resolver.values(rec.operands[1]) & calldata_zero
+            if _has_constant(per_block, rec.operands[0], SELECTOR_SHIFT) and (
+                _values(per_block, rec.operands[1]) & calldata_zero
             ):
                 selectors.add(rec.result)
         elif rec.opcode == "DIV":
-            if resolver.has_constant(rec.operands[1], SELECTOR_DIVISOR) and (
-                resolver.values(rec.operands[0]) & calldata_zero
+            if _has_constant(per_block, rec.operands[1], SELECTOR_DIVISOR) and (
+                _values(per_block, rec.operands[0]) & calldata_zero
             ):
                 selectors.add(rec.result)
 
@@ -100,9 +96,9 @@ def selector_values(
                 continue
             a, b = rec.operands
             masked = (
-                resolver.has_constant(a, SELECTOR_MASK) and resolver.values(b) & selectors
+                _has_constant(per_block, a, SELECTOR_MASK) and _values(per_block, b) & selectors
             ) or (
-                resolver.has_constant(b, SELECTOR_MASK) and resolver.values(a) & selectors
+                _has_constant(per_block, b, SELECTOR_MASK) and _values(per_block, a) & selectors
             )
             if masked:
                 selectors.add(rec.result)
@@ -113,7 +109,7 @@ def selector_values(
 def confirm_public_calls(
     raw: PatternFacts,
     summaries: dict[int, BlockSummary],
-    resolver: _Resolver,
+    per_block: dict[int, Env],
     selectors: frozenset[AbstractValue],
 ) -> frozenset[tuple[int, int, int]]:
     kept = set()
@@ -122,7 +118,7 @@ def confirm_public_calls(
         eq = chase_condition_to_eq(summary, summary.cond_expr)
         if eq is None:
             continue
-        if any(resolver.values(op) & selectors for op in eq.operands):
+        if any(_values(per_block, op) & selectors for op in eq.operands):
             kept.add((bid, selector, target))
     return frozenset(kept)
 
@@ -197,10 +193,9 @@ def run_preanalysis(
     if result.stop_condition != STOP_FIXPOINT:
         return PreanalysisOutcome(result, raw_facts, raw.public_call_candidates)
 
-    resolver = _Resolver(result)
     private_triples = confirm_private_calls(raw, result)
-    selectors = selector_values(summaries, resolver)
-    public_triples = confirm_public_calls(raw, summaries, resolver, selectors)
+    selectors = selector_values(summaries, result.per_block)
+    public_triples = confirm_public_calls(raw, summaries, result.per_block, selectors)
     confirmed = ConfirmedFacts(
         public_calls=frozenset((bid, target) for bid, _sel, target in public_triples),
         private_calls=frozenset((caller, cont) for caller, cont, _pc in private_triples),

@@ -103,6 +103,21 @@ def test_important_edge_growth_is_scheme_gated():
     assert merge(cfg(Scheme.SHRINKING), ConfirmedFacts(), ctx, 0x6, 0x18) is ctx
 
 
+def test_an_important_edge_in_a_loop_cuts_back_to_its_source():
+    # Each trip round a loop through an important edge would push its source
+    # again; the context keeps one entry for it, at the top.
+    ctx = Context(None, (0x1, 0x6, 0x2))
+    edges = frozenset({(0x6, 0x18)})
+    important = ConfirmedFacts(important_edges=edges)
+    assert merge(cfg(Scheme.SHRINKING), important, ctx, 0x6, 0x18) == Context(None, (0x6, 0x2))
+    # A call site or an unmatched return on the edge still grows the context.
+    grown = Context(None, (0x6, 0x1, 0x6, 0x2))
+    caller = ConfirmedFacts(private_calls=frozenset({(0x6, 0x30)}), important_edges=edges)
+    assert merge(cfg(Scheme.SHRINKING), caller, ctx, 0x6, 0x18) == grown
+    returner = ConfirmedFacts(private_returns=frozenset({0x6}), important_edges=edges)
+    assert merge(cfg(Scheme.SHRINKING), returner, ctx, 0x6, 0x18) == grown
+
+
 def test_transactional_prepends_on_returns_too():
     facts = ConfirmedFacts(
         private_calls=frozenset({(0xA, 0x30)}),

@@ -76,7 +76,9 @@ REUSED = {
     "deep": {"default": 2, "no-shrinking": 0, "no-cloning": 2},
     "dispatch": {"default": 3, "no-shrinking": 0, "no-cloning": 3},
     "recursion": {"default": 1, "no-shrinking": 0, "no-cloning": 1},
-    "random": {"default": 192, "no-shrinking": 193, "no-cloning": 192},
+    # One input (the 158th) no longer reuses: its main pass cuts an important
+    # edge's source back instead of pushing it again, 3,616 facts to 956.
+    "random": {"default": 191, "no-shrinking": 193, "no-cloning": 191},
 }
 
 

@@ -24,7 +24,6 @@ from evmlift.cloning import apply_cloning
 from evmlift.facts import PatternFacts, raw_confirmed
 from evmlift.local import detect_patterns, summarize_program
 from evmlift.preanalysis import (
-    _Resolver,
     compute_important_edges,
     run_preanalysis,
     selector_values,
@@ -86,7 +85,7 @@ def test_selector_values_seeded_by_shift():
     summaries = summarize_program(prog)
     raw = detect_patterns(prog, summaries)
     outcome = run_preanalysis(prog, summaries, raw, 8)
-    selectors = selector_values(summaries, _Resolver(outcome.result))
+    selectors = selector_values(summaries, outcome.result.per_block)
     assert DefSite(0x1D) in selectors  # the 224-bit shift of call-data word zero
 
 
@@ -117,7 +116,7 @@ def test_division_and_mask_selector_is_confirmed():
     assert outcome.confirmed.public_calls == frozenset({(0x0, 0x36)})
     # both the division and the masked alias count as selector values
     selectors = selector_values(
-        summarize_program(extract_blocks(DIV_MASK_DISPATCH)), _Resolver(outcome.result)
+        summarize_program(extract_blocks(DIV_MASK_DISPATCH)), outcome.result.per_block
     )
     assert DefSite(0x22) in selectors and DefSite(0x28) in selectors
 

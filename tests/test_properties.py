@@ -162,6 +162,20 @@ def test_pipeline_terminates_on_random_bytes():
         assert render_tac(parse_tac(text)) == text, code.hex()
 
 
+def test_an_important_edge_in_a_loop_no_longer_pumps_the_context():
+    # A 128-byte input with important edges inside a loop. Pushing the
+    # source on every trip took its main pass to the default fact limit;
+    # cutting back to the source already on the context reaches a fixpoint.
+    rng = random.Random("ctx-probe")
+    for _ in range(152):
+        code = random_code(rng, jump_biased=True)
+    assert len(code) == 128
+    res = run_pipeline(code)
+    assert res.preanalysis.result.stop_condition == "fixpoint"
+    assert res.metrics.stop_condition == "fixpoint"
+    assert res.analysis is not res.preanalysis.result
+
+
 def test_a_run_the_fact_limit_ends_in_the_preanalysis_costs_one_pass():
     # A 532-byte input whose pre-analysis reaches the default fact limit.
     # The main pass would replay it under the same raw facts, scheme and
