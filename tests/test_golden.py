@@ -1,14 +1,16 @@
 """Golden output: the TAC and metrics of a fixed corpus, pinned by digest.
 
 A refactor that must not change what the lifter emits keeps these digests.
-Each one is a sha256 over the rendered TAC and metrics JSON of every input,
-in order, under each of the four standard sweep configurations. A change
-that is meant to alter the output updates the digests in the same commit
-and says why.
+Each corpus pins two: a sha256 over the rendered TAC of every input, in
+order, under each of the four standard sweep configurations, and one over
+the metrics JSON of the same runs. A change that is meant to alter the
+output updates the digests in the same commit and says why; one that moves
+the TAC alone (a block more or less, say) shows that the metrics held.
 """
 
 import hashlib
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -58,13 +60,37 @@ CORPORA = {
     "random": _random_corpus,
 }
 
+
+class Digests(NamedTuple):
+    tac: str
+    metrics: str
+
+
 GOLDEN = {
-    "fixtures": "a21e3b67ce7d33b0106d7e39d023a12c526bb8ab26b5c3441d62104533de21ee",
-    "sound": "e892cea679662aa9b27f777aadccf9f4da9f37c91c2ca3e908c2a83c694cb32f",
-    "deep": "3644b6a69788fc67d4965c57910288fdc7e5a54637dbe1407d3d1540f882deaa",
-    "dispatch": "86a162f068426e32644e112f0d3bab84c8cb5845200717ccd63c111f9adc61e8",
-    "recursion": "c0948b9fde34894367a9214f7a27872dea3d51d28c082645025db85bace57078",
-    "random": "69febcd8bd94e68757236c55b1c6607fd6728678e7c7a5754525261c7c164515",
+    "fixtures": Digests(
+        "86baaa2893f45796b5b1551cabd1d966cffbce65fd8d8728a978af59110750e9",
+        "15224ac6777b67b4be0f73404b72e3e7b5c5007abaa01772b9428035ed6941af",
+    ),
+    "sound": Digests(
+        "612d4a2fd3801498c6be3a90f7d3946b5c60b09da81ba31130c58d0960bb060f",
+        "47fdcddcd9ceeea8e5e986645591d48c0fab9904a0f904df40d550f096be6c23",
+    ),
+    "deep": Digests(
+        "208199eaf4054b35d4b854e97cf5d7f4ec33506987a80de608423829f81dfa5d",
+        "11f700be8124f54715bbed3bd8b867c6563d3620dcde2b22cc499d045a0cfa54",
+    ),
+    "dispatch": Digests(
+        "31b1e588598aedcaa84b3a5173fab75ca71e0254ada97c0de6e4263057195ec7",
+        "8ace52bf25c4a27ef87078a564c8ccc86323e6437f0c885866a05e66f50ba56a",
+    ),
+    "recursion": Digests(
+        "45c013c71cb75348b08ec67c4a20a1e753e5ecdb5de316b1d9da5d6280aa55dc",
+        "59fe7bafb99d6c89845c0fac9801c78004fba3aaf32c92c642b2a621932bef1f",
+    ),
+    "random": Digests(
+        "cec1056ab5118fd056c92263b189cbf91554baf25d643793d1efbdaf8bf884c4",
+        "e0ccb1b088ade5d163f86544177e30adc153fe20321963b3388388244d46c839",
+    ),
 }
 
 
@@ -82,19 +108,19 @@ REUSED = {
 }
 
 
-def output_digest(programs: list[bytes]) -> str:
-    digest = hashlib.sha256()
+def output_digests(programs: list[bytes]) -> Digests:
+    tac, metrics = hashlib.sha256(), hashlib.sha256()
     for code in programs:
         for _name, overrides in SWEEP_CONFIGS:
             res = run_pipeline(code, RunConfig(**overrides))
-            digest.update(render_tac(res.tac).encode())
-            digest.update(res.metrics.to_json().encode())
-    return digest.hexdigest()
+            tac.update(render_tac(res.tac).encode())
+            metrics.update(res.metrics.to_json().encode())
+    return Digests(tac.hexdigest(), metrics.hexdigest())
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_output_matches_golden_digest(corpus):
-    assert output_digest(CORPORA[corpus]()) == GOLDEN[corpus]
+    assert output_digests(CORPORA[corpus]()) == GOLDEN[corpus]
 
 
 def _full_replay_check(prior, facts, cfg, fact_limit) -> bool:
