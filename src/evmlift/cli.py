@@ -152,8 +152,10 @@ def _run_batch(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     config = _config_from_args(args)
     jobs = [(path, config) for path in inputs]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A forking pool starts all its workers at once, so start no more than there are files.
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_worker, jobs))
     else:
         rows = [_batch_worker(job) for job in jobs]

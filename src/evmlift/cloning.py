@@ -1,13 +1,13 @@
 """Control-flow normalization by block cloning.
 
-Blocks whose address is pushed from several places act as shared join
-points and are the main source of value merging in the global analysis.
-Each qualifying push site gets a private copy of the block, placed at a
-fresh id past the end of the code. Cloning decides which block a jump
-lands on; it does not change what the bytecode computes. No instruction is
-rewritten: the copy is named by its push's pc (BytecodeProgram.clone_pushes)
-and BytecodeProgram.jump_target resolves a jump on that push's value to it.
-The transform runs exactly once.
+A continuation that several private calls pass is a shared join point:
+every call returns into it, and the values it carries on merge there. Each
+of its call pushes gets a private copy of the block, placed at a fresh id
+past the end of the code, so each copy sees one call. Cloning decides
+which block a jump lands on; it does not change what the bytecode
+computes. No instruction is rewritten: the copy is named by its push's pc
+(BytecodeProgram.clone_pushes) and BytecodeProgram.jump_target resolves a
+jump on that push's value to it. The transform runs exactly once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
-from .local import detect_stack_balancing_blocks
 
 
 @dataclass(frozen=True)
@@ -29,41 +28,21 @@ class CloneInstance:
 def select_clone_candidates(
     program: BytecodeProgram, facts: PatternFacts
 ) -> dict[int, tuple[int, ...]]:
-    """Map each block worth cloning to the push sites that get a copy.
+    """Map each continuation worth cloning to the call pushes that get a copy.
 
-    A block qualifies when it is jumped-to code (JUMPDEST head, JUMP tail)
-    and either serves as the continuation of two or more distinct call
-    pushes, or is a stack-balancing block whose address is pushed from two
-    or more places anywhere in the program.
+    A continuation qualifies when two or more distinct private-call pushes
+    name it and it ends in a JUMP; one that halts passes nothing on, so a
+    copy of it would split no merge. It is always a JUMPDEST block, since
+    jump_target names nothing else.
     """
     sites: dict[int, set[int]] = {}
-
-    by_continuation: dict[int, set[int]] = {}
     for _caller, continuation, push_pc in facts.private_call_candidates:
-        by_continuation.setdefault(continuation, set()).add(push_pc)
-    for continuation, pcs in by_continuation.items():
-        if len(pcs) >= 2:
-            sites.setdefault(continuation, set()).update(pcs)
-
-    balancing_pushes: dict[int, set[int]] = {b: set() for b in detect_stack_balancing_blocks(program)}
-    if balancing_pushes:
-        for block in program.blocks.values():
-            for ins in block.instructions:
-                if ins.pushed_value in balancing_pushes:
-                    balancing_pushes[ins.pushed_value].add(ins.pc)
-    for bid, pcs in balancing_pushes.items():
-        if len(pcs) >= 2:
-            sites.setdefault(bid, set()).update(pcs)
-
-    out: dict[int, tuple[int, ...]] = {}
-    for bid, pcs in sites.items():
-        block = program.blocks.get(bid)
-        if block is None or block.terminator is not Terminator.JUMP:
-            continue
-        if block.instructions[0].opcode != "JUMPDEST":
-            continue
-        out[bid] = tuple(sorted(pcs))
-    return out
+        sites.setdefault(continuation, set()).add(push_pc)
+    return {
+        bid: tuple(sorted(pcs))
+        for bid, pcs in sites.items()
+        if len(pcs) >= 2 and program.blocks[bid].terminator is Terminator.JUMP
+    }
 
 
 def _rebase(block: BasicBlock, clone_id: int) -> BasicBlock:

@@ -8,12 +8,12 @@ source block on every important edge, a merge the pre-analysis blames for
 bringing two or more jump targets into one stack slot, so the paths into
 such a merge are analysed apart; merged data buys no jump precision and
 splits no context. A source already on the stack is cut back to first, so
-a loop through an important edge holds one entry for it. When no pre-analysis ran there are no important edges.
-When the confirmed facts merge every jump the pre-analysis recorded into
-the context it recorded, the main pass returns the pre-analysis fixpoint
-itself (see analysis.analyze). The transactional
-scheme only ever prepends, ignores important edges, and is retained as
-the comparison baseline.
+a loop through an important edge holds one entry for it. When no
+pre-analysis ran there are no important edges. When the confirmed facts
+merge every jump the pre-analysis recorded into the context it recorded,
+the main pass returns the pre-analysis fixpoint itself (see
+analysis.analyze). The transactional scheme only ever prepends, ignores
+important edges, and is retained as the comparison baseline.
 """
 
 from __future__ import annotations

@@ -21,8 +21,6 @@ MAX_SELECTOR = 0xFFFFFFFF
 # Folding is deliberately limited to the operators dispatchers are built from.
 FOLDABLE = {"AND", "ADD", "SUB", "SHL", "SHR", "DIV", "EQ", "ISZERO"}
 
-_BALANCING_OK = {"JUMPDEST", "POP"} | {f"SWAP{n}" for n in range(1, 17)} | {f"DUP{n}" for n in range(1, 17)}
-
 
 class OpRecord(NamedTuple):
     """Operand/result view of one instruction, in entry-relative terms."""
@@ -225,17 +223,6 @@ def detect_private_returns(
     out = set()
     for bid, summary in summaries.items():
         if program.blocks[bid].terminator is Terminator.JUMP and isinstance(summary.target_expr, EntrySlot):
-            out.add(bid)
-    return frozenset(out)
-
-
-def detect_stack_balancing_blocks(program: BytecodeProgram) -> frozenset[int]:
-    """JUMP-terminated blocks containing only stack-shuffling instructions."""
-    out = set()
-    for bid, block in program.blocks.items():
-        if block.terminator is not Terminator.JUMP:
-            continue
-        if all(ins.opcode in _BALANCING_OK for ins in block.instructions[:-1]):
             out.add(bid)
     return frozenset(out)
 

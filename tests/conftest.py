@@ -361,12 +361,12 @@ def poly_merge_code() -> bytes:
 
 
 def lost_edge_code() -> bytes:
-    """A balancing block reached once through a folded copy of its address.
+    """A shared return block reached once through a folded copy of its address.
 
     Block 0x0 pushes the continuation 0x20 and jumps to 0x30 + 0 (a folded
     ADD); 0x20 pushes 0x28 and jumps to 0x30 directly. 0x30 is pushed at
-    0x2 and 0x23, so cloning copies it for each push, yet the folded jump
-    out of 0x0 still lands on the original. Concrete edges: 0x0->0x30,
+    0x2 and 0x23, but as the block both calls jump to, not as a
+    continuation, so cloning leaves it shared. Concrete edges: 0x0->0x30,
     0x30->0x20, 0x20->0x30, 0x30->0x28.
     """
     return layout(
@@ -380,13 +380,12 @@ def lost_edge_code() -> bytes:
 
 
 def push_as_data_code() -> bytes:
-    """A balancing-block address pushed once as data and twice as a target.
+    """A return-block address pushed once as data and twice as a target.
 
-    The balancing block 0x20 is pushed at 0x0 as the CALLDATALOAD offset
-    that picks the branch, and at 0xa and 0x15 as the block the two
-    branches jump to, each leaving 0x18 as its return address. Cloning
-    copies 0x20 for all three pushes; the copy for the data push is never
-    jumped to.
+    The return block 0x20 is pushed at 0x0 as the CALLDATALOAD offset that
+    picks the branch, and at 0xa and 0x15 as the block the two branches
+    jump to, each leaving 0x18 as its return address. 0x18 halts, so
+    cloning copies nothing, though two call pushes name it.
     """
     return layout(
         {
@@ -394,6 +393,71 @@ def push_as_data_code() -> bytes:
             0x06: asm("PUSH1 0x18", "PUSH1 0x07", "PUSH1 0x20", "JUMP"),
             0x10: asm("JUMPDEST", "PUSH1 0x18", "PUSH1 0x05", "PUSH1 0x20", "JUMP"),
             0x18: asm("JUMPDEST", "STOP"),
+            0x20: asm("JUMPDEST", "POP", "JUMP"),
+        }
+    )
+
+
+def shared_continuation_code(after: bytes = asm("JUMPDEST", "STOP")) -> bytes:
+    """Two private calls that share one continuation.
+
+    Block 0x0 calls f (0x30) with the continuation k (0x20) pushed at 0x2
+    and 0x10 under it; block 0x10 calls f with k pushed at 0x13 and 0x18
+    under it. f returns to k, and k returns to the address under it. Two
+    call pushes name k, so cloning copies it for each: 0x40 for the push
+    at 0x2, 0x50 for the one at 0x13. after is the block at 0x18, at most
+    8 bytes. Concrete edges: 0x0->0x30, 0x30->0x20, 0x20->0x10,
+    0x10->0x30, 0x20->0x18.
+    """
+    return layout(
+        {
+            0x00: asm("PUSH1 0x10", "PUSH1 0x20", "PUSH1 0x30", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x18", "PUSH1 0x20", "PUSH1 0x30", "JUMP"),
+            0x18: after,
+            0x20: asm("JUMPDEST", "JUMP"),
+            0x30: asm("JUMPDEST", "JUMP"),
+        }
+    )
+
+
+def folded_continuation_code() -> bytes:
+    """shared_continuation_code, but the first call returns through a folded
+    copy of its continuation.
+
+    Block 0x0 leaves the push of k (0x20) at 0x2 and, on top of it, its copy
+    plus 0 (the ADD at 0x7), and calls g (0x38). g drops the push and jumps
+    on the copy, which lands on the original k: only the second call, at
+    0x10, returns through its push, to the clone 0x50. Concrete edges:
+    0x0->0x38, 0x38->0x20, 0x20->0x10, 0x10->0x30, 0x30->0x20, 0x20->0x18.
+    """
+    return layout(
+        {
+            0x00: asm("PUSH1 0x10", "PUSH1 0x20", "DUP1", "PUSH1 0x00", "ADD", "PUSH1 0x38", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x18", "PUSH1 0x20", "PUSH1 0x30", "JUMP"),
+            0x18: asm("JUMPDEST", "STOP"),
+            0x20: asm("JUMPDEST", "JUMP"),
+            0x30: asm("JUMPDEST", "JUMP"),
+            0x38: asm("JUMPDEST", "SWAP1", "POP", "JUMP"),
+        }
+    )
+
+
+def shared_tail_code() -> bytes:
+    """Two calls with different continuations into one shared tail.
+
+    The branches at 0x6 and 0x10 each push their own return address (0x18,
+    0x1c) and an argument, and jump to the tail 0x20, which pops the
+    argument and returns: solc's shared swap/pop/jump function exit. No
+    continuation is named twice, so nothing is cloned, and the tail's
+    return address merges in a PHI.
+    """
+    return layout(
+        {
+            0x00: asm("PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x10", "JUMPI"),
+            0x06: asm("PUSH1 0x18", "PUSH1 0x07", "PUSH1 0x20", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x1c", "PUSH1 0x05", "PUSH1 0x20", "JUMP"),
+            0x18: asm("JUMPDEST", "STOP"),
+            0x1C: asm("JUMPDEST", "STOP"),
             0x20: asm("JUMPDEST", "POP", "JUMP"),
         }
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import asm, chained_call_code, layout, lost_edge_code
+from conftest import asm, chained_call_code, folded_continuation_code, layout
 from evmlift.bytecode import (
     BytecodeError,
     Terminator,
@@ -12,7 +12,7 @@ from evmlift.bytecode import (
     read_bytecode_file,
 )
 from evmlift.cloning import apply_cloning
-from evmlift.facts import PatternFacts
+from evmlift.local import detect_patterns, summarize_program
 from evmlift.opcodes import BY_NAME, TABLE
 from evmlift.values import DefSite, EntrySlot
 
@@ -129,17 +129,19 @@ def test_chained_call_layout_is_byte_exact():
 
 
 def test_jump_target_names_a_clone_only_through_its_push():
-    # 0x30 is pushed at 0x2 (then folded by the ADD at 0x6) and at 0x23.
-    cloned, _ = apply_cloning(extract_blocks(lost_edge_code()), PatternFacts())
-    assert cloned.clone_pushes == {0x2: 0x40, 0x23: 0x50}
+    # k (0x20) is pushed at 0x2 (then folded by the ADD at 0x7) and at 0x13.
+    prog = extract_blocks(folded_continuation_code())
+    cloned, _ = apply_cloning(prog, detect_patterns(prog, summarize_program(prog)))
+    assert cloned.clone_pushes == {0x2: 0x40, 0x13: 0x50}
     # a chosen push names its clone
-    assert cloned.jump_target(DefSite(0x23, 0x30)) == 0x50
+    assert cloned.jump_target(DefSite(0x2, 0x20)) == 0x40
+    assert cloned.jump_target(DefSite(0x13, 0x20)) == 0x50
     # a data constant equal to a clone id names nothing
-    assert cloned.jump_target(DefSite(0x4, 0x50)) is None
+    assert cloned.jump_target(DefSite(0x5, 0x50)) is None
     # a value folded from a chosen push names the jumpdest it carries
-    assert cloned.jump_target(DefSite(0x6, 0x30)) == 0x30
-    assert cloned.jump_target(DefSite(0x6)) is None
-    assert cloned.jump_target(EntrySlot(0x30, 0)) is None
+    assert cloned.jump_target(DefSite(0x7, 0x20)) == 0x20
+    assert cloned.jump_target(DefSite(0x7)) is None
+    assert cloned.jump_target(EntrySlot(0x20, 0)) is None
 
 
 def test_parse_bytecode_text():

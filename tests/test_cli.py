@@ -177,6 +177,31 @@ def test_batch_parallel_matches_serial(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+@pytest.mark.parametrize(("files", "workers"), [(2, [2]), (1, [])])
+def test_batch_starts_no_more_workers_than_files(tmp_path, monkeypatch, files, workers):
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    batch = _make_batch_dir(tmp_path)
+    if files == 1:
+        (batch / "b.hex").unlink()
+    assert main(["lift", "--batch", str(batch), "--jobs", "64"]) == 0
+    assert started == workers
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_batch_goes_on_past_an_unwritable_output(tmp_path, capsys, jobs):
     batch = _make_batch_dir(tmp_path)

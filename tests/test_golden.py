@@ -68,15 +68,15 @@ class Digests(NamedTuple):
 
 GOLDEN = {
     "fixtures": Digests(
-        "86baaa2893f45796b5b1551cabd1d966cffbce65fd8d8728a978af59110750e9",
+        "5882814dc066de9b10e9ff98748540ccc7c18436e50b1aabd3792b02d7b812d7",
         "15224ac6777b67b4be0f73404b72e3e7b5c5007abaa01772b9428035ed6941af",
     ),
     "sound": Digests(
-        "612d4a2fd3801498c6be3a90f7d3946b5c60b09da81ba31130c58d0960bb060f",
+        "e38be9d14e0ed1bead6f3dcce7256ce7b7c1c33228dea178ff469bd4c2a29b19",
         "47fdcddcd9ceeea8e5e986645591d48c0fab9904a0f904df40d550f096be6c23",
     ),
     "deep": Digests(
-        "208199eaf4054b35d4b854e97cf5d7f4ec33506987a80de608423829f81dfa5d",
+        "3e4e87074b65cf3c2020e6c6645bb3e9aceb39d12f1ff7f05f76cc44072cf62e",
         "11f700be8124f54715bbed3bd8b867c6563d3620dcde2b22cc499d045a0cfa54",
     ),
     "dispatch": Digests(
@@ -88,7 +88,7 @@ GOLDEN = {
         "59fe7bafb99d6c89845c0fac9801c78004fba3aaf32c92c642b2a621932bef1f",
     ),
     "random": Digests(
-        "cec1056ab5118fd056c92263b189cbf91554baf25d643793d1efbdaf8bf884c4",
+        "18769ac408cbe12d42570fbf60ff23c739175b11727b59771e80510a41400409",
         "e0ccb1b088ade5d163f86544177e30adc153fe20321963b3388388244d46c839",
     ),
 }
@@ -207,6 +207,23 @@ def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
             assert len(summarized) == len(program.blocks) + len(clones), name
             assert res.summaries == resummarized == summarize_program(res.program), name
     assert cloned_programs
+
+
+@pytest.mark.parametrize("corpus", ["random", "sound"])
+def test_every_clone_copies_a_continuation_two_call_pushes_name(corpus):
+    clones_seen = 0
+    for code in CORPORA[corpus]():
+        program = extract_blocks(code)
+        facts = detect_patterns(program, summarize_program(program))
+        naming: dict[int, set[int]] = {}
+        for _caller, continuation, push_pc in facts.private_call_candidates:
+            naming.setdefault(continuation, set()).add(push_pc)
+        _, clones = apply_cloning(program, facts)
+        for inst in clones:
+            assert inst.push_pc in naming.get(inst.original, ()), (code.hex(), inst)
+            assert len(naming[inst.original]) >= 2, (code.hex(), inst)
+        clones_seen += len(clones)
+    assert clones_seen
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))

@@ -2,7 +2,6 @@
 
 from conftest import (
     asm,
-    balancing_example_code,
     dispatch_pair_code,
     inlined_call_code,
     chained_call_code,
@@ -16,7 +15,6 @@ from evmlift.local import (
     detect_private_call_candidates,
     detect_private_returns,
     detect_public_call_candidates,
-    detect_stack_balancing_blocks,
     summarize_block,
     summarize_program,
 )
@@ -159,14 +157,6 @@ def test_private_call_candidates_on_chained_calls():
         }
     )
     assert detect_private_returns(prog, summaries) == frozenset({0x1C7, 0x1D0})
-
-
-def test_stack_balancing_detection():
-    prog = extract_blocks(balancing_example_code())
-    assert detect_stack_balancing_blocks(prog) == frozenset({0x0})
-    # an arithmetic op disqualifies the block
-    prog2 = extract_blocks(asm("JUMPDEST", "SWAP1", "ADD", "JUMP"))
-    assert detect_stack_balancing_blocks(prog2) == frozenset()
 
 
 def test_detect_patterns_bundles_all_facts():
