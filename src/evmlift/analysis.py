@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TypeVar
 
@@ -42,7 +41,6 @@ _UNDERFLOW_ONLY = frozenset({UNDERFLOW})
 K = TypeVar("K")
 
 
-@dataclass
 class AnalysisResult:
     """Entry envs (block_input), resolved jumps and edges per context.
 
@@ -55,18 +53,27 @@ class AnalysisResult:
     a later run can tell whether it would replay this one (see _replays).
     per_block is built on its first read, which must come after analyze
     returns, and kept with the result, so every reader of one result shares
-    one projection.
+    one projection. A plain class: analyze fills it in place, and per_block
+    is cached in the instance's __dict__.
     """
 
-    block_input: dict[PairKey, Env] = field(default_factory=dict)
-    block_jump_target: set[tuple[Context, int, AbstractValue, int]] = field(default_factory=set)
-    global_block_edge: set[tuple[Context, int, Context, int]] = field(default_factory=set)
-    stop_condition: str = STOP_FIXPOINT
-    fact_count: int = 0
-    transfers: int = 0
-    facts: ConfirmedFacts | None = None
-    cfg: SchemeConfig | None = None
-    fact_limit: int = DEFAULT_FACT_LIMIT
+    def __init__(
+        self,
+        *,
+        block_input: dict[PairKey, Env] | None = None,
+        facts: ConfirmedFacts | None = None,
+        cfg: SchemeConfig | None = None,
+        fact_limit: int = DEFAULT_FACT_LIMIT,
+    ) -> None:
+        self.block_input: dict[PairKey, Env] = {} if block_input is None else block_input
+        self.block_jump_target: set[tuple[Context, int, AbstractValue, int]] = set()
+        self.global_block_edge: set[tuple[Context, int, Context, int]] = set()
+        self.stop_condition = STOP_FIXPOINT
+        self.fact_count = 0
+        self.transfers = 0
+        self.facts = facts
+        self.cfg = cfg
+        self.fact_limit = fact_limit
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         """Context-free projection of the edge relation."""

@@ -8,7 +8,6 @@ as it goes. `Terminator` lives in `opcodes` and is re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,8 +41,7 @@ class Instruction(NamedTuple):
         return BY_NAME[self.opcode].size
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+class BasicBlock(NamedTuple):
     """Maximal straight-line instruction run; id is the pc of its first instruction."""
 
     id: int
@@ -59,8 +57,15 @@ class BasicBlock:
         return self.last.pc + self.last.size
 
 
-@dataclass(frozen=True)
-class BytecodeProgram:
+class _ProgramFields(NamedTuple):
+    code: bytes
+    blocks: dict[int, BasicBlock]
+    jumpdests: frozenset[int]
+    clone_of: dict[int, int]
+    clone_pushes: dict[int, int]
+
+
+class BytecodeProgram(_ProgramFields):
     """A decoded contract: code bytes, block map, and jump-target bookkeeping.
 
     Instructions always hold the bytecode's own values. Block cloning adds
@@ -72,11 +77,25 @@ class BytecodeProgram:
     to the block a jump on it lands on.
     """
 
-    code: bytes
-    blocks: dict[int, BasicBlock]
-    jumpdests: frozenset[int]
-    clone_of: dict[int, int] = field(default_factory=dict)
-    clone_pushes: dict[int, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        code: bytes,
+        blocks: dict[int, BasicBlock],
+        jumpdests: frozenset[int],
+        clone_of: dict[int, int] | None = None,
+        clone_pushes: dict[int, int] | None = None,
+    ) -> BytecodeProgram:
+        # each program gets its own empty maps, never one shared default
+        return super().__new__(
+            cls,
+            code,
+            blocks,
+            jumpdests,
+            {} if clone_of is None else clone_of,
+            {} if clone_pushes is None else clone_pushes,
+        )
 
     def jump_target(self, value: AbstractValue) -> int | None:
         """The block a jump on value lands on, or None when it names none.

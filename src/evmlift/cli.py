@@ -15,11 +15,8 @@ stderr). A batch lifts every file and exits with the worst code.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
-import tempfile
-import traceback
 from pathlib import Path
 
 from .analysis import DEFAULT_FACT_LIMIT, STOP_TIMEOUT
@@ -96,7 +93,13 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    """Write text to a new sibling of path, then rename it over path.
+
+    The sibling is created exclusively with mode 0o666, as open(path, "w")
+    would create path, so the umask sets the output's mode.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -132,6 +135,8 @@ def _batch_worker(job: tuple[str, RunConfig]) -> tuple[str, int, str]:
     try:
         code, detail = _lift_one(path, config)
     except Exception as err:
+        import traceback  # only on a crash, as it loads tokenize and textwrap
+
         traceback.print_exc()
         return path, EXIT_CRASH, f"internal error: {type(err).__name__}: {err}"
     return path, code, detail
@@ -155,6 +160,8 @@ def _run_batch(args: argparse.Namespace) -> int:
     # A forking pool starts all its workers at once, so start no more than there are files.
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        import concurrent.futures  # only here, as it loads logging and inspect
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_worker, jobs))
     else:

@@ -12,14 +12,13 @@ jump on that push's value to it. The transform runs exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
 
 
-@dataclass(frozen=True)
-class CloneInstance:
+class CloneInstance(NamedTuple):
     push_pc: int
     original: int
     clone_id: int

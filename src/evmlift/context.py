@@ -19,7 +19,6 @@ important edges, and is retained as the comparison baseline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .facts import ConfirmedFacts
@@ -36,8 +35,7 @@ DEFAULT_DEPTH: dict[Scheme, int] = {
 }
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(NamedTuple):
     scheme: Scheme
     depth: int
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PatternFacts:
+class PatternFacts(NamedTuple):
     """Raw, unverified pattern-detector output for one program.
 
     public_call_candidates:  (block, selector, target) triples
@@ -20,18 +19,22 @@ class PatternFacts:
     private_returns: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class ConfirmedFacts:
-    """Call facts driving context merges, after any pre-analysis filtering.
-
-    public_calls:  (dispatch block, function entry) pairs
-    private_calls: (caller block, continuation block) pairs
-    """
-
+class _ConfirmedFields(NamedTuple):
     public_calls: frozenset[tuple[int, int]] = frozenset()
     private_calls: frozenset[tuple[int, int]] = frozenset()
     private_returns: frozenset[int] = frozenset()
     important_edges: frozenset[tuple[int, int]] = frozenset()
+
+
+class ConfirmedFacts(_ConfirmedFields):
+    """Call facts driving context merges, after any pre-analysis filtering.
+
+    public_calls:  (dispatch block, function entry) pairs
+    private_calls: (caller block, continuation block) pairs
+
+    Equal field by field, as a tuple. Not slotted, so private_callers, which
+    merge reads on every jump edge, is computed once per object.
+    """
 
     @cached_property
     def private_callers(self) -> frozenset[int]:

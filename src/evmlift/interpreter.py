@@ -11,8 +11,7 @@ supplied valuation and default to zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bytecode import BytecodeProgram
 from .opcodes import BY_NAME, STACK_LIMIT, Terminator
@@ -34,17 +33,30 @@ class _Halt(Exception):
         self.reason = reason
 
 
-@dataclass
-class EnvValuation:
+class _ValuationFields(NamedTuple):
+    calldata: bytes
+    storage: dict[int, int]
+    env: dict[str, int]
+
+
+class EnvValuation(_ValuationFields):
     """One concrete assignment for everything outside the stack."""
 
-    calldata: bytes = b""
-    storage: dict[int, int] = field(default_factory=dict)
-    env: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        calldata: bytes = b"",
+        storage: dict[int, int] | None = None,
+        env: dict[str, int] | None = None,
+    ) -> EnvValuation:
+        # each valuation gets its own empty maps, never one shared default
+        return super().__new__(
+            cls, calldata, {} if storage is None else storage, {} if env is None else env
+        )
 
 
-@dataclass
-class EnvSets:
+class EnvSets(NamedTuple):
     """Candidate values per environment dimension, crossed by enumerate_edges."""
 
     calldatas: Sequence[bytes] = (b"",)
@@ -59,16 +71,14 @@ class EnvSets:
             yield EnvValuation(calldata=cd, storage=dict(st), env=dict(ev))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     visits: tuple[int, ...]
     halted: str
     steps: int
     stack: tuple[int, ...] = ()  # top first, at halt
 
 
-@dataclass(frozen=True)
-class BlockRun:
+class BlockRun(NamedTuple):
     exit_stack: tuple[int, ...]  # top first
     jump_target: int | None = None
     halted: str | None = None

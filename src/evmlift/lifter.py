@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import AnalysisResult, Env, transfer_block
@@ -64,8 +63,7 @@ class TACBlock(NamedTuple):
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class TACProgram:
+class TACProgram(NamedTuple):
     blocks: dict[int, TACBlock]
 
 

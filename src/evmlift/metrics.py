@@ -10,7 +10,7 @@ requires. The stop condition says whether the run even reached a fixpoint.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .analysis import AnalysisResult
 from .bytecode import BytecodeProgram, Terminator
@@ -18,8 +18,7 @@ from .facts import ConfirmedFacts
 from .lifter import PLACEHOLDER, TACProgram
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     polymorphic_jump_target: int
     unresolved_operand: int
     unstructured_control_flow: int
@@ -28,7 +27,7 @@ class MetricsReport:
     stop_condition: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        return json.dumps(self._asdict(), indent=2) + "\n"
 
 
 def compute_metrics(

@@ -19,7 +19,7 @@ reruns, that projection is dropped.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, analyze
 from .bytecode import BytecodeProgram, extract_blocks
@@ -34,8 +34,7 @@ from .preanalysis import PreanalysisOutcome, run_preanalysis
 DEFAULT_TIMEOUT = 200.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     scheme: Scheme = Scheme.SHRINKING
     context_depth: int | None = None
     cloning: bool = True
@@ -50,8 +49,7 @@ class RunConfig:
         return DEFAULT_DEPTH[self.scheme]
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     program: BytecodeProgram
     summaries: dict[int, BlockSummary]
     patterns: PatternFacts

@@ -14,7 +14,7 @@ none of this: its outcome carries the raw candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, Env, analyze, transfer_block
 from .bytecode import BytecodeProgram
@@ -28,8 +28,7 @@ SELECTOR_DIVISOR = 1 << 224
 SELECTOR_MASK = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class PreanalysisOutcome:
+class PreanalysisOutcome(NamedTuple):
     result: AnalysisResult
     confirmed: ConfirmedFacts
     public_call_sites: frozenset[tuple[int, int, int]]  # (block, selector, target)

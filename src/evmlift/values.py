@@ -1,12 +1,12 @@
 """Abstract values tracked by the local and global analyses.
 
 DefSite is a NamedTuple, so the slot sets hash and compare it in C.
-EntrySlot stays a dataclass, so it never equals a DefSite of the same ints.
+EntrySlot is a slotted class and not a tuple, so it never equals a DefSite
+of the same ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -21,12 +21,38 @@ class DefSite(NamedTuple):
     constant: int | None = None
 
 
-@dataclass(frozen=True)
 class EntrySlot:
-    """Placeholder for slot `index` of a block's entry stack (0 is the top)."""
+    """Placeholder for slot `index` of a block's entry stack (0 is the top).
+    Immutable; hashes as the tuple (block, index) but equals only an EntrySlot."""
+
+    __slots__ = ("block", "index")
 
     block: int
     index: int
+
+    def __init__(self, block: int, index: int) -> None:
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"EntrySlot is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"EntrySlot is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EntrySlot:
+            return NotImplemented
+        return self.block == other.block and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.block, self.index))
+
+    def __reduce__(self) -> tuple:
+        return EntrySlot, (self.block, self.index)
+
+    def __repr__(self) -> str:
+        return f"EntrySlot(block={self.block}, index={self.index})"
 
 
 class Underflow:

@@ -1,8 +1,13 @@
 """Command line driver."""
 
 import argparse
+import concurrent.futures
 import json
+import os
 import re
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +67,33 @@ def test_outputs_replace_existing_files_atomically(dispatch_file):
     assert "Begin block" in tac_path.read_text()
     leftovers = [p.name for p in dispatch_file.parent.iterdir() if ".tac." in p.name]
     assert leftovers == []
+
+
+def test_outputs_get_the_mode_of_a_plainly_opened_file(dispatch_file):
+    assert main([str(dispatch_file)]) == 0
+    plain = dispatch_file.parent / "plain.txt"
+    with open(plain, "w"):
+        pass
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    for suffix in (".tac", ".metrics.json"):
+        output = dispatch_file.parent / (dispatch_file.name + suffix)
+        assert stat.S_IMODE(output.stat().st_mode) == mode, suffix
+
+
+def test_import_loads_no_dataclasses_and_no_process_pool():
+    # -S keeps site's own imports out, so what is loaded is what the package loads
+    probe = "import sys, evmlift, evmlift.cli; print(' '.join(sorted(sys.modules)))"
+    src = Path(cli.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(out.stdout.split())
+    assert "evmlift.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "concurrent.futures", "inspect"})
 
 
 def test_parse_error_exits_one(tmp_path, capsys):
@@ -194,7 +226,7 @@ def test_batch_starts_no_more_workers_than_files(tmp_path, monkeypatch, files, w
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     batch = _make_batch_dir(tmp_path)
     if files == 1:
         (batch / "b.hex").unlink()

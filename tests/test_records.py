@@ -1,9 +1,11 @@
-"""The records built once per instruction, value or statement are tuples.
+"""The package's frozen records are tuples.
 
 A tuple subclass is built without a setattr per field and hashes and
 compares in C, which the fixpoint's slot-set unions and the lifter rely on
-for speed. EntrySlot is deliberately not a tuple, and UNDERFLOW is a single
-instance the lifter tests by identity.
+for speed, and a NamedTuple class is defined without the import and class
+decoration cost of a dataclass. ConfirmedFacts is a tuple with an instance
+dict, so it can cache private_callers. EntrySlot is deliberately not a
+tuple, and UNDERFLOW is a single instance the lifter tests by identity.
 """
 
 import copy
@@ -12,16 +14,42 @@ import pickle
 import pytest
 
 from evmlift import analysis, lifter
-from evmlift.bytecode import Instruction, extract_blocks
+from evmlift.bytecode import BasicBlock, BytecodeProgram, Instruction, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
-from evmlift.cloning import apply_cloning
-from evmlift.lifter import TACBlock, TACStatement
+from evmlift.cloning import CloneInstance, apply_cloning
+from evmlift.context import SchemeConfig
+from evmlift.facts import ConfirmedFacts, PatternFacts
+from evmlift.interpreter import BlockRun, EnvSets, EnvValuation, Trace
+from evmlift.lifter import TACBlock, TACProgram, TACStatement
 from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_program
-from evmlift.pipeline import RunConfig, run_pipeline
+from evmlift.metrics import MetricsReport
+from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
+from evmlift.preanalysis import PreanalysisOutcome
 from evmlift.values import UNDERFLOW, DefSite, EntrySlot, Underflow
 from test_golden import CORPORA
 
-RECORDS = (DefSite, Instruction, OpRecord, BlockSummary, TACStatement, TACBlock)
+RECORDS = (
+    DefSite,
+    Instruction,
+    OpRecord,
+    BlockSummary,
+    TACStatement,
+    TACBlock,
+    PatternFacts,
+    BasicBlock,
+    BytecodeProgram,
+    RunConfig,
+    PipelineResult,
+    PreanalysisOutcome,
+    TACProgram,
+    SchemeConfig,
+    CloneInstance,
+    MetricsReport,
+    EnvValuation,
+    EnvSets,
+    Trace,
+    BlockRun,
+)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
@@ -32,12 +60,44 @@ def test_record_is_a_tuple_that_hashes_and_compares_as_one(record):
     assert record.__slots__ == ()  # no per-instance __dict__
 
 
+def test_records_never_share_a_default_map():
+    first, second = BytecodeProgram(b"", {}, frozenset()), BytecodeProgram(b"", {}, frozenset())
+    assert first.clone_of == {} and first.clone_of is not second.clone_of
+    assert first.clone_pushes == {} and first.clone_pushes is not second.clone_pushes
+    assert EnvValuation().storage == {} and EnvValuation().storage is not EnvValuation().storage
+    assert EnvValuation().env == {} and EnvValuation().env is not EnvValuation().env
+
+
+def test_confirmed_facts_compare_by_field_and_compute_private_callers_once():
+    def facts():
+        return ConfirmedFacts(private_calls=frozenset({(0x6, 0x30), (0x8, 0x30)}))
+
+    first = facts()
+    assert first == facts() and hash(first) == hash(facts())
+    assert first != facts()._replace(private_returns=frozenset({0x30}))
+    callers = first.private_callers
+    assert callers == {0x6, 0x8}
+    assert first.private_callers is callers
+
+
 def test_def_site_never_equals_an_entry_slot_of_the_same_ints():
     site, slot = DefSite(1, 2), EntrySlot(1, 2)
     assert site != slot and slot != site
     assert len({site, slot}) == 2
     assert slot not in {site} and site not in {slot}
     assert {site: "def"}.get(slot) is None
+
+
+def test_entry_slot_is_immutable_and_survives_pickles():
+    slot = EntrySlot(1, 2)
+    with pytest.raises(AttributeError):
+        slot.index = 0
+    with pytest.raises(AttributeError):
+        del slot.block
+    assert not hasattr(slot, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(slot, protocol)) == slot
+    assert copy.deepcopy(slot) == slot == EntrySlot(1, 2) != EntrySlot(2, 1)
 
 
 def test_underflow_is_one_instance_through_copies_and_pickles():
