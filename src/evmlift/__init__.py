@@ -28,7 +28,7 @@ from .local import BlockSummary, OpRecord, detect_patterns, summarize_block, sum
 from .metrics import MetricsReport, compute_metrics
 from .pipeline import PipelineResult, RunConfig, run_pipeline
 from .preanalysis import PreanalysisOutcome, run_preanalysis
-from .values import UNDERFLOW, DefSite, EntrySlot
+from .values import UNDERFLOW, entry_slot
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,6 @@ __all__ = [
     "ConfirmedFacts",
     "Context",
     "DEFAULT_DEPTH",
-    "DefSite",
-    "EntrySlot",
     "EnvSets",
     "EnvValuation",
     "Instruction",
@@ -67,6 +65,7 @@ __all__ = [
     "concrete_execute",
     "detect_patterns",
     "disassemble",
+    "entry_slot",
     "enumerate_edges",
     "extract_blocks",
     "lift",

@@ -18,10 +18,10 @@ from functools import cached_property
 from typing import TypeVar
 
 from .bytecode import BytecodeProgram, Terminator
-from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge
+from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge, merge_sources
 from .facts import ConfirmedFacts
 from .local import BlockSummary
-from .values import UNDERFLOW, AbstractValue, EntrySlot, sort_key
+from .values import UNDERFLOW, AbstractValue, entry_slot
 
 STOP_FIXPOINT = "fixpoint"
 STOP_FACT_LIMIT = "fact-limit"
@@ -33,6 +33,7 @@ MAX_STACK_DEPTH = 100
 
 # Slot sets are frozensets shared between envs and keys; none is ever
 # mutated, so passing one through a block or into a store needs no copy.
+# They hold def sites and UNDERFLOW only, never an entry slot (see values).
 Env = dict[int, frozenset[AbstractValue]]
 PairKey = tuple[Context, int]
 
@@ -51,10 +52,10 @@ class AnalysisResult:
     replaced by a new set, never updated in place. facts and cfg are what
     the run merged contexts under and fact_limit the limit it ran under, so
     a later run can tell whether it would replay this one (see _replays).
-    per_block is built on its first read, which must come after analyze
-    returns, and kept with the result, so every reader of one result shares
-    one projection. A plain class: analyze fills it in place, and per_block
-    is cached in the instance's __dict__.
+    per_block and edge_pairs are built on their first read, which must
+    come after analyze returns, and kept with the result, so every reader
+    of one result shares one projection. A plain class: analyze fills it in
+    place, and both projections are cached in the instance's __dict__.
     """
 
     def __init__(
@@ -77,6 +78,10 @@ class AnalysisResult:
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         """Context-free projection of the edge relation."""
+        return self._edge_pairs
+
+    @cached_property
+    def _edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((b, b2) for _c, b, _c2, b2 in self.global_block_edge)
 
     @cached_property
@@ -99,8 +104,8 @@ def transfer_block(summary: BlockSummary, input_env: Env) -> Env:
     produced = summary.produced
     out: Env = {}
     for j, value in enumerate(produced[:MAX_STACK_DEPTH]):
-        if isinstance(value, EntrySlot):
-            out[j] = input_env.get(value.index) or _UNDERFLOW_ONLY
+        if value < UNDERFLOW:
+            out[j] = input_env.get(entry_slot(value)) or _UNDERFLOW_ONLY
         else:
             out[j] = frozenset((value,))
     shift = len(produced) - summary.consumed_depth
@@ -215,71 +220,78 @@ def analyze(
     result = AnalysisResult(facts=facts, cfg=cfg, fact_limit=fact_limit)
     if 0 not in program.blocks:
         return result
-    jump_target = program.jump_target
+    jump_target = program.targets.get
+    sources = merge_sources(facts)
 
-    queue: deque[PairKey] = deque()
-    queued: set[PairKey] = set()
+    # Per block that is not too deep: its summary, the value it jumps on
+    # (None when it does not jump), its fallthrough block in the program
+    # (None when it has none), and whether merge can change the context.
+    plan: dict[int, tuple[BlockSummary, AbstractValue | None, int | None, bool]] = {}
+    for bid, summary in summaries.items():
+        if summary.too_deep:
+            continue
+        block = program.blocks[bid]
+        jumps = block.terminator in (Terminator.JUMP, Terminator.CONDITIONAL_JUMP)
+        falls = block.terminator in (Terminator.CONDITIONAL_JUMP, Terminator.FALLTHROUGH)
+        fall = block.fallthrough_pc if falls and block.fallthrough_pc in program.blocks else None
+        plan[bid] = (summary, summary.target_expr if jumps else None, fall, bid in sources)
 
-    def schedule(key: PairKey) -> None:
-        if key not in queued:
-            queued.add(key)
-            queue.append(key)
-
-    def propagate(key: PairKey, env: Env) -> None:
-        # A new key may add no tuple (the empty entry env, or the successor
-        # of an empty exit stack) and must still be transferred once.
-        new = key not in result.block_input
-        added = _join(result.block_input, key, env)
-        result.fact_count += added
-        if added or new:
-            schedule(key)
-
-    propagate((INITIAL_CONTEXT, 0), {})
+    # Every relation only grows, so the facts so far are the two sets' sizes
+    # plus the entry-env tuples each join added.
+    block_input = result.block_input
+    jump_facts = result.block_jump_target
+    edges = result.global_block_edge
+    env_facts = transfers = 0
+    stop = STOP_FIXPOINT
+    start: PairKey = (INITIAL_CONTEXT, 0)
+    block_input[start] = {}
+    queue: deque[PairKey] = deque((start,))
+    queued: set[PairKey] = {start}
 
     while queue:
-        if result.fact_count > fact_limit:
-            result.stop_condition = STOP_FACT_LIMIT
-            return result
+        if env_facts + len(jump_facts) + len(edges) > fact_limit:
+            stop = STOP_FACT_LIMIT
+            break
         if time.monotonic() > deadline:
-            result.stop_condition = STOP_TIMEOUT
-            return result
+            stop = STOP_TIMEOUT
+            break
 
         key = queue.popleft()
         queued.discard(key)
         ctx, bid = key
-        summary = summaries[bid]
-        if summary.too_deep:
+        step = plan.get(bid)
+        if step is None:
             continue
-        result.transfers += 1
+        summary, jump, fall, merges = step
+        transfers += 1
 
-        input_env = result.block_input[key]
+        input_env = block_input[key]
         out_env = transfer_block(summary, input_env)
+        succs: list[PairKey] = []
+        if jump is not None:
+            # UNDERFLOW names no block, so an empty slot jumps nowhere.
+            values = sorted(input_env.get(entry_slot(jump), ())) if jump < UNDERFLOW else (jump,)
+            for value in values:
+                target = jump_target(value)
+                if target is not None:
+                    ctx2 = merge(cfg, facts, ctx, bid, target) if merges else ctx
+                    jump_facts.add((ctx, bid, value, target))
+                    edges.add((ctx, bid, ctx2, target))
+                    succs.append((ctx2, target))
+        if fall is not None:
+            edges.add((ctx, bid, ctx, fall))
+            succs.append((ctx, fall))
+        for succ in succs:
+            # A new key may add no tuple (the successor of an empty exit
+            # stack) and must still be transferred once.
+            new = succ not in block_input
+            added = _join(block_input, succ, out_env)
+            env_facts += added
+            if (added or new) and succ not in queued:
+                queued.add(succ)
+                queue.append(succ)
 
-        block = program.blocks[bid]
-        if block.terminator in (Terminator.JUMP, Terminator.CONDITIONAL_JUMP):
-            if isinstance(summary.target_expr, EntrySlot):
-                targets = input_env.get(summary.target_expr.index) or _UNDERFLOW_ONLY
-            else:
-                targets = {summary.target_expr}
-            for value in sorted(targets, key=sort_key):
-                const = jump_target(value)
-                if const is None:
-                    continue
-                before = len(result.block_jump_target)
-                result.block_jump_target.add((ctx, bid, value, const))
-                result.fact_count += len(result.block_jump_target) - before
-                ctx2 = merge(cfg, facts, ctx, bid, const)
-                before = len(result.global_block_edge)
-                result.global_block_edge.add((ctx, bid, ctx2, const))
-                result.fact_count += len(result.global_block_edge) - before
-                propagate((ctx2, const), out_env)
-        if block.terminator in (Terminator.CONDITIONAL_JUMP, Terminator.FALLTHROUGH):
-            succ = block.fallthrough_pc
-            if succ in program.blocks:
-                before = len(result.global_block_edge)
-                result.global_block_edge.add((ctx, bid, ctx, succ))
-                result.fact_count += len(result.global_block_edge) - before
-                propagate((ctx, succ), out_env)
-
-    result.stop_condition = STOP_FIXPOINT
+    result.stop_condition = stop
+    result.fact_count = env_facts + len(jump_facts) + len(edges)
+    result.transfers = transfers
     return result

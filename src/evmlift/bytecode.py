@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .opcodes import BY_NAME, TABLE, Terminator
-from .values import AbstractValue, constant_of
+from .values import AbstractValue
 
 MAX_CODE_SIZE = 24576
 
@@ -63,6 +63,8 @@ class _ProgramFields(NamedTuple):
     jumpdests: frozenset[int]
     clone_of: dict[int, int]
     clone_pushes: dict[int, int]
+    constants: dict[int, int]
+    targets: dict[int, int]
 
 
 class BytecodeProgram(_ProgramFields):
@@ -72,9 +74,12 @@ class BytecodeProgram(_ProgramFields):
     copies of blocks past the end of the code and records two maps, both
     empty for freshly decoded programs: clone_of takes each clone id to the
     original block it copies, and clone_pushes takes the pc of each push
-    cloning chose to the clone it names. A clone is a name for a jump
-    target, not a value, so jump_target is the one rule that maps a value
-    to the block a jump on it lands on.
+    cloning chose to the clone it names. The local pass fills the last two
+    maps through record_constants: constants takes the pc of each def site
+    whose value is statically known to that value, and targets takes it to
+    the block a jump on the value lands on. A clone is a name for a jump
+    target, not a value, so record_constants holds the one rule that maps
+    a value to a block, and jump_target reads it back.
     """
 
     __slots__ = ()
@@ -86,6 +91,8 @@ class BytecodeProgram(_ProgramFields):
         jumpdests: frozenset[int],
         clone_of: dict[int, int] | None = None,
         clone_pushes: dict[int, int] | None = None,
+        constants: dict[int, int] | None = None,
+        targets: dict[int, int] | None = None,
     ) -> BytecodeProgram:
         # each program gets its own empty maps, never one shared default
         return super().__new__(
@@ -95,23 +102,30 @@ class BytecodeProgram(_ProgramFields):
             jumpdests,
             {} if clone_of is None else clone_of,
             {} if clone_pushes is None else clone_pushes,
+            {} if constants is None else constants,
+            {} if targets is None else targets,
         )
 
-    def jump_target(self, value: AbstractValue) -> int | None:
-        """The block a jump on value lands on, or None when it names none.
+    def record_constants(self, constants: dict[int, int]) -> None:
+        """Add def-site constants and the block a jump on each lands on.
 
         The value of a push cloning chose names that push's clone. Any other
         constant names the jumpdest it equals: a data constant that equals a
         clone id names no block, and a value folded from a chosen push names
         the jumpdest it carries, as the bytecode would jump.
         """
-        const = constant_of(value)
-        if const is None:
-            return None
-        clone = self.clone_pushes.get(value.pc)
-        if clone is not None:
-            return clone
-        return const if const in self.jumpdests else None
+        self.constants.update(constants)
+        clones, jumpdests, targets = self.clone_pushes, self.jumpdests, self.targets
+        for pc, const in constants.items():
+            target = clones.get(pc)
+            if target is not None:
+                targets[pc] = target
+            elif const in jumpdests:
+                targets[pc] = const
+
+    def jump_target(self, value: AbstractValue) -> int | None:
+        """The block a jump on value lands on, or None when it names none."""
+        return self.targets.get(value)
 
 
 def _within_limit(code: bytes) -> bytes:

@@ -6,8 +6,8 @@ of its call pushes gets a private copy of the block, placed at a fresh id
 past the end of the code, so each copy sees one call. Cloning decides
 which block a jump lands on; it does not change what the bytecode
 computes. No instruction is rewritten: the copy is named by its push's pc
-(BytecodeProgram.clone_pushes) and BytecodeProgram.jump_target resolves a
-jump on that push's value to it. The transform runs exactly once.
+(BytecodeProgram.clone_pushes), and a jump on that push's value resolves
+to it (BytecodeProgram.record_constants). The transform runs exactly once.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ def apply_cloning(
     """Copy each candidate block per push site and name each copy by its push.
 
     The result shares program's code and every one of its blocks, so only
-    the clones need a summary (see local.summarize_program).
+    the clones need a summary (see local.summarize_program). It records
+    program's constants under the clone pushes, so each chosen push names
+    its clone.
     """
     candidates = select_clone_candidates(program, facts)
     if not candidates:
@@ -81,4 +83,5 @@ def apply_cloning(
         clone_of={inst.clone_id: inst.original for inst in instances},
         clone_pushes={inst.push_pc: inst.clone_id for inst in instances},
     )
+    cloned.record_constants(program.constants)
     return cloned, tuple(instances)

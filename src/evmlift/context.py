@@ -73,6 +73,18 @@ def merge(
     return _merge_shrinking(cfg, facts, ctx, cur, nxt)
 
 
+def merge_sources(facts: ConfirmedFacts) -> frozenset[int]:
+    """The blocks out of which merge can change the context: the sources of
+    public calls and important edges, private callers and private returns.
+    Under either scheme, merge returns ctx itself on a jump out of any other
+    block."""
+    return (
+        frozenset(cur for cur, _nxt in facts.public_calls | facts.important_edges)
+        | facts.private_callers
+        | facts.private_returns
+    )
+
+
 def _merge_shrinking(
     cfg: SchemeConfig,
     facts: ConfirmedFacts,

@@ -1,26 +1,26 @@
 """Lifting analysis results to three-address code.
 
 Every block the global analysis visited becomes one IR block, with the
-per-context environments merged. Entry-stack reads turn into names: a slot
-with a single incoming value uses that value's name directly, a slot with
-several gets a PHI, and a slot the analysis knows nothing about reads as
-the placeholder "?". Call blocks whose unique jump target is a confirmed
-private entry render as CALLPRIVATE, carrying the target and the argument
-slots up to and including the pushed continuation address. Statements and
+per-context environments merged. The def site at pc is named v<pc> in hex.
+Entry-stack reads turn into names: a slot with a single incoming value uses
+that value's name directly, a slot with several gets a PHI, and a slot the
+analysis knows nothing about reads as the placeholder "?". Call blocks
+whose unique jump target is a confirmed private entry render as
+CALLPRIVATE, carrying the target and the argument slots up to and
+including the pushed continuation address. Statements and
 blocks are NamedTuples, built without a setattr per field and compared in C.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from typing import NamedTuple
 
 from .analysis import AnalysisResult, Env, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary
-from .values import UNDERFLOW, AbstractValue, DefSite, EntrySlot, sort_key
+from .values import UNDERFLOW, AbstractValue, entry_slot
 
 PLACEHOLDER = "?"
 RULE = "=" * 33
@@ -67,10 +67,13 @@ class TACProgram(NamedTuple):
     blocks: dict[int, TACBlock]
 
 
-def _value_name(value: AbstractValue) -> str:
-    if isinstance(value, DefSite):
-        return f"v{value.pc:x}"
-    raise ValueError(f"unnameable value {value!r}")
+class _Names(dict):
+    """Def site -> its name, each built once per lift and shared by every
+    statement that names the value."""
+
+    def __missing__(self, value: AbstractValue) -> str:
+        name = self[value] = f"v{value:x}"
+        return name
 
 
 def lift(
@@ -84,13 +87,14 @@ def lift(
     edges: dict[int, set[int]] = {}
     for bid, succ in result.edge_pairs():
         edges.setdefault(bid, set()).add(succ)
-    jump_target = program.jump_target
+    jump_target = program.targets.get
     private_entries = frozenset(
         target
         for caller, _cont in confirmed.private_calls
         if (target := jump_target(summaries[caller].target_expr)) is not None
     )
     continuations = frozenset(cont for _caller, cont in confirmed.private_calls)
+    names = _Names()
 
     lifted: dict[int, tuple[tuple[TACStatement, ...], tuple[int, ...]]] = {}
     for bid, entry in sorted(result.per_block.items()):
@@ -101,7 +105,7 @@ def lift(
             and len(targets) == 1
             and not private_entries.isdisjoint(targets)
         )
-        block = _lift_block(bid, summaries[bid], entry, targets, is_call, jump_target, continuations)
+        block = _lift_block(bid, summaries[bid], entry, targets, is_call, program, continuations, names)
         if block is not None:
             lifted[bid] = block
 
@@ -124,8 +128,9 @@ def _lift_block(
     entry: Env,
     succs: set[int],
     is_call: bool,
-    jump_target: Callable[[AbstractValue], int | None],
+    program: BytecodeProgram,
     continuations: frozenset[int],
+    names: _Names,
 ) -> tuple[tuple[TACStatement, ...], tuple[int, ...]] | None:
     """(statements, succs) of one block, or None when an entry slot it reads
     mixes UNDERFLOW with values.
@@ -135,6 +140,7 @@ def _lift_block(
     returns to the blocks that slot names. A call with no such slot passes
     its target alone and keeps its jump edge.
     """
+    jump_target = program.targets.get
     produced = summary.produced
     args: tuple[AbstractValue, ...] = ()
     if is_call:
@@ -149,31 +155,34 @@ def _lift_block(
             # Exit slot j is produced[j], or else an entry slot passed through.
             shift = len(produced) - summary.consumed_depth
             args = tuple(
-                produced[j] if j < len(produced) else EntrySlot(bid, j - shift) for j in range(cont_slot + 1)
+                produced[j] if j < len(produced) else entry_slot(j - shift) for j in range(cont_slot + 1)
             )
             succs = set(map(jump_target, out[cont_slot])) - {None}
 
     tokens: dict[int, str] = {}  # entry slot -> token
     statements: list[TACStatement] = []
-    read = summary.read_slots().union(v.index for v in args if isinstance(v, EntrySlot))
+    read = summary.read_slots().union(entry_slot(v) for v in args if v < UNDERFLOW)
     for slot in sorted(read):
-        values = entry.get(slot, frozenset())
-        real = sorted((v for v in values if v is not UNDERFLOW), key=sort_key)
+        real = sorted(entry.get(slot, ()))
+        if real and real[0] == UNDERFLOW:  # UNDERFLOW sorts first
+            if len(real) > 1:
+                return None
+            real.clear()
         if not real:
             tokens[slot] = PLACEHOLDER
-        elif UNDERFLOW in values:
-            return None
         elif len(real) == 1:
-            tokens[slot] = _value_name(real[0])
+            tokens[slot] = names[real[0]]
         else:
             def_name = tokens[slot] = f"v{bid:x}_{slot:x}"
-            operands = tuple(_value_name(v) for v in real)
+            operands = tuple(map(names.__getitem__, real))
             statements.append(TACStatement(f"0x{bid:x}_0x{slot:x}", "PHI", operands, def_name))
 
     def token(value: AbstractValue) -> str:
-        if isinstance(value, EntrySlot):
-            return tokens.get(value.index, PLACEHOLDER)
-        return _value_name(value)
+        if value < UNDERFLOW:
+            return tokens.get(entry_slot(value), PLACEHOLDER)
+        return names[value]
+
+    constants = program.constants
 
     for rec in summary.ops:
         if is_call and rec.opcode == "JUMP":
@@ -190,8 +199,8 @@ def _lift_block(
                 f"0x{rec.pc:x}",
                 "CONST" if rec.opcode.startswith("PUSH") else rec.opcode,
                 tuple(map(token, rec.operands)),
-                None if result is None else _value_name(result),
-                None if result is None else result.constant,
+                None if result is None else names[result],
+                None if result is None else constants.get(result),
             )
         )
     return tuple(statements), tuple(sorted(succs))

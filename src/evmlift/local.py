@@ -4,6 +4,8 @@ Each block is executed once over an unbounded stack of entry placeholders.
 The resulting summary is the only thing the global analysis ever needs from
 the block's instructions. Summaries and op records are NamedTuples, one per
 block or instruction, built without a setattr per field and hashed in C.
+Their values are ints (see values); the constants the pass knows for pushes
+and folded results go into the program's pc -> constant table.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
 from .interpreter import binop
 from .opcodes import BY_NAME, STACK_LIMIT
-from .values import AbstractValue, DefSite, EntrySlot, constant_of
+from .values import UNDERFLOW, AbstractValue, entry_slot
 
 MAX_SELECTOR = 0xFFFFFFFF
 
@@ -49,13 +51,15 @@ class BlockSummary(NamedTuple):
 
     def read_slots(self) -> frozenset[int]:
         """Entry-slot indices any instruction actually consumes."""
-        return frozenset(v.index for rec in self.ops for v in rec.operands if isinstance(v, EntrySlot))
+        return frozenset(entry_slot(v) for rec in self.ops for v in rec.operands if v < UNDERFLOW)
 
 
 def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary:
+    """Summary of block; records the constants it knows in program."""
     stack: list[AbstractValue] = []  # top of stack at the end
     depth = 0
     ops: list[OpRecord] = []
+    constants: dict[int, int] = {}
     target_expr: AbstractValue | None = None
     cond_expr: AbstractValue | None = None
     too_deep = False
@@ -63,7 +67,7 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
     def need(n: int) -> None:
         nonlocal depth
         while len(stack) < n:
-            stack.insert(0, EntrySlot(block.id, depth))
+            stack.insert(0, entry_slot(depth))
             depth += 1
 
     def pop(n: int) -> list[AbstractValue]:
@@ -75,9 +79,9 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
     for ins in block.instructions:
         info = BY_NAME[ins.opcode]
         if info.is_push:
-            result = DefSite(ins.pc, ins.pushed_value)
-            stack.append(result)
-            ops.append(OpRecord(ins.pc, ins.opcode, (), result))
+            constants[ins.pc] = ins.pushed_value
+            stack.append(ins.pc)
+            ops.append(OpRecord(ins.pc, ins.opcode, (), ins.pc))
         elif info.dup_index:
             need(info.dup_index)
             stack.append(stack[-info.dup_index])
@@ -98,21 +102,21 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
             operands = pop(info.pops)
             result = None
             if info.pushes:
-                consts = [constant_of(v) for v in operands]
-                if ins.opcode in FOLDABLE and all(c is not None for c in consts):
-                    result = DefSite(ins.pc, binop(ins.opcode, *consts))
-                else:
-                    result = DefSite(ins.pc)
+                result = ins.pc
+                if ins.opcode in FOLDABLE:
+                    consts = [constants.get(v) for v in operands]
+                    if None not in consts:
+                        constants[result] = binop(ins.opcode, *consts)
                 stack.append(result)
             ops.append(OpRecord(ins.pc, ins.opcode, tuple(operands), result))
         if depth > STACK_LIMIT:
             too_deep = True
             break
 
-    local_target = None
-    if isinstance(target_expr, DefSite) and target_expr.constant is not None:
-        if target_expr.constant < len(program.code):
-            local_target = target_expr.constant
+    program.record_constants(constants)
+    local_target = constants.get(target_expr)
+    if local_target is not None and local_target >= len(program.code):
+        local_target = None
 
     return BlockSummary(
         depth, tuple(reversed(stack)), target_expr, cond_expr, local_target, tuple(ops), too_deep
@@ -126,8 +130,9 @@ def summarize_program(
 
     A summary depends only on the block and len(program.code), so a block
     id in known, summarized over the same code and blocks, keeps that
-    summary. apply_cloning returns every original block unchanged, so with
-    the first summaries as known only the clones are summarized.
+    summary. apply_cloning returns every original block unchanged and
+    copies its constants into the cloned program, so with the first
+    summaries as known only the clones are summarized and recorded.
     """
     known = known or {}
     return {
@@ -140,8 +145,8 @@ def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpReco
     """Follow at most two ISZEROs from the JUMPI condition back to an EQ."""
     by_pc = {rec.pc: rec for rec in summary.ops}
     hops = 0
-    while isinstance(value, DefSite) and value.pc in by_pc:
-        rec = by_pc[value.pc]
+    while value in by_pc:
+        rec = by_pc[value]
         if rec.opcode == "EQ":
             return rec
         if rec.opcode == "ISZERO" and hops < 2:
@@ -174,14 +179,8 @@ def detect_public_call_candidates(
         eq = chase_condition_to_eq(summary, summary.cond_expr)
         if eq is None:
             continue
-        selector = next(
-            (
-                c
-                for c in (constant_of(eq.operands[0]), constant_of(eq.operands[1]))
-                if c is not None and c <= MAX_SELECTOR
-            ),
-            None,
-        )
+        consts = map(program.constants.get, eq.operands)
+        selector = next((c for c in consts if c is not None and c <= MAX_SELECTOR), None)
         if selector is not None:
             out.add((bid, selector, target))
     return frozenset(out)
@@ -207,22 +206,26 @@ def detect_private_call_candidates(
         push_pcs = {ins.pc for ins in block.instructions if ins.pushed_value is not None}
         seen: set[int] = set()
         for value in summary.produced:
-            if not isinstance(value, DefSite) or value.pc not in push_pcs or value.pc in seen:
+            if value not in push_pcs or value in seen:
                 continue
             continuation = program.jump_target(value)
             if continuation is not None:
-                seen.add(value.pc)
-                out.add((bid, continuation, value.pc))
+                seen.add(value)
+                out.add((bid, continuation, value))
     return frozenset(out)
 
 
 def detect_private_returns(
     program: BytecodeProgram, summaries: dict[int, BlockSummary]
 ) -> frozenset[int]:
-    """Blocks whose JUMP target comes off the entry stack rather than from the block."""
+    """Blocks whose JUMP target comes off the entry stack rather than from the block.
+
+    A too-deep block that stopped before its JUMP has no target_expr.
+    """
     out = set()
     for bid, summary in summaries.items():
-        if program.blocks[bid].terminator is Terminator.JUMP and isinstance(summary.target_expr, EntrySlot):
+        target = summary.target_expr
+        if program.blocks[bid].terminator is Terminator.JUMP and target is not None and target < UNDERFLOW:
             out.add(bid)
     return frozenset(out)
 

@@ -6,8 +6,9 @@ confirmation, the main context-sensitive analysis, lifting, metrics. All
 phases share one wall-clock deadline. Cloning rewrites no instruction and
 returns every original block unchanged, so the second local pass
 summarizes only the clones; every other block keeps its first summary.
-Every phase maps a value to a block through BytecodeProgram.jump_target,
-the one rule that names clones. The pre-analysis decides what it confirms,
+Every phase maps a value to a block through one pc -> block table,
+BytecodeProgram.targets, which the local passes and cloning fill by the
+one rule that names clones (BytecodeProgram.record_constants). The pre-analysis decides what it confirms,
 also when it stops short; the main pass runs under those facts and the
 same fact limit, so it returns the pre-analysis result whenever it would
 replay it, also when the limit stopped it. Each analysis result owns its

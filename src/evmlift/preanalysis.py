@@ -21,7 +21,7 @@ from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
 from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
 from .local import BlockSummary, chase_condition_to_eq
-from .values import AbstractValue, EntrySlot, constant_of
+from .values import UNDERFLOW, AbstractValue, entry_slot
 
 SELECTOR_SHIFT = 0xE0
 SELECTOR_DIVISOR = 1 << 224
@@ -34,15 +34,12 @@ class PreanalysisOutcome(NamedTuple):
     public_call_sites: frozenset[tuple[int, int, int]]  # (block, selector, target)
 
 
-def _values(per_block: dict[int, Env], operand: AbstractValue) -> frozenset[AbstractValue]:
-    """The values operand can hold, over every context's entry env."""
-    if isinstance(operand, EntrySlot):
-        return per_block.get(operand.block, {}).get(operand.index, frozenset())
+def _values(entry: Env, operand: AbstractValue) -> frozenset[AbstractValue]:
+    """The values an operand of a block can hold, given the block's entry
+    env over every context."""
+    if operand < UNDERFLOW:
+        return entry.get(entry_slot(operand), frozenset())
     return frozenset((operand,))
-
-
-def _has_constant(per_block: dict[int, Env], operand: AbstractValue, constant: int) -> bool:
-    return any(constant_of(v) == constant for v in _values(per_block, operand))
 
 
 def confirm_private_calls(
@@ -50,7 +47,7 @@ def confirm_private_calls(
 ) -> frozenset[tuple[int, int, int]]:
     """Keep call triples whose pushed continuation is jumped to somewhere:
     some jump on the value of the push at push_pc lands on cont."""
-    jumped = {(value.pc, target) for _ctx, _bid, value, target in result.block_jump_target}
+    jumped = {(value, target) for _ctx, _bid, value, target in result.block_jump_target}
     return frozenset(
         (caller, cont, push_pc)
         for caller, cont, push_pc in raw.private_call_candidates
@@ -59,45 +56,49 @@ def confirm_private_calls(
 
 
 def selector_values(
-    summaries: dict[int, BlockSummary], per_block: dict[int, Env]
+    summaries: dict[int, BlockSummary], per_block: dict[int, Env], constants: dict[int, int]
 ) -> frozenset[AbstractValue]:
     """Values derived from the first four bytes of call data.
 
     Seeds are loads of call-data word zero narrowed by a 224-bit shift or
     division; masking a member with 0xffffffff keeps membership, applied to
-    a fixpoint so chained masks stay in the set.
+    a fixpoint so chained masks stay in the set. constants is the
+    program's pc -> constant table.
     """
-    records = [rec for s in summaries.values() for rec in s.ops]
+    records = [(per_block.get(bid, {}), rec) for bid, s in summaries.items() for rec in s.ops]
+
+    def has_constant(entry: Env, operand: AbstractValue, constant: int) -> bool:
+        return any(constants.get(v) == constant for v in _values(entry, operand))
 
     calldata_zero: set[AbstractValue] = set()
-    for rec in records:
-        if rec.opcode == "CALLDATALOAD" and _has_constant(per_block, rec.operands[0], 0):
+    for entry, rec in records:
+        if rec.opcode == "CALLDATALOAD" and has_constant(entry, rec.operands[0], 0):
             calldata_zero.add(rec.result)
 
     selectors: set[AbstractValue] = set()
-    for rec in records:
+    for entry, rec in records:
         if rec.opcode == "SHR":
-            if _has_constant(per_block, rec.operands[0], SELECTOR_SHIFT) and (
-                _values(per_block, rec.operands[1]) & calldata_zero
+            if has_constant(entry, rec.operands[0], SELECTOR_SHIFT) and (
+                _values(entry, rec.operands[1]) & calldata_zero
             ):
                 selectors.add(rec.result)
         elif rec.opcode == "DIV":
-            if _has_constant(per_block, rec.operands[1], SELECTOR_DIVISOR) and (
-                _values(per_block, rec.operands[0]) & calldata_zero
+            if has_constant(entry, rec.operands[1], SELECTOR_DIVISOR) and (
+                _values(entry, rec.operands[0]) & calldata_zero
             ):
                 selectors.add(rec.result)
 
     grew = True
     while grew:
         grew = False
-        for rec in records:
+        for entry, rec in records:
             if rec.opcode != "AND" or rec.result in selectors:
                 continue
             a, b = rec.operands
             masked = (
-                _has_constant(per_block, a, SELECTOR_MASK) and _values(per_block, b) & selectors
+                has_constant(entry, a, SELECTOR_MASK) and _values(entry, b) & selectors
             ) or (
-                _has_constant(per_block, b, SELECTOR_MASK) and _values(per_block, a) & selectors
+                has_constant(entry, b, SELECTOR_MASK) and _values(entry, a) & selectors
             )
             if masked:
                 selectors.add(rec.result)
@@ -117,7 +118,8 @@ def confirm_public_calls(
         eq = chase_condition_to_eq(summary, summary.cond_expr)
         if eq is None:
             continue
-        if any(_values(per_block, op) & selectors for op in eq.operands):
+        entry = per_block.get(bid, {})
+        if any(_values(entry, op) & selectors for op in eq.operands):
             kept.add((bid, selector, target))
     return frozenset(kept)
 
@@ -138,7 +140,7 @@ def compute_important_edges(
     jump resolved more precisely. The edge is blamed only if no
     predecessor's output was already imprecise in that slot.
     """
-    jump_target = program.jump_target
+    jump_target = program.targets.get
 
     def imprecise(env: Env) -> set[int]:
         # The size test first: most slots hold one value and cost no scan.
@@ -193,7 +195,7 @@ def run_preanalysis(
         return PreanalysisOutcome(result, raw_facts, raw.public_call_candidates)
 
     private_triples = confirm_private_calls(raw, result)
-    selectors = selector_values(summaries, result.per_block)
+    selectors = selector_values(summaries, result.per_block, program.constants)
     public_triples = confirm_public_calls(raw, summaries, result.per_block, selectors)
     confirmed = ConfirmedFacts(
         public_calls=frozenset((bid, target) for bid, _sel, target in public_triples),

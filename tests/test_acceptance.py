@@ -206,7 +206,7 @@ def test_criterion_4_preanalysis_filters_and_blames():
         _, outcome = _preanalyze(code_address_merge_code())
         prog = extract_blocks(code_address_merge_code())
         expected = rule_based_important_edges(
-            outcome.result, summarize_program(prog), prog.jumpdests, prog.clone_pushes
+            outcome.result, summarize_program(prog), prog.constants, prog.jumpdests, prog.clone_pushes
         )
         assert expected == frozenset({(0x6, 0x1C), (0x10, 0x1C)})
         assert outcome.confirmed.important_edges == expected

@@ -27,7 +27,7 @@ from evmlift.context import DEFAULT_DEPTH, INITIAL_CONTEXT, Context, Scheme, Sch
 from evmlift.facts import ConfirmedFacts, raw_confirmed
 from evmlift.local import summarize_block, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
-from evmlift.values import UNDERFLOW, DefSite, EntrySlot
+from evmlift.values import UNDERFLOW
 
 
 def _summary(code: bytes, bid: int = 0):
@@ -35,13 +35,14 @@ def _summary(code: bytes, bid: int = 0):
     return summarize_block(prog.blocks[bid], prog)
 
 
-A, B, C = DefSite(0x100, 0xA), DefSite(0x101, 0xB), DefSite(0x102, 0xC)
+A, B, C = 0x100, 0x101, 0x102  # def sites
 
 
 def test_transfer_constants():
-    summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out = transfer_block(summary, {})
-    assert out == {0: {DefSite(0x0, 0x07)}}
+    prog = extract_blocks(asm("PUSH1 0x07", "STOP"))
+    out = transfer_block(summarize_block(prog.blocks[0], prog), {})
+    assert out == {0: {0x0}}
+    assert prog.constants == {0x0: 0x07}
 
 
 def test_transfer_shifts_passthrough_slots():
@@ -50,7 +51,7 @@ def test_transfer_shifts_passthrough_slots():
     assert out == {0: {B}}
     summary = _summary(asm("PUSH1 0x07", "STOP"))
     out = transfer_block(summary, {0: {A}})
-    assert out == {0: {DefSite(0x0, 0x07)}, 1: {A}}
+    assert out == {0: {0x0}, 1: {A}}
 
 
 def test_transfer_reads_entry_slots():
@@ -71,11 +72,11 @@ def test_transfer_truncates_at_the_modeled_stack_depth():
     out = transfer_block(summary, {})
     # Slot j holds push number pushes - 1 - j; the first push, past the cap, is cut.
     kept = {j: pushes - 1 - j for j in range(MAX_STACK_DEPTH)}
-    assert out == {j: {DefSite(2 * i, i)} for j, i in kept.items()}
+    assert out == {j: {2 * i} for j, i in kept.items()}
     summary = _summary(asm("PUSH1 0x07", "STOP"))
     entry = {0: {A}, MAX_STACK_DEPTH - 2: {B}, MAX_STACK_DEPTH - 1: {C}, MAX_STACK_DEPTH: {C}}
     out = transfer_block(summary, entry)
-    assert out == {0: {DefSite(0x0, 7)}, 1: {A}, MAX_STACK_DEPTH - 1: {B}}
+    assert out == {0: {0x0}, 1: {A}, MAX_STACK_DEPTH - 1: {B}}
 
 
 def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, **limits):
@@ -100,7 +101,8 @@ def test_conditional_jump_yields_both_edges_in_same_context():
         (INITIAL_CONTEXT, 0, INITIAL_CONTEXT, 6),
     }
     assert result.edge_pairs() == frozenset({(0, 8), (0, 6)})
-    assert result.block_jump_target == {(INITIAL_CONTEXT, 0, DefSite(0x3, 8), 8)}
+    assert result.edge_pairs() is result.edge_pairs()  # built once per result
+    assert result.block_jump_target == {(INITIAL_CONTEXT, 0, 0x3, 8)}
 
 
 def test_unresolved_jump_is_reported_not_followed():
@@ -200,7 +202,7 @@ def _slot_sets(store):
 
 def test_a_grown_successor_leaves_its_sibling_alone():
     result = _analyze(SHARED_EXIT)
-    aa, bb = DefSite(0x0, 0xAA), DefSite(0x9, 0xBB)
+    aa, bb = 0x0, 0x9  # the pushes of 0xaa and 0xbb
     assert result.block_input[(INITIAL_CONTEXT, 0x10)] == {0: {aa, bb}}
     assert result.block_input[(INITIAL_CONTEXT, 0x08)] == {0: {aa}}
     # Slot sets are shared between keys, which is sound only if none can change.

@@ -14,7 +14,7 @@ from evmlift.bytecode import (
 from evmlift.cloning import apply_cloning
 from evmlift.local import detect_patterns, summarize_program
 from evmlift.opcodes import BY_NAME, TABLE
-from evmlift.values import DefSite, EntrySlot
+from evmlift.values import UNDERFLOW, entry_slot
 
 MAX_CODE_SIZE = 24576
 
@@ -134,14 +134,19 @@ def test_jump_target_names_a_clone_only_through_its_push():
     cloned, _ = apply_cloning(prog, detect_patterns(prog, summarize_program(prog)))
     assert cloned.clone_pushes == {0x2: 0x40, 0x13: 0x50}
     # a chosen push names its clone
-    assert cloned.jump_target(DefSite(0x2, 0x20)) == 0x40
-    assert cloned.jump_target(DefSite(0x13, 0x20)) == 0x50
+    assert cloned.constants[0x2] == cloned.constants[0x13] == 0x20
+    assert cloned.jump_target(0x2) == 0x40
+    assert cloned.jump_target(0x13) == 0x50
     # a data constant equal to a clone id names nothing
-    assert cloned.jump_target(DefSite(0x5, 0x50)) is None
+    probe = cloned._replace(constants={}, targets={})
+    probe.record_constants({0x5: 0x50})
+    assert probe.jump_target(0x5) is None
     # a value folded from a chosen push names the jumpdest it carries
-    assert cloned.jump_target(DefSite(0x7, 0x20)) == 0x20
-    assert cloned.jump_target(DefSite(0x7)) is None
-    assert cloned.jump_target(EntrySlot(0x20, 0)) is None
+    assert cloned.constants[0x7] == 0x20 and cloned.jump_target(0x7) == 0x20
+    # a value with no constant names nothing
+    assert 0x4 not in cloned.constants and cloned.jump_target(0x4) is None
+    assert cloned.jump_target(entry_slot(0)) is None
+    assert cloned.jump_target(UNDERFLOW) is None
 
 
 def test_parse_bytecode_text():

@@ -18,7 +18,7 @@ from evmlift.local import (
     summarize_block,
     summarize_program,
 )
-from evmlift.values import DefSite, EntrySlot
+from evmlift.values import entry_slot
 
 WORD = 1 << 256
 
@@ -43,23 +43,25 @@ def test_fold_semantics():
 
 
 def test_summary_folds_constants():
-    summary, _ = _summary(asm("PUSH1 0x02", "PUSH1 0x03", "ADD", "STOP"))
-    assert summary.produced == (DefSite(0x4, 5),)
+    summary, prog = _summary(asm("PUSH1 0x02", "PUSH1 0x03", "ADD", "STOP"))
+    assert summary.produced == (0x4,)
+    assert prog.constants == {0x0: 2, 0x2: 3, 0x4: 5}
     assert summary.consumed_depth == 0
 
 
 def test_summary_entry_slots_and_passthrough():
     # DUP2 forces two entry slots; the jump consumes the ADD result
-    summary, _ = _summary(asm("DUP2", "ADD", "JUMP"))
+    summary, prog = _summary(asm("DUP2", "ADD", "JUMP"))
     assert summary.consumed_depth == 2
-    assert summary.produced == (EntrySlot(0, 1),)
-    assert summary.target_expr == DefSite(0x1)
+    assert summary.produced == (entry_slot(1),)
+    assert summary.target_expr == 0x1 and 0x1 not in prog.constants
     assert summary.read_slots() == frozenset({0, 1})
 
 
 def test_summary_swap_reorders():
-    summary, _ = _summary(asm("PUSH1 0x07", "SWAP1", "STOP"))
-    assert summary.produced == (EntrySlot(0, 0), DefSite(0x0, 7))
+    summary, prog = _summary(asm("PUSH1 0x07", "SWAP1", "STOP"))
+    assert summary.produced == (entry_slot(0), 0x0)
+    assert prog.constants == {0x0: 7}
     assert summary.consumed_depth == 1
 
 

@@ -17,6 +17,7 @@ from conftest import (
 from evmlift import preanalysis
 from evmlift.analysis import DEFAULT_FACT_LIMIT, MAX_STACK_DEPTH, AnalysisResult, analyze
 from evmlift.bytecode import extract_blocks
+from evmlift.cli import SWEEP_CONFIGS
 from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
 from evmlift.lifter import render_tac
@@ -192,3 +193,16 @@ def test_a_loop_that_grows_the_stack_stops_at_the_modeled_depth():
     assert res.analysis.stop_condition == "fixpoint"
     slots = [slot for env in res.analysis.block_input.values() for slot in env]
     assert max(slots) == MAX_STACK_DEPTH - 1
+
+
+def test_a_too_deep_jump_block_runs_under_every_config():
+    # 1,025 entry reads stop the summary before its jump: it has no
+    # target_expr or cond_expr, and the block is reached but never transferred.
+    pops = ["POP"] * 1025
+    for code in (asm(*pops, "JUMP"), asm(*pops, "JUMPI", "JUMPDEST", "STOP")):
+        for name, overrides in SWEEP_CONFIGS:
+            res = run_pipeline(code, RunConfig(**overrides))
+            summary = res.summaries[0]
+            assert summary.too_deep and summary.target_expr is None and summary.cond_expr is None
+            assert res.metrics.stop_condition == "fixpoint", name
+            assert list(res.tac.blocks) == [0], name

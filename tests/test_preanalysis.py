@@ -28,7 +28,6 @@ from evmlift.preanalysis import (
     run_preanalysis,
     selector_values,
 )
-from evmlift.values import DefSite
 
 
 def _pre(code: bytes, depth: int = 8):
@@ -85,8 +84,8 @@ def test_selector_values_seeded_by_shift():
     summaries = summarize_program(prog)
     raw = detect_patterns(prog, summaries)
     outcome = run_preanalysis(prog, summaries, raw, 8)
-    selectors = selector_values(summaries, outcome.result.per_block)
-    assert DefSite(0x1D) in selectors  # the 224-bit shift of call-data word zero
+    selectors = selector_values(summaries, outcome.result.per_block, prog.constants)
+    assert 0x1D in selectors  # the 224-bit shift of call-data word zero
 
 
 DIV_MASK_DISPATCH = layout(
@@ -115,13 +114,12 @@ def test_division_and_mask_selector_is_confirmed():
     assert raw.public_call_candidates == frozenset({(0x0, 0x12E49406, 0x36)})
     assert outcome.confirmed.public_calls == frozenset({(0x0, 0x36)})
     # both the division and the masked alias count as selector values
-    selectors = selector_values(
-        summarize_program(extract_blocks(DIV_MASK_DISPATCH)), outcome.result.per_block
-    )
-    assert DefSite(0x22) in selectors and DefSite(0x28) in selectors
+    prog = extract_blocks(DIV_MASK_DISPATCH)
+    selectors = selector_values(summarize_program(prog), outcome.result.per_block, prog.constants)
+    assert 0x22 in selectors and 0x28 in selectors
 
 
-def rule_based_important_edges(result, summaries, jumpdests, clone_pushes):
+def rule_based_important_edges(result, summaries, constants, jumpdests, clone_pushes):
     """Independent evaluation of the imprecision-introduction rules.
 
     A slot is imprecise when its values carry two or more distinct jump
@@ -131,11 +129,11 @@ def rule_based_important_edges(result, summaries, jumpdests, clone_pushes):
     """
 
     def target(v):
-        if not isinstance(v, DefSite) or v.constant is None:
+        if v not in constants:
             return None
-        if v.pc in clone_pushes:
-            return clone_pushes[v.pc]
-        return v.constant if v.constant in jumpdests else None
+        if v in clone_pushes:
+            return clone_pushes[v]
+        return constants[v] if constants[v] in jumpdests else None
 
     def splits_a_jump(vals):
         return len({target(v) for v in vals} - {None}) >= 2
@@ -176,7 +174,7 @@ def _blamed(code: bytes):
     assert outcome.result.stop_condition == "fixpoint"
     computed = compute_important_edges(outcome.result, prog, summaries)
     oracle = rule_based_important_edges(
-        outcome.result, summaries, prog.jumpdests, prog.clone_pushes
+        outcome.result, summaries, prog.constants, prog.jumpdests, prog.clone_pushes
     )
     return computed, oracle, outcome.confirmed.important_edges
 

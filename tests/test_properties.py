@@ -15,7 +15,7 @@ from evmlift.lifter import parse_tac, render_tac
 from evmlift.local import summarize_block
 from evmlift.opcodes import BY_NAME
 from evmlift.pipeline import run_pipeline
-from evmlift.values import DefSite, EntrySlot
+from evmlift.values import UNDERFLOW, entry_slot
 
 SENTINEL_BASE = 1 << 128
 SENTINELS = tuple(SENTINEL_BASE + i for i in range(64))
@@ -36,10 +36,10 @@ def test_shuffle_summaries_concretize_to_interpreter_stacks(items):
     assert summary.consumed_depth <= len(SENTINELS)
 
     def concrete(value):
-        if isinstance(value, EntrySlot):
-            return SENTINELS[value.index]
-        assert isinstance(value, DefSite) and value.constant is not None
-        return value.constant
+        if value < UNDERFLOW:
+            return SENTINELS[entry_slot(value)]
+        assert value >= 0 and value in prog.constants
+        return prog.constants[value]
 
     expected = tuple(concrete(v) for v in summary.produced)
     expected += SENTINELS[summary.consumed_depth :]
@@ -80,7 +80,7 @@ def test_constant_folding_matches_interpreter(items):
     prog = extract_blocks(asm(*items, "STOP"))
     summary = summarize_block(prog.blocks[0], prog)
     assert summary.consumed_depth == 0
-    folded = tuple(v.constant for v in summary.produced)
+    folded = tuple(map(prog.constants.get, summary.produced))
     assert all(c is not None for c in folded)
     result = run_block(prog, 0, entry_stack=())
     assert result.exit_stack == folded

@@ -4,12 +4,11 @@ A tuple subclass is built without a setattr per field and hashes and
 compares in C, which the fixpoint's slot-set unions and the lifter rely on
 for speed, and a NamedTuple class is defined without the import and class
 decoration cost of a dataclass. ConfirmedFacts is a tuple with an instance
-dict, so it can cache private_callers. EntrySlot is deliberately not a
-tuple, and UNDERFLOW is a single instance the lifter tests by identity.
+dict, so it can cache private_callers. The abstract values the records hold
+are plain ints (see evmlift.values), so the collector stops visiting them.
 """
 
-import copy
-import pickle
+import gc
 
 import pytest
 
@@ -23,13 +22,13 @@ from evmlift.interpreter import BlockRun, EnvSets, EnvValuation, Trace
 from evmlift.lifter import TACBlock, TACProgram, TACStatement
 from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_program
 from evmlift.metrics import MetricsReport
+from evmlift.opcodes import STACK_LIMIT
 from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
 from evmlift.preanalysis import PreanalysisOutcome
-from evmlift.values import UNDERFLOW, DefSite, EntrySlot, Underflow
+from evmlift.values import UNDERFLOW, entry_slot
 from test_golden import CORPORA
 
 RECORDS = (
-    DefSite,
     Instruction,
     OpRecord,
     BlockSummary,
@@ -64,6 +63,8 @@ def test_records_never_share_a_default_map():
     first, second = BytecodeProgram(b"", {}, frozenset()), BytecodeProgram(b"", {}, frozenset())
     assert first.clone_of == {} and first.clone_of is not second.clone_of
     assert first.clone_pushes == {} and first.clone_pushes is not second.clone_pushes
+    assert first.constants == {} and first.constants is not second.constants
+    assert first.targets == {} and first.targets is not second.targets
     assert EnvValuation().storage == {} and EnvValuation().storage is not EnvValuation().storage
     assert EnvValuation().env == {} and EnvValuation().env is not EnvValuation().env
 
@@ -81,44 +82,24 @@ def test_confirmed_facts_compare_by_field_and_compute_private_callers_once():
 
 
 def test_def_site_never_equals_an_entry_slot_of_the_same_ints():
-    site, slot = DefSite(1, 2), EntrySlot(1, 2)
-    assert site != slot and slot != site
-    assert len({site, slot}) == 2
-    assert slot not in {site} and site not in {slot}
-    assert {site: "def"}.get(slot) is None
-
-
-def test_entry_slot_is_immutable_and_survives_pickles():
-    slot = EntrySlot(1, 2)
-    with pytest.raises(AttributeError):
-        slot.index = 0
-    with pytest.raises(AttributeError):
-        del slot.block
-    assert not hasattr(slot, "__dict__")
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(slot, protocol)) == slot
-    assert copy.deepcopy(slot) == slot == EntrySlot(1, 2) != EntrySlot(2, 1)
-
-
-def test_underflow_is_one_instance_through_copies_and_pickles():
-    assert Underflow() is UNDERFLOW
-    assert copy.copy(UNDERFLOW) is UNDERFLOW
-    assert copy.deepcopy({0: frozenset({UNDERFLOW})})[0] == frozenset({UNDERFLOW})
-    assert copy.deepcopy(UNDERFLOW) is UNDERFLOW
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(UNDERFLOW, protocol)) is UNDERFLOW
-    assert UNDERFLOW != DefSite(0) and UNDERFLOW != ()
-    with pytest.raises(AttributeError):
-        UNDERFLOW.constant = 0  # slotted: holds no state
+    # Def site pc is pc and entry slot i is -2 - i, so def sites, UNDERFLOW
+    # and entry slots fill the disjoint ranges [0, ...), {-1} and (..., -2].
+    indices = range(STACK_LIMIT + 2)
+    slots = {entry_slot(i) for i in indices}
+    assert len(slots) == len(indices)
+    assert max(slots) == -2 < UNDERFLOW == -1
+    assert slots.isdisjoint(indices) and UNDERFLOW not in slots
+    assert all(entry_slot(entry_slot(i)) == i for i in indices)
 
 
 def test_slot_sets_hold_only_def_sites_and_underflow(monkeypatch):
-    seen: set[type] = set()
+    seen: set[int] = set()
     real = analysis.transfer_block
 
     def spy(summary, input_env):
         out = real(summary, input_env)
-        seen.update(type(v) for values in out.values() for v in values)
+        for values in out.values():
+            seen.update(values)
         return out
 
     monkeypatch.setattr(analysis, "transfer_block", spy)
@@ -127,22 +108,51 @@ def test_slot_sets_hold_only_def_sites_and_underflow(monkeypatch):
         for code in CORPORA[corpus]():
             for _name, overrides in SWEEP_CONFIGS:
                 run_pipeline(code, RunConfig(**overrides))
-    assert seen == {DefSite, Underflow}
+    assert all(type(v) is int for v in seen)
+    assert min(seen) == UNDERFLOW and max(seen) >= 0
 
 
 def test_records_name_only_def_sites_and_entry_slots():
     # The stack summarize_block keeps holds nothing else, so the lifter and
-    # the resolver need no fallback for any other value. A run's summaries
-    # depend only on whether it cloned, so the summaries of the cloned
-    # program, which keep every original block's, cover all four sweep configs.
-    seen: set[type] = set()
+    # the resolver need no fallback for any other value: a def site is the
+    # pc of one of the block's own instructions, and an entry slot one the
+    # block consumed. A run's summaries depend only on whether it cloned, so
+    # the summaries of the cloned program, which keep every original
+    # block's, cover all four sweep configs.
+    sites = slots = 0
     for corpus in sorted(CORPORA):
         for code in CORPORA[corpus]():
             program = extract_blocks(code)
             summaries = summarize_program(program)
             cloned, _clones = apply_cloning(program, detect_patterns(program, summaries))
-            for summary in summarize_program(cloned, summaries).values():
+            for bid, summary in summarize_program(cloned, summaries).items():
+                pcs = {ins.pc for ins in cloned.blocks[bid].instructions}
                 named = [summary.target_expr, summary.cond_expr, *summary.produced]
                 named += [v for rec in summary.ops for v in rec.operands]
-                seen.update(type(v) for v in named if v is not None)
-    assert seen == {DefSite, EntrySlot}
+                for v in named:
+                    if v is None:
+                        continue
+                    assert type(v) is int and v != UNDERFLOW
+                    if v < UNDERFLOW:
+                        assert entry_slot(v) < summary.consumed_depth
+                        slots += 1
+                    else:
+                        assert v in pcs
+                        sites += 1
+    assert sites and slots
+
+
+def test_a_lift_leaves_its_value_tuples_untracked():
+    # Tuples of ints drop out of the collector's tracking once it has
+    # scanned them, so a lift's summaries add nothing to later collections.
+    results = [run_pipeline(code) for code in CORPORA["deep"]()]
+    gc.collect()
+    tuples = [
+        values
+        for res in results
+        for summary in res.summaries.values()
+        for values in (summary.produced, *(rec.operands for rec in summary.ops))
+        if values
+    ]
+    assert tuples
+    assert not [values for values in tuples if gc.is_tracked(values)]
