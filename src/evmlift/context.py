@@ -7,13 +7,14 @@ call chains end in the same context they started in. It also pushes the
 source block on every important edge, a merge the pre-analysis blames for
 bringing two or more jump targets into one stack slot, so the paths into
 such a merge are analysed apart; merged data buys no jump precision and
-splits no context. A source already on the stack is cut back to first, so
-a loop through an important edge holds one entry for it. When no
-pre-analysis ran there are no important edges. When the confirmed facts
-merge every jump the pre-analysis recorded into the context it recorded,
-the main pass returns the pre-analysis fixpoint itself (see
-analysis.analyze). The transactional scheme only ever prepends, ignores
-important edges, and is retained as the comparison baseline.
+splits no context. Every push follows one rule: a block already on the
+stack is cut back to first unless it is a return, so a loop through an
+important edge or a recursion through a call site holds one entry for it;
+unmatched returns still grow. No pre-analysis means no important edges.
+When the confirmed facts merge every jump the pre-analysis recorded into
+the context it recorded, the main pass returns the pre-analysis fixpoint
+itself (see analysis.analyze). The transactional scheme only ever
+prepends, ignores important edges, and is kept as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -103,10 +104,8 @@ def _merge_shrinking(
         or (is_return and matched is None)
         or (cur, nxt) in facts.important_edges
     )
-    if grow:
-        private = ctx.private
-        if cur in private and not is_return and cur not in facts.private_callers:
-            private = cut_to(private, cur)  # an important edge in a loop: one entry per source
+    if grow:  # a block already on the context, unless a return, is cut back to first
+        private = cut_to(ctx.private, cur) if cur in ctx.private and not is_return else ctx.private
         return Context(ctx.public, ((cur,) + private)[: cfg.depth])
     if is_return:
         return Context(ctx.public, cut_to(ctx.private, matched))

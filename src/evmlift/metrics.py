@@ -37,10 +37,11 @@ def compute_metrics(
     confirmed: ConfirmedFacts,
     stop_condition: str,
 ) -> MetricsReport:
-    by_pair: dict[tuple, set[int]] = {}
+    first: dict[tuple, int] = {}  # (context, block) -> the first target seen
+    polymorphic: set[tuple] = set()
     for ctx, bid, _value, target in result.block_jump_target:
-        by_pair.setdefault((ctx, bid), set()).add(target)
-    polymorphic = sum(1 for targets in by_pair.values() if len(targets) >= 2)
+        if first.setdefault((ctx, bid), target) != target:
+            polymorphic.add((ctx, bid))
 
     unresolved = sum(
         1
@@ -67,7 +68,7 @@ def compute_metrics(
     missing_ir = sum(1 for b in endpoints if b not in tac.blocks)
 
     return MetricsReport(
-        polymorphic_jump_target=polymorphic,
+        polymorphic_jump_target=len(polymorphic),
         unresolved_operand=unresolved,
         unstructured_control_flow=unstructured,
         missing_ir_block=missing_ir,

@@ -487,6 +487,46 @@ def recursion_calldatas() -> list[bytes]:
     return [n.to_bytes(32, "big") for n in range(8)]
 
 
+# Two- and three-function cycles, with and without a fib-shaped member;
+# recursive_call_code is direct recursion. Direct fib-shaped recursion
+# (seed 4) alone would cost about as much as these four together.
+RECURSIVE_SEEDS = (6, 7, 9, 10)
+
+
+def gen_recursive_program(rng: random.Random) -> bytes:
+    """Random private recursion: main calls f0(calldata[0] & 7) with
+    continuation `ret`. One to three functions form one cycle, f_i calling
+    f_{i+1} (wrapping, so a lone function recurses directly) once or twice
+    (twice: fib-shaped) on n - 1. Every call pushes its own return address.
+    f(0) returns 0, so every concrete run halts; the calldatas of
+    recursion_calldatas reach each depth from 0 to 7."""
+    count = rng.randint(1, 3)
+    a = Assembler()
+    a.emit("PUSH2 @ret", "PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x07", "AND", "PUSH2 @f0", "JUMP")
+    a.label("ret")
+    a.emit("JUMPDEST", "PUSH0", "SSTORE", "STOP")
+    for i in range(count):
+        calls = rng.randint(1, 2)
+        a.label(f"f{i}")  # stack: n, return address
+        a.emit("JUMPDEST", "DUP1", f"PUSH2 @rec{i}", "JUMPI")
+        a.emit("POP", "PUSH0", "SWAP1", "JUMP")
+        a.label(f"rec{i}")
+        a.emit("JUMPDEST")
+        if rng.randrange(2):
+            _emit_line(a, rng)
+        for k in range(calls):
+            if k:  # stack: result of the first call, n, return address
+                a.label(f"after{i}_0")
+                a.emit("JUMPDEST", "SWAP1")
+            elif calls == 2:
+                a.emit("DUP1")  # keep n for the second call
+            # stack: n, ... -> n - 1, continuation, ...
+            a.emit(f"PUSH2 @after{i}_{k}", "SWAP1", "PUSH1 0x01", "SWAP1", "SUB", f"PUSH2 @f{(i + 1) % count}", "JUMP")
+        a.label(f"after{i}_{calls - 1}")  # stack: result(s), return address
+        a.emit("JUMPDEST", *["ADD"] * (calls - 1), "PUSH1 0x01", "ADD", "SWAP1", "JUMP")
+    return a.assemble()
+
+
 # ---------------------------------------------------------------------------
 # corpus generators
 

@@ -12,6 +12,7 @@ import pytest
 
 import conftest
 from conftest import (
+    RECURSIVE_SEEDS,
     SELECTOR_ONE,
     SELECTOR_TWO,
     chained_call_code,
@@ -22,6 +23,7 @@ from conftest import (
     gen_deep_program,
     gen_dispatch_program,
     gen_folded_program,
+    gen_recursive_program,
     gen_sound_program,
     important_edges_code,
     inlined_call_code,
@@ -146,6 +148,10 @@ ORACLE_PROGRAMS = {
     "recursion": (recursive_call_code, recursion_calldatas),
     "lost-edge": (lost_edge_code, lambda: [b""]),
     "push-as-data": (push_as_data_code, oracle_calldatas),
+    **{
+        f"recursive-{seed}": (lambda seed=seed: gen_recursive_program(random.Random(seed)), recursion_calldatas)
+        for seed in RECURSIVE_SEEDS
+    },
 }
 
 

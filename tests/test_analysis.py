@@ -12,6 +12,7 @@ from conftest import (
     gen_dispatch_program,
     layout,
     never_jumped_code,
+    recursive_call_code,
 )
 from evmlift.analysis import (
     DEFAULT_FACT_LIMIT,
@@ -244,6 +245,17 @@ COUNTERS = {
             "no-shrinking": ((671, 189), (45207, 10449)),
             "no-cloning": ((653, 183), (653, 183)),
             "no-preanalysis": (None, (671, 189)),
+        },
+    ),
+    # A recursive call site already on the context is cut back before it is
+    # pushed again; pushing it on every trip took 10655 facts.
+    "recursion": (
+        recursive_call_code,
+        {
+            "default": ((4768, 2349), (4768, 2349)),
+            "no-shrinking": ((2728, 1347), (3488, 1630)),
+            "no-cloning": ((4768, 2349), (4768, 2349)),
+            "no-preanalysis": (None, (4768, 2349)),
         },
     ),
 }

@@ -54,7 +54,8 @@ CORPORA = {
     # Backward jumps (loop latches) and confirmed public calls, which no other corpus has.
     "dispatch": lambda: [conftest.gen_dispatch_program(n) for n in (16, 24, 32)],
     # Private recursion, whose call sites no context depth can keep apart.
-    "recursion": lambda: [conftest.recursive_call_code()],
+    "recursion": lambda: [conftest.recursive_call_code()]
+    + [conftest.gen_recursive_program(random.Random(seed)) for seed in conftest.RECURSIVE_SEEDS],
     # Jump-heavy byte soup: dropped blocks, "?" operands and calls no
     # generator shapes, which the other corpora rarely reach.
     "random": _random_corpus,
@@ -83,9 +84,10 @@ GOLDEN = {
         "31b1e588598aedcaa84b3a5173fab75ca71e0254ada97c0de6e4263057195ec7",
         "8ace52bf25c4a27ef87078a564c8ccc86323e6437f0c885866a05e66f50ba56a",
     ),
+    # The fixture alone gives 45c013c7… and 59fe7baf….
     "recursion": Digests(
-        "45c013c71cb75348b08ec67c4a20a1e753e5ecdb5de316b1d9da5d6280aa55dc",
-        "59fe7bafb99d6c89845c0fac9801c78004fba3aaf32c92c642b2a621932bef1f",
+        "fd80eb57146d329637be3e80258e12409dc4d3cc6787ed4737f0827aa82fbaef",
+        "bedea2694fc716b44f3e580f50d162bed022263cdbcede2f934497d62731c28b",
     ),
     "random": Digests(
         "18769ac408cbe12d42570fbf60ff23c739175b11727b59771e80510a41400409",
@@ -101,10 +103,10 @@ REUSED = {
     "sound": {"default": 200, "no-shrinking": 24, "no-cloning": 200},
     "deep": {"default": 2, "no-shrinking": 0, "no-cloning": 2},
     "dispatch": {"default": 3, "no-shrinking": 0, "no-cloning": 3},
-    "recursion": {"default": 1, "no-shrinking": 0, "no-cloning": 1},
-    # One input (the 158th) no longer reuses: its main pass cuts an important
-    # edge's source back instead of pushing it again, 3,616 facts to 956.
-    "random": {"default": 191, "no-shrinking": 193, "no-cloning": 191},
+    "recursion": {"default": 5, "no-shrinking": 0, "no-cloning": 5},
+    # The 158th input's block 0x31 is a raw private caller and an important
+    # edge's source: both passes cut it back to one entry, so they agree.
+    "random": {"default": 192, "no-shrinking": 193, "no-cloning": 192},
 }
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,27 +163,35 @@ def test_pipeline_terminates_on_random_bytes():
         assert render_tac(parse_tac(text)) == text, code.hex()
 
 
-def test_an_important_edge_in_a_loop_no_longer_pumps_the_context():
-    # A 128-byte input with important edges inside a loop. Pushing the
-    # source on every trip took its main pass to the default fact limit;
-    # cutting back to the source already on the context reaches a fixpoint.
-    rng = random.Random("ctx-probe")
-    for _ in range(152):
+@pytest.mark.parametrize(
+    "seed, draws, size, reused",
+    [("ctx-probe", 152, 128, False), ("p3", 324, 532, True)],
+    ids=["ctx-probe-151", "p3-323"],
+)
+def test_an_important_edge_in_a_loop_no_longer_pumps_the_context(seed, draws, size, reused):
+    # ctx-probe #151 has important edges inside a loop: pushing the source
+    # on every trip took its main pass to the default fact limit. p3 #323
+    # pushes a raw private caller on every trip: its pre-analysis reached the
+    # fact limit. Cutting back to a source already on the context reaches a
+    # fixpoint in both.
+    rng = random.Random(seed)
+    for _ in range(draws):
         code = random_code(rng, jump_biased=True)
-    assert len(code) == 128
+    assert len(code) == size
     res = run_pipeline(code)
     assert res.preanalysis.result.stop_condition == "fixpoint"
     assert res.metrics.stop_condition == "fixpoint"
-    assert res.analysis is not res.preanalysis.result
+    assert (res.analysis is res.preanalysis.result) is reused
 
 
 def test_a_run_the_fact_limit_ends_in_the_preanalysis_costs_one_pass():
-    # A 532-byte input whose pre-analysis reaches the default fact limit.
+    # A 294-byte input whose pre-analysis reaches the default fact limit.
     # The main pass would replay it under the same raw facts, scheme and
     # limit, so it returns that result instead of running it again.
-    rng = random.Random("p3")
-    for _ in range(324):
+    rng = random.Random("p1")
+    for _ in range(1409):
         code = random_code(rng, jump_biased=True)
+    assert len(code) == 294
     res = run_pipeline(code)
     assert res.preanalysis.result.stop_condition == "fact-limit"
     assert res.metrics.stop_condition == "fact-limit"
