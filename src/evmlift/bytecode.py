@@ -1,9 +1,11 @@
 """Bytecode decoding: instructions, basic blocks, and input file handling.
 
-Decoding is one walk: `disassemble` reads each opcode's record from the
-byte-indexed `opcodes.TABLE`, and `extract_blocks` cuts that stream into
-basic blocks at each record's `Terminator` and collects the valid JUMPDESTs
-as it goes. `Terminator` lives in `opcodes` and is re-exported here.
+Decoding is one walk: `disassemble` reads each byte's record from the
+byte-indexed `opcodes.TABLE` once, and takes push immediates from the code
+zero-padded once at its end. `extract_blocks` cuts that stream into basic
+blocks where `_CUTS`, the mnemonic -> `Terminator` table of the opcodes that
+end a block, names one, and collects the valid JUMPDESTs as it goes.
+`Terminator` lives in `opcodes` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -134,20 +136,25 @@ def _within_limit(code: bytes) -> bytes:
     return code
 
 
+# mnemonic -> how it ends a block, for every opcode that ends one
+_CUTS = {info.mnemonic: info.terminator for info in TABLE if info.terminator is not Terminator.FALLTHROUGH}
+
+
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode every byte; total on arbitrary input up to the size limit."""
     _within_limit(code)
+    # zero-padded once: an immediate that runs off the end reads zeros
+    padded = code + bytes(32)
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new, from_bytes = tuple.__new__, int.from_bytes
     out: list[Instruction] = []
     pc = 0
     while pc < len(code):
         info = TABLE[code[pc]]
-        value = None
-        if info.is_push:
-            # zero-pad pushes whose immediate runs off the end of the code
-            raw = code[pc + 1 : pc + 1 + info.push_width].ljust(info.push_width, b"\x00")
-            value = int.from_bytes(raw, "big")
-        out.append(Instruction(pc, info.mnemonic, value))
-        pc += info.size
+        size = info.size
+        value = from_bytes(padded[pc + 1 : pc + size], "big") if info.is_push else None
+        out.append(new(Instruction, (pc, info.mnemonic, value)))
+        pc += size
     return out
 
 
@@ -167,14 +174,16 @@ def extract_blocks(code: bytes) -> BytecodeProgram:
         blocks[body[0].pc] = BasicBlock(body[0].pc, tuple(body), terminator)
         body.clear()
 
+    cuts = _CUTS
     for ins in disassemble(code):
-        if ins.opcode == "JUMPDEST":
+        opcode = ins.opcode
+        if opcode == "JUMPDEST":
             jumpdests.append(ins.pc)
             if body:
                 cut(Terminator.FALLTHROUGH)
         body.append(ins)
-        terminator = BY_NAME[ins.opcode].terminator
-        if terminator is not Terminator.FALLTHROUGH:
+        terminator = cuts.get(opcode)
+        if terminator is not None:
             cut(terminator)
     if body:
         cut(Terminator.FALLTHROUGH)

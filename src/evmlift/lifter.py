@@ -7,8 +7,10 @@ that value's name directly, a slot with several gets a PHI, and a slot the
 analysis knows nothing about reads as the placeholder "?". Call blocks
 whose unique jump target is a confirmed private entry render as
 CALLPRIVATE, carrying the target and the argument slots up to and
-including the pushed continuation address. Statements and
-blocks are NamedTuples, built without a setattr per field and compared in C.
+including the pushed continuation address. One value -> token table
+per lift names every operand: each def site once, and the entry slots a
+block reads, written before its statements read them. TAC_OPCODES maps a
+mnemonic to the opcode its statement shows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .analysis import AnalysisResult, Env, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary
+from .opcodes import TABLE
 from .values import UNDERFLOW, AbstractValue, entry_slot
 
 PLACEHOLDER = "?"
@@ -34,16 +37,17 @@ class TACStatement(NamedTuple):
     const: int | None = None
 
     def render(self) -> str:
-        text = f"{self.label}: "
-        if self.def_name is not None:
-            text += self.def_name
-            if self.const is not None:
-                text += f"(0x{self.const:x})"
-            text += " = "
-        text += self.opcode
-        if self.operands:
-            text += " " + ", ".join(self.operands)
-        return text
+        label, opcode, operands, def_name, const = self
+        if operands:
+            opcode = f"{opcode} {', '.join(operands)}"
+        if def_name is None:
+            return f"{label}: {opcode}"
+        if const is None:
+            return f"{label}: {def_name} = {opcode}"
+        return f"{label}: {def_name}(0x{const:x}) = {opcode}"
+
+
+_HEX = "0x{:x}".format
 
 
 class TACBlock(NamedTuple):
@@ -53,23 +57,26 @@ class TACBlock(NamedTuple):
     succs: tuple[int, ...] = ()
 
     def render(self) -> str:
-        ids = lambda xs: ", ".join(f"0x{x:x}" for x in xs)  # noqa: E731
-        lines = [
-            f"Begin block 0x{self.id:x}",
-            f"prev=[{ids(self.preds)}], succ=[{ids(self.succs)}]",
-            RULE,
-        ]
-        lines.extend(stmt.render() for stmt in self.statements)
-        return "\n".join(lines)
+        preds, succs = ", ".join(map(_HEX, self.preds)), ", ".join(map(_HEX, self.succs))
+        head = f"Begin block 0x{self.id:x}\nprev=[{preds}], succ=[{succs}]\n{RULE}"
+        return "\n".join([head, *map(TACStatement.render, self.statements)])
 
 
 class TACProgram(NamedTuple):
     blocks: dict[int, TACBlock]
 
 
+# mnemonic -> the opcode its statement shows: every push is a CONST
+TAC_OPCODES = {info.mnemonic: "CONST" if info.is_push else info.mnemonic for info in TABLE}
+
+
 class _Names(dict):
-    """Def site -> its name, each built once per lift and shared by every
-    statement that names the value."""
+    """Value -> its token, one table per lift. A def site's name is built
+    once and shared by every statement that names the value; a block writes
+    the tokens of the entry slots it reads before its statements read them."""
+
+    def __init__(self) -> None:
+        super().__init__({None: None})  # the result of a statement that defines none
 
     def __missing__(self, value: AbstractValue) -> str:
         name = self[value] = f"v{value:x}"
@@ -159,9 +166,12 @@ def _lift_block(
             )
             succs = set(map(jump_target, out[cont_slot])) - {None}
 
-    tokens: dict[int, str] = {}  # entry slot -> token
+    # read holds every entry slot an operand names, so each gets its token
+    # in names below before a statement reads it.
     statements: list[TACStatement] = []
-    read = summary.read_slots().union(entry_slot(v) for v in args if v < UNDERFLOW)
+    read = summary.read_slots()
+    if args:
+        read = read.union(entry_slot(v) for v in args if v < UNDERFLOW)
     for slot in sorted(read):
         real = sorted(entry.get(slot, ()))
         if real and real[0] == UNDERFLOW:  # UNDERFLOW sorts first
@@ -169,38 +179,28 @@ def _lift_block(
                 return None
             real.clear()
         if not real:
-            tokens[slot] = PLACEHOLDER
+            names[entry_slot(slot)] = PLACEHOLDER
         elif len(real) == 1:
-            tokens[slot] = names[real[0]]
+            names[entry_slot(slot)] = names[real[0]]
         else:
-            def_name = tokens[slot] = f"v{bid:x}_{slot:x}"
+            def_name = names[entry_slot(slot)] = f"v{bid:x}_{slot:x}"
             operands = tuple(map(names.__getitem__, real))
             statements.append(TACStatement(f"0x{bid:x}_0x{slot:x}", "PHI", operands, def_name))
 
-    def token(value: AbstractValue) -> str:
-        if value < UNDERFLOW:
-            return tokens.get(entry_slot(value), PLACEHOLDER)
-        return names[value]
-
-    constants = program.constants
-
-    for rec in summary.ops:
-        if is_call and rec.opcode == "JUMP":
-            def_name = f"v{rec.pc:x}_0"
-            if tokens.get(0) == def_name:  # the PHI of a lone JUMP's slot 0
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new, token, tac_opcodes, constants = tuple.__new__, names.__getitem__, TAC_OPCODES, program.constants
+    for pc, opcode, operands, result in summary.ops:
+        if is_call and opcode == "JUMP":
+            def_name = f"v{pc:x}_0"
+            if 0 in read and names[entry_slot(0)] == def_name:  # the PHI of a lone JUMP's slot 0
                 def_name += "r"
-            operands = tuple(map(token, (rec.operands[0], *args)))
-            statements.append(TACStatement(f"0x{rec.pc:x}", "CALLPRIVATE", operands, def_name))
+            operands = tuple(map(token, (operands[0], *args)))
+            statements.append(TACStatement(f"0x{pc:x}", "CALLPRIVATE", operands, def_name))
             continue
-        result = rec.result
-        # positional: a NamedTuple built from keywords costs about twice as much
         statements.append(
-            TACStatement(
-                f"0x{rec.pc:x}",
-                "CONST" if rec.opcode.startswith("PUSH") else rec.opcode,
-                tuple(map(token, rec.operands)),
-                None if result is None else names[result],
-                None if result is None else constants.get(result),
+            new(
+                TACStatement,
+                (f"0x{pc:x}", tac_opcodes[opcode], tuple(map(token, operands)), token(result), constants.get(result)),
             )
         )
     return tuple(statements), tuple(sorted(succs))

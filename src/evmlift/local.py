@@ -2,10 +2,12 @@
 
 Each block is executed once over an unbounded stack of entry placeholders.
 The resulting summary is the only thing the global analysis ever needs from
-the block's instructions. Summaries and op records are NamedTuples, one per
-block or instruction, built without a setattr per field and hashed in C.
-Their values are ints (see values); the constants the pass knows for pushes
-and folded results go into the program's pc -> constant table.
+the block's instructions. Each instruction costs one read of EFFECTS, the
+mnemonic -> (entry slots read, kind) table built at import from
+opcodes.TABLE, and entry slots missing under the stack go there in one
+slice assignment. Values are ints (see values); the constants the pass
+knows for pushes and folded results go into the program's pc -> constant
+table.
 """
 
 from __future__ import annotations
@@ -15,13 +17,40 @@ from typing import NamedTuple
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
 from .facts import PatternFacts
 from .interpreter import binop
-from .opcodes import BY_NAME, STACK_LIMIT
+from .opcodes import STACK_LIMIT, TABLE, OpInfo
 from .values import UNDERFLOW, AbstractValue, entry_slot
 
 MAX_SELECTOR = 0xFFFFFFFF
 
 # Folding is deliberately limited to the operators dispatchers are built from.
 FOLDABLE = {"AND", "ADD", "SUB", "SHL", "SHR", "DIV", "EQ", "ISZERO"}
+
+# How summarize_block moves the stack: one kind per opcode. Every kind from
+# JUMP on pops its operands into an OpRecord; from DEF on it pushes a result.
+PUSH, DUP, SWAP, DROP, JUMP, JUMPI, EFFECT, DEF, FOLD = range(9)
+
+
+def _effect(info: OpInfo) -> tuple[int, int]:
+    """(entry slots the instruction reads, its kind)"""
+    if info.is_push:
+        return 0, PUSH
+    if info.dup_index:
+        return info.dup_index, DUP
+    if info.swap_index:
+        return info.swap_index + 1, SWAP
+    if info.mnemonic in ("POP", "JUMPDEST"):
+        return info.pops, DROP
+    if info.terminator is Terminator.JUMP:
+        return 1, JUMP
+    if info.terminator is Terminator.CONDITIONAL_JUMP:
+        return 2, JUMPI
+    if not info.pushes:
+        return info.pops, EFFECT
+    return info.pops, FOLD if info.mnemonic in FOLDABLE else DEF
+
+
+# mnemonic -> (reads, kind), the one record summarize_block reads per instruction
+EFFECTS = {info.mnemonic: _effect(info) for info in TABLE}
 
 
 class OpRecord(NamedTuple):
@@ -63,52 +92,42 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
     target_expr: AbstractValue | None = None
     cond_expr: AbstractValue | None = None
     too_deep = False
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new, effects = tuple.__new__, EFFECTS
 
-    def need(n: int) -> None:
-        nonlocal depth
-        while len(stack) < n:
-            stack.insert(0, entry_slot(depth))
-            depth += 1
-
-    def pop(n: int) -> list[AbstractValue]:
-        need(n)
-        popped = stack[-n:][::-1] if n else []
-        del stack[len(stack) - n :]
-        return popped
-
-    for ins in block.instructions:
-        info = BY_NAME[ins.opcode]
-        if info.is_push:
-            constants[ins.pc] = ins.pushed_value
-            stack.append(ins.pc)
-            ops.append(OpRecord(ins.pc, ins.opcode, (), ins.pc))
-        elif info.dup_index:
-            need(info.dup_index)
-            stack.append(stack[-info.dup_index])
-        elif info.swap_index:
-            n = info.swap_index
-            need(n + 1)
-            stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-        elif ins.opcode in ("POP", "JUMPDEST"):
-            if ins.opcode == "POP":
-                pop(1)
-        elif info.terminator is Terminator.JUMP:
-            target_expr = pop(1)[0]
-            ops.append(OpRecord(ins.pc, "JUMP", (target_expr,), None))
-        elif info.terminator is Terminator.CONDITIONAL_JUMP:
-            target_expr, cond_expr = pop(2)
-            ops.append(OpRecord(ins.pc, "JUMPI", (target_expr, cond_expr), None))
+    for pc, opcode, pushed in block.instructions:
+        reads, kind = effects[opcode]
+        if len(stack) < reads:
+            # entry slots depth + missing - 1, ..., depth go under the stack
+            missing = reads - len(stack)
+            stack[:0] = map(entry_slot, range(depth + missing - 1, depth - 1, -1))
+            depth += missing
+        if kind == PUSH:
+            constants[pc] = pushed
+            stack.append(pc)
+            ops.append(new(OpRecord, (pc, opcode, (), pc)))
+        elif kind == DUP:
+            stack.append(stack[-reads])
+        elif kind == SWAP:
+            stack[-1], stack[-reads] = stack[-reads], stack[-1]
+        elif kind == DROP:
+            del stack[len(stack) - reads :]
         else:
-            operands = pop(info.pops)
+            operands = tuple(stack[: -reads - 1 : -1])  # top first
+            del stack[len(stack) - reads :]
             result = None
-            if info.pushes:
-                result = ins.pc
-                if ins.opcode in FOLDABLE:
+            if kind >= DEF:
+                result = pc
+                if kind == FOLD:
                     consts = [constants.get(v) for v in operands]
                     if None not in consts:
-                        constants[result] = binop(ins.opcode, *consts)
+                        constants[result] = binop(opcode, *consts)
                 stack.append(result)
-            ops.append(OpRecord(ins.pc, ins.opcode, tuple(operands), result))
+            elif kind == JUMP:
+                target_expr = operands[0]
+            elif kind == JUMPI:
+                target_expr, cond_expr = operands
+            ops.append(new(OpRecord, (pc, opcode, operands, result)))
         if depth > STACK_LIMIT:
             too_deep = True
             break

@@ -13,8 +13,9 @@ also when it stops short; the main pass runs under those facts and the
 same fact limit, so it returns the pre-analysis result whenever it would
 replay it, also when the limit stopped it. Each analysis result owns its
 per-block projection, so when the main pass returns the pre-analysis
-result, the lifter reads the projection confirmation built; when it
-reruns, that projection is dropped.
+result, the lifter reads the projection public-call confirmation built,
+or builds it when there was none to confirm; when it reruns, any such
+projection is dropped.
 """
 
 from __future__ import annotations

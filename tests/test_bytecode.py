@@ -58,6 +58,13 @@ def test_disassemble_truncated_push_zero_padded():
     assert ins[0].pushed_value == 0xAB00
     ins = disassemble(b"\x60")
     assert ins[0].pushed_value == 0
+    # every width, cut at every byte of its immediate, after a JUMPDEST
+    for width in range(1, 33):
+        immediate = bytes(range(0xE0, 0xE0 + width))
+        for cut in range(width + 1):
+            _jumpdest, push = disassemble(bytes([0x5B, 0x5F + width]) + immediate[:cut])
+            assert (push.pc, push.opcode) == (1, f"PUSH{width}")
+            assert push.pushed_value == int.from_bytes(immediate[:cut].ljust(width, b"\x00"), "big")
 
 
 def test_disassemble_undefined_bytes_halt():

@@ -56,6 +56,11 @@ def test_summary_entry_slots_and_passthrough():
     assert summary.produced == (entry_slot(1),)
     assert summary.target_expr == 0x1 and 0x1 not in prog.constants
     assert summary.read_slots() == frozenset({0, 1})
+    # DUP16 puts entry slots 15..0 under the stack at once, POPs drop the
+    # top three, and SWAP16 puts slots 18, 17, 16 under what is left.
+    summary, _ = _summary(asm("DUP16", "SWAP16", "POP", "POP", "POP", "SWAP16", "STOP"))
+    assert summary.consumed_depth == 19
+    assert summary.produced == (entry_slot(18), *map(entry_slot, range(3, 18)), entry_slot(2))
 
 
 def test_summary_swap_reorders():

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from conftest import (
     asm,
     dispatch_pair_code,
@@ -10,6 +11,7 @@ from conftest import (
     underflow_drop_code,
     unresolved_operand_code,
 )
+from evmlift.analysis import STOP_FACT_LIMIT, STOP_FIXPOINT, STOP_TIMEOUT
 from evmlift.metrics import MetricsReport
 from evmlift.pipeline import RunConfig, run_pipeline
 
@@ -73,3 +75,9 @@ def test_json_keys_follow_the_field_order():
     assert tuple(decoded) == MetricsReport._fields
     assert decoded["stop_condition"] == "fixpoint"
     assert m.to_json().endswith("\n")
+
+
+@pytest.mark.parametrize("stop", [STOP_FIXPOINT, STOP_FACT_LIMIT, STOP_TIMEOUT])
+def test_json_is_what_the_json_module_writes(stop):
+    for m in (MetricsReport(0, 0, 0, 0, 0, stop), MetricsReport(3, 120, 1, 7, 20_000, stop)):
+        assert m.to_json() == json.dumps(m._asdict(), indent=2) + "\n"

@@ -12,6 +12,7 @@ from conftest import (
     chained_call_code,
     dispatch_pair_code,
     gen_deep_program,
+    inlined_call_code,
     never_jumped_code,
 )
 from evmlift import preanalysis
@@ -129,6 +130,19 @@ def test_every_pass_is_bounded_by_one_default_fact_limit():
     assert RunConfig.__annotations__["timeout"] == ForwardRef("float")
 
 
+def test_no_public_candidate_needs_no_public_confirmation(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("public confirmation ran without a public candidate")
+
+    for name in ("selector_values", "confirm_public_calls"):
+        monkeypatch.setattr(preanalysis, name, refuse)
+    res = run_pipeline(inlined_call_code())
+    assert not res.patterns.public_call_candidates and res.confirmed.private_calls
+    assert res.preanalysis.public_call_sites == frozenset()
+    with pytest.raises(AssertionError, match="public confirmation"):
+        run_pipeline(dispatch_pair_code())
+
+
 @pytest.fixture
 def projections(monkeypatch):
     """The results whose per_block projection was built, one entry per build."""
@@ -153,14 +167,20 @@ def test_a_reused_fixpoint_shares_one_projection(projections):
 
 
 @pytest.mark.parametrize(
-    "code, config",
-    [(never_jumped_code, RunConfig()), (chained_call_code, RunConfig(scheme=Scheme.TRANSACTIONAL))],
+    "code, config, public",
+    [
+        (never_jumped_code, RunConfig(), False),
+        (chained_call_code, RunConfig(scheme=Scheme.TRANSACTIONAL), True),
+    ],
     ids=["default", "no-shrinking"],
 )
-def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, config):
+def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, config, public):
     res = run_pipeline(code(), config)
     assert res.analysis is not res.preanalysis.result
-    assert projections == [res.preanalysis.result, res.analysis]
+    # Only public-call confirmation reads the pre-analysis projection, so a
+    # program without public candidates never builds it.
+    assert bool(res.patterns.public_call_candidates) is public
+    assert projections == ([res.preanalysis.result] if public else []) + [res.analysis]
     # Confirmation was the pre-analysis projection's last reader.
     assert "per_block" not in vars(res.preanalysis.result)
     assert "per_block" in vars(res.analysis)

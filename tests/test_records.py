@@ -156,3 +156,28 @@ def test_a_lift_leaves_its_value_tuples_untracked():
     ]
     assert tuples
     assert not [values for values in tuples if gc.is_tracked(values)]
+
+
+def test_a_lift_leaves_no_reference_cycles():
+    # Reference counting alone frees what a lift makes: with the collector
+    # off, a collection afterwards finds no cyclic garbage to save.
+    codes = [code for corpus in ("fixtures", "deep", "dispatch", "recursion") for code in CORPORA[corpus]()]
+    codes += CORPORA["sound"]()[:50]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for code in codes:
+            res = run_pipeline(code)
+            lifter.render_tac(res.tac)
+            res.metrics.to_json()
+        del res
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert garbage == []
