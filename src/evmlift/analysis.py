@@ -109,7 +109,7 @@ def transfer_block(summary: BlockSummary, input_env: Env) -> Env:
         else:
             out[j] = frozenset((value,))
     shift = len(produced) - summary.consumed_depth
-    for k in sorted(input_env):
+    for k in input_env:
         if k >= summary.consumed_depth and k + shift < MAX_STACK_DEPTH:
             out[k + shift] = input_env[k]
     return out

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .opcodes import BY_NAME, TABLE, Terminator
-from .values import AbstractValue
 
 MAX_CODE_SIZE = 24576
 
@@ -81,7 +80,8 @@ class BytecodeProgram(_ProgramFields):
     whose value is statically known to that value, and targets takes it to
     the block a jump on the value lands on. A clone is a name for a jump
     target, not a value, so record_constants holds the one rule that maps
-    a value to a block, and jump_target reads it back.
+    a value to a block, and every phase reads it back as targets.get(value),
+    which is None for a value that names no block.
     """
 
     __slots__ = ()
@@ -124,10 +124,6 @@ class BytecodeProgram(_ProgramFields):
                 targets[pc] = target
             elif const in jumpdests:
                 targets[pc] = const
-
-    def jump_target(self, value: AbstractValue) -> int | None:
-        """The block a jump on value lands on, or None when it names none."""
-        return self.targets.get(value)
 
 
 def _within_limit(code: bytes) -> bytes:

@@ -214,7 +214,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_trace(args: argparse.Namespace) -> int:
     try:
         code = read_bytecode_file(args.input)
-        calldata = bytes.fromhex(args.calldata.removeprefix("0x"))
+        hex_text = args.calldata
+        calldata = bytes.fromhex(hex_text[2:] if hex_text[:2] in ("0x", "0X") else hex_text)
     except (OSError, BytecodeError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_ERROR

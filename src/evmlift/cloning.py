@@ -32,7 +32,7 @@ def select_clone_candidates(
     A continuation qualifies when two or more distinct private-call pushes
     name it and it ends in a JUMP; one that halts passes nothing on, so a
     copy of it would split no merge. It is always a JUMPDEST block, since
-    jump_target names nothing else.
+    program.targets names nothing else.
     """
     sites: dict[int, set[int]] = {}
     for _caller, continuation, push_pc in facts.private_call_candidates:

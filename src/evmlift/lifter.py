@@ -221,7 +221,8 @@ _STMT_RE = re.compile(
 
 def parse_tac(text: str) -> TACProgram:
     blocks: dict[int, TACBlock] = {}
-    for chunk in text.strip("\n").split("\n\n"):
+    body = text.strip("\n")  # render_tac writes a lone newline for no blocks
+    for chunk in body.split("\n\n") if body else ():
         lines = chunk.split("\n")
         if len(lines) < 3:
             raise ValueError(f"truncated block: {lines!r}")

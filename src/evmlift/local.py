@@ -7,7 +7,8 @@ mnemonic -> (entry slots read, kind) table built at import from
 opcodes.TABLE, and entry slots missing under the stack go there in one
 slice assignment. Values are ints (see values); the constants the pass
 knows for pushes and folded results go into the program's pc -> constant
-table.
+table. detect_patterns then finds every call pattern in one walk over the
+summaries.
 """
 
 from __future__ import annotations
@@ -176,82 +177,48 @@ def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpReco
     return None
 
 
-def detect_public_call_candidates(
-    program: BytecodeProgram, summaries: dict[int, BlockSummary]
-) -> frozenset[tuple[int, int, int]]:
-    """Blocks that look like function-selector dispatch checks.
-
-    An EQ against a constant of at most four bytes must feed the block's JUMPI
-    condition, and the JUMPI target must be a block-local constant that names
-    a block (BytecodeProgram.jump_target).
-    Whether the compared value is really the call-data selector is left to the
-    pre-analysis.
-    """
-    out = set()
-    for bid, summary in summaries.items():
-        block = program.blocks[bid]
-        if block.terminator is not Terminator.CONDITIONAL_JUMP or summary.too_deep:
-            continue
-        target = program.jump_target(summary.target_expr)
-        if target is None:
-            continue
-        eq = chase_condition_to_eq(summary, summary.cond_expr)
-        if eq is None:
-            continue
-        consts = map(program.constants.get, eq.operands)
-        selector = next((c for c in consts if c is not None and c <= MAX_SELECTOR), None)
-        if selector is not None:
-            out.add((bid, selector, target))
-    return frozenset(out)
-
-
-def detect_private_call_candidates(
-    program: BytecodeProgram, summaries: dict[int, BlockSummary]
-) -> frozenset[tuple[int, int, int]]:
-    """Blocks that jump to a constant while leaving a pushed block address behind.
-
-    One (caller, continuation, push_pc) triple is emitted per qualifying push
-    statement, however many copies of it the exit stack holds; the
-    continuation is the block jump_target names, a clone for a push cloning
-    chose.
-    """
-    out = set()
-    for bid, summary in summaries.items():
-        block = program.blocks[bid]
-        if block.terminator is not Terminator.JUMP or summary.too_deep:
-            continue
-        if summary.local_jump_target is None:
-            continue
-        push_pcs = {ins.pc for ins in block.instructions if ins.pushed_value is not None}
-        seen: set[int] = set()
-        for value in summary.produced:
-            if value not in push_pcs or value in seen:
-                continue
-            continuation = program.jump_target(value)
-            if continuation is not None:
-                seen.add(value)
-                out.add((bid, continuation, value))
-    return frozenset(out)
-
-
-def detect_private_returns(
-    program: BytecodeProgram, summaries: dict[int, BlockSummary]
-) -> frozenset[int]:
-    """Blocks whose JUMP target comes off the entry stack rather than from the block.
-
-    A too-deep block that stopped before its JUMP has no target_expr.
-    """
-    out = set()
-    for bid, summary in summaries.items():
-        target = summary.target_expr
-        if program.blocks[bid].terminator is Terminator.JUMP and target is not None and target < UNDERFLOW:
-            out.add(bid)
-    return frozenset(out)
-
-
 def detect_patterns(program: BytecodeProgram, summaries: dict[int, BlockSummary]) -> PatternFacts:
-    return PatternFacts(
-        public_call_candidates=detect_public_call_candidates(program, summaries),
-        private_call_candidates=detect_private_call_candidates(program, summaries),
-        private_returns=detect_private_returns(program, summaries),
-    )
+    """The call-pattern candidates of every block, in one walk.
+
+    Each block branches once on its terminator:
+    - a JUMP block whose target comes off the entry stack is a private
+      return (a too-deep block that stopped before its JUMP has no
+      target_expr);
+    - any other JUMP block with a local jump target is a private caller,
+      with one (caller, continuation, push_pc) triple per push on its exit
+      stack that names a block, however many copies of it the stack holds;
+      the continuation is a clone for a push cloning chose;
+    - a JUMPI block whose condition an EQ against a constant of at most four
+      bytes feeds, and whose target names a block, is a public-call
+      candidate (block, selector, target); whether the compared value is
+      really the call-data selector is left to the pre-analysis.
+    An entry slot never carries a constant, so the two JUMP cases never
+    overlap. Every value names its block through program.targets.
+    """
+    public: set[tuple[int, int, int]] = set()
+    private: set[tuple[int, int, int]] = set()
+    returns: set[int] = set()
+    blocks, constants, targets = program.blocks, program.constants, program.targets
+    for bid, summary in summaries.items():
+        block = blocks[bid]
+        terminator = block.terminator
+        if terminator is Terminator.JUMP:
+            expr = summary.target_expr
+            if expr is not None and expr < UNDERFLOW:
+                returns.add(bid)
+            elif summary.local_jump_target is not None and not summary.too_deep:
+                pushes = {pc for pc, _opcode, pushed in block.instructions if pushed is not None}
+                for value in pushes.intersection(summary.produced):
+                    if (continuation := targets.get(value)) is not None:
+                        private.add((bid, continuation, value))
+        elif terminator is Terminator.CONDITIONAL_JUMP:
+            if summary.too_deep or (target := targets.get(summary.target_expr)) is None:
+                continue
+            eq = chase_condition_to_eq(summary, summary.cond_expr)
+            if eq is None:
+                continue
+            consts = map(constants.get, eq.operands)
+            selector = next((c for c in consts if c is not None and c <= MAX_SELECTOR), None)
+            if selector is not None:
+                public.add((bid, selector, target))
+    return PatternFacts(frozenset(public), frozenset(private), frozenset(returns))

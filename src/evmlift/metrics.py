@@ -53,16 +53,13 @@ def compute_metrics(
         if first.setdefault((ctx, bid), target) != target:
             polymorphic.add((ctx, bid))
 
-    unresolved = sum(
-        1
-        for block in tac.blocks.values()
-        for stmt in block.statements
-        if PLACEHOLDER in stmt.operands
-    )
-
+    unresolved = 0
     unstructured = 0
     missing_cf = 0
     for bid, block in tac.blocks.items():
+        for stmt in block.statements:
+            if PLACEHOLDER in stmt.operands:
+                unresolved += 1
         terminator = program.blocks[bid].terminator
         succs = len(block.succs)
         if terminator is Terminator.JUMP and bid not in confirmed.private_returns and succs > 1:

@@ -142,18 +142,18 @@ def test_jump_target_names_a_clone_only_through_its_push():
     assert cloned.clone_pushes == {0x2: 0x40, 0x13: 0x50}
     # a chosen push names its clone
     assert cloned.constants[0x2] == cloned.constants[0x13] == 0x20
-    assert cloned.jump_target(0x2) == 0x40
-    assert cloned.jump_target(0x13) == 0x50
+    assert cloned.targets.get(0x2) == 0x40
+    assert cloned.targets.get(0x13) == 0x50
     # a data constant equal to a clone id names nothing
     probe = cloned._replace(constants={}, targets={})
     probe.record_constants({0x5: 0x50})
-    assert probe.jump_target(0x5) is None
+    assert probe.targets.get(0x5) is None
     # a value folded from a chosen push names the jumpdest it carries
-    assert cloned.constants[0x7] == 0x20 and cloned.jump_target(0x7) == 0x20
+    assert cloned.constants[0x7] == 0x20 and cloned.targets.get(0x7) == 0x20
     # a value with no constant names nothing
-    assert 0x4 not in cloned.constants and cloned.jump_target(0x4) is None
-    assert cloned.jump_target(entry_slot(0)) is None
-    assert cloned.jump_target(UNDERFLOW) is None
+    assert 0x4 not in cloned.constants and cloned.targets.get(0x4) is None
+    assert cloned.targets.get(entry_slot(0)) is None
+    assert cloned.targets.get(UNDERFLOW) is None
 
 
 def test_parse_bytecode_text():

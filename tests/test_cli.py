@@ -304,6 +304,11 @@ def test_trace_runs_the_interpreter(dispatch_file, capsys):
     assert "visits: 0x0 0x38" in out
     assert "halted: stop" in out
 
+    # either case of the hex prefix, as a code file accepts
+    for prefix in ("0x", "0X"):
+        assert main(["trace", str(dispatch_file), "--calldata", prefix + selector]) == 0
+        assert "visits: 0x0 0x38" in capsys.readouterr().out
+
     assert main(["trace", str(dispatch_file)]) == 0
     out = capsys.readouterr().out
     assert "halted: revert" in out

@@ -61,8 +61,8 @@ def test_apply_cloning_rewrites_no_push():
     (push,) = [i for i in cloned.blocks[0x58].instructions if i.pc == 0x60]
     assert push.pushed_value == 0x72
     # the clone is named by the push's pc, not by its value
-    assert cloned.constants[0x60] == 0x72 and cloned.jump_target(0x60) == 0x1E0
-    assert cloned.constants[0x5A] == 0x77 and cloned.jump_target(0x5A) == 0x77
+    assert cloned.constants[0x60] == 0x72 and cloned.targets.get(0x60) == 0x1E0
+    assert cloned.constants[0x5A] == 0x77 and cloned.targets.get(0x5A) == 0x77
 
 
 def test_clone_bodies_are_pristine_rebased_copies():
@@ -116,8 +116,8 @@ def test_clone_id_stride_covers_wide_blocks():
     cloned, instances = apply_cloning(prog, detect_patterns(prog, summarize_program(prog)))
     assert [(i.push_pc, i.clone_id) for i in instances] == [(0x2, 0x50), (0x4, 0x70)]
     assert cloned.constants[0x2] == cloned.constants[0x4] == 0x10
-    assert cloned.jump_target(0x2) == 0x50
-    assert cloned.jump_target(0x4) == 0x70
+    assert cloned.targets.get(0x2) == 0x50
+    assert cloned.targets.get(0x4) == 0x70
 
 
 def test_a_data_constant_equal_to_a_clone_id_names_no_block():

@@ -188,7 +188,8 @@ def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
     for code in CORPORA[corpus]():
         program = extract_blocks(code)
         summaries = summarize_program(program)
-        cloned, clones = apply_cloning(program, detect_patterns(program, summaries))
+        facts = detect_patterns(program, summaries)
+        cloned, clones = apply_cloning(program, facts)
         if not clones:
             continue
         cloned_programs += 1
@@ -200,6 +201,13 @@ def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
         resummarized = summarize_program(cloned, summaries)
         assert sorted(summarized) == sorted(clone_ids)
         assert all(resummarized[bid] is summaries[bid] for bid in program.blocks)
+        # Detecting again moves only the facts of the clones and of the
+        # callers of chosen pushes, whose continuations are now clones.
+        chosen_callers = {c for c, _k, push in facts.private_call_candidates if push in cloned.clone_pushes}
+        again = detect_patterns(cloned, resummarized)
+        for before, after in zip(facts, again):
+            moved = {fact if isinstance(fact, int) else fact[0] for fact in before ^ after}
+            assert moved <= clone_ids | chosen_callers, code.hex()
         for name, overrides in SWEEP_CONFIGS:
             config = RunConfig(**overrides)
             if not config.cloning:

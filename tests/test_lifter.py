@@ -194,7 +194,8 @@ def test_unknown_slot_reads_as_placeholder():
 
 
 def test_render_parse_round_trip(cloned, uncloned):
-    for res in (cloned, uncloned):
+    # an empty program renders as a lone newline and parses back to no blocks
+    for res in (cloned, uncloned, run_pipeline(b"")):
         text = render_tac(res.tac)
         parsed = parse_tac(text)
         assert parsed.blocks == res.tac.blocks

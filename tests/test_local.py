@@ -12,9 +12,6 @@ from evmlift.interpreter import binop
 from evmlift.local import (
     chase_condition_to_eq,
     detect_patterns,
-    detect_private_call_candidates,
-    detect_private_returns,
-    detect_public_call_candidates,
     summarize_block,
     summarize_program,
 )
@@ -127,7 +124,7 @@ def test_chase_condition_through_iszero():
 
 def test_public_call_candidates_on_dispatch_pair():
     prog = extract_blocks(dispatch_pair_code())
-    found = detect_public_call_candidates(prog, summarize_program(prog))
+    found = detect_patterns(prog, summarize_program(prog)).public_call_candidates
     assert found == frozenset({(0x0, 0x12E49406, 0x38), (0x29, 0x87D7A5F4, 0x54)})
 
 
@@ -140,20 +137,20 @@ def test_public_candidate_requires_selector_width():
         }
     )
     prog = extract_blocks(code)
-    assert detect_public_call_candidates(prog, summarize_program(prog)) == frozenset()
+    assert detect_patterns(prog, summarize_program(prog)).public_call_candidates == frozenset()
 
 
 def test_private_call_candidates_on_inlined_call():
     prog = extract_blocks(inlined_call_code())
-    summaries = summarize_program(prog)
-    assert detect_private_call_candidates(prog, summaries) == frozenset({(0x129, 0x132, 0x12A)})
-    assert detect_private_returns(prog, summaries) == frozenset({0x109})
+    facts = detect_patterns(prog, summarize_program(prog))
+    assert facts.private_call_candidates == frozenset({(0x129, 0x132, 0x12A)})
+    assert facts.private_returns == frozenset({0x109})
 
 
 def test_private_call_candidates_on_chained_calls():
     prog = extract_blocks(chained_call_code())
-    summaries = summarize_program(prog)
-    assert detect_private_call_candidates(prog, summaries) == frozenset(
+    facts = detect_patterns(prog, summarize_program(prog))
+    assert facts.private_call_candidates == frozenset(
         {
             (0x58, 0x72, 0x60),
             (0x58, 0x72, 0x66),
@@ -163,7 +160,7 @@ def test_private_call_candidates_on_chained_calls():
             (0x90, 0x77, 0x92),
         }
     )
-    assert detect_private_returns(prog, summaries) == frozenset({0x1C7, 0x1D0})
+    assert facts.private_returns == frozenset({0x1C7, 0x1D0})
 
 
 def test_detect_patterns_bundles_all_facts():
