@@ -87,10 +87,28 @@ class AnalysisResult:
     @cached_property
     def per_block(self) -> dict[int, Env]:
         """block_input projected onto blocks, merging contexts slot-wise
-        with the fixpoint's own join."""
+        with the fixpoint's union and without its tuple count.
+
+        Copy on write: a block seen in one context maps to that context's
+        entry env itself, which is never written. The env is copied only
+        when a second context joins it.
+        """
         merged: dict[int, Env] = {}
+        copied: set[int] = set()
         for (_ctx, bid), env in self.block_input.items():
-            _join(merged, bid, env)
+            cur = merged.get(bid)
+            if cur is None:
+                merged[bid] = env
+                continue
+            if bid not in copied:
+                copied.add(bid)
+                cur = merged[bid] = dict(cur)
+            for slot, vals in env.items():
+                have = cur.get(slot)
+                if have is None:
+                    cur[slot] = vals
+                elif vals is not have and not vals <= have:
+                    cur[slot] = have | vals
         return merged
 
 

@@ -242,15 +242,20 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "trace":
         return _run_trace(args)
+    # Outputs go next to each batch input, and a sweep writes none.
+    outputs = [flag for flag, path in (("--tac-out", args.tac_out), ("--metrics-out", args.metrics_out)) if path]
     if args.batch:
-        if args.input or args.sweep:
-            print("--batch takes no positional input and no --sweep", file=sys.stderr)
+        if args.input or args.sweep or outputs:
+            print("--batch takes no positional input, no --sweep and no --tac-out or --metrics-out", file=sys.stderr)
             return EXIT_ERROR
         return _run_batch(args)
     if not args.input:
         print("an input file or --batch DIR is required", file=sys.stderr)
         return EXIT_ERROR
     if args.sweep:
+        if outputs:
+            print(f"--sweep writes no files, so it takes no {' or '.join(outputs)}", file=sys.stderr)
+            return EXIT_ERROR
         return _run_sweep(args)
     config = _config_from_args(args)
     code, detail = _lift_one(args.input, config, args.tac_out, args.metrics_out)

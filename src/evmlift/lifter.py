@@ -7,18 +7,27 @@ that value's name directly, a slot with several gets a PHI, and a slot the
 analysis knows nothing about reads as the placeholder "?". Call blocks
 whose unique jump target is a confirmed private entry render as
 CALLPRIVATE, carrying the target and the argument slots up to and
-including the pushed continuation address. One value -> token table
-per lift names every operand: each def site once, and the entry slots a
-block reads, written before its statements read them. TAC_OPCODES maps a
-mnemonic to the opcode its statement shows.
+including the pushed continuation address. The continuation slot is found
+by walking the block's exit slots in order from its summary and entry
+env; no exit env is built. One value -> token table per lift names every
+operand: each def site once, and the entry slots a block reads, written
+before its statements read them. TAC_OPCODES maps a mnemonic to the opcode
+its statement shows.
+
+One formatter writes the text: _write_statements holds the statement line
+format and _write_block the block header, and TACStatement.render,
+TACBlock.render and render_tac all go through them, so rendering makes no
+Python call per statement. Numbers are written with hex(), which gives
+f"0x{n:x}" for every n >= 0 at a fraction of a format spec's cost.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Collection, Iterable
 from typing import NamedTuple
 
-from .analysis import AnalysisResult, Env, transfer_block
+from .analysis import MAX_STACK_DEPTH, AnalysisResult, Env
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary
@@ -37,17 +46,9 @@ class TACStatement(NamedTuple):
     const: int | None = None
 
     def render(self) -> str:
-        label, opcode, operands, def_name, const = self
-        if operands:
-            opcode = f"{opcode} {', '.join(operands)}"
-        if def_name is None:
-            return f"{label}: {opcode}"
-        if const is None:
-            return f"{label}: {def_name} = {opcode}"
-        return f"{label}: {def_name}(0x{const:x}) = {opcode}"
-
-
-_HEX = "0x{:x}".format
+        lines: list[str] = []
+        _write_statements((self,), lines.append)
+        return lines[0]
 
 
 class TACBlock(NamedTuple):
@@ -57,13 +58,46 @@ class TACBlock(NamedTuple):
     succs: tuple[int, ...] = ()
 
     def render(self) -> str:
-        preds, succs = ", ".join(map(_HEX, self.preds)), ", ".join(map(_HEX, self.succs))
-        head = f"Begin block 0x{self.id:x}\nprev=[{preds}], succ=[{succs}]\n{RULE}"
-        return "\n".join([head, *map(TACStatement.render, self.statements)])
+        lines: list[str] = []
+        _write_block(self, lines.append)
+        return "\n".join(lines)
 
 
 class TACProgram(NamedTuple):
     blocks: dict[int, TACBlock]
+
+
+def _write_statements(statements: Iterable[TACStatement], append: Callable[[str], None]) -> None:
+    """Append one line per statement: the one place a statement's line
+    format is written, in a loop that makes no Python call per statement."""
+    for label, opcode, operands, def_name, const in statements:
+        if operands:
+            opcode = f"{opcode} {', '.join(operands)}"
+        if def_name is None:
+            append(f"{label}: {opcode}")
+        elif const is None:
+            append(f"{label}: {def_name} = {opcode}")
+        else:
+            append(f"{label}: {def_name}({hex(const)}) = {opcode}")
+
+
+def _write_block(block: TACBlock, append: Callable[[str], None]) -> None:
+    """Append a block's header line, edge line, rule and statements."""
+    bid, statements, preds, succs = block
+    append(f"Begin block {hex(bid)}\nprev=[{', '.join(map(hex, preds))}], succ=[{', '.join(map(hex, succs))}]\n{RULE}")
+    _write_statements(statements, append)
+
+
+def render_tac(tac: TACProgram) -> str:
+    """Blocks by id, a blank line between two, and one newline at the end,
+    also when there is no block."""
+    lines: list[str] = []
+    append = lines.append
+    for bid in sorted(tac.blocks):
+        if lines:
+            append("")
+        _write_block(tac.blocks[bid], append)
+    return "\n".join(lines) + "\n"
 
 
 # mnemonic -> the opcode its statement shows: every push is a CONST
@@ -79,7 +113,7 @@ class _Names(dict):
         super().__init__({None: None})  # the result of a statement that defines none
 
     def __missing__(self, value: AbstractValue) -> str:
-        name = self[value] = f"v{value:x}"
+        name = self[value] = "v%x" % value
         return name
 
 
@@ -91,9 +125,14 @@ def lift(
 ) -> TACProgram:
     """Lift result to TAC from its per-block projection, which result owns
     and which is only read here."""
-    edges: dict[int, set[int]] = {}
+    # edge_pairs holds each pair once, so a list per source block is a set.
+    edges: dict[int, list[int]] = {}
     for bid, succ in result.edge_pairs():
-        edges.setdefault(bid, set()).add(succ)
+        targets = edges.get(bid)
+        if targets is None:
+            edges[bid] = [succ]
+        else:
+            targets.append(succ)
     jump_target = program.targets.get
     private_entries = frozenset(
         target
@@ -101,39 +140,84 @@ def lift(
         if (target := jump_target(summaries[caller].target_expr)) is not None
     )
     continuations = frozenset(cont for _caller, cont in confirmed.private_calls)
+    blocks = program.blocks
     names = _Names()
 
     lifted: dict[int, tuple[tuple[TACStatement, ...], tuple[int, ...]]] = {}
     for bid, entry in sorted(result.per_block.items()):
         # A JUMP block's edges are its jump targets.
-        targets = edges.get(bid, set())
+        targets = edges.get(bid, ())
         is_call = (
-            program.blocks[bid].terminator is Terminator.JUMP
-            and len(targets) == 1
-            and not private_entries.isdisjoint(targets)
+            len(targets) == 1
+            and targets[0] in private_entries
+            and blocks[bid].terminator is Terminator.JUMP
         )
         block = _lift_block(bid, summaries[bid], entry, targets, is_call, program, continuations, names)
         if block is not None:
             lifted[bid] = block
 
-    preds: dict[int, set[int]] = {bid: set() for bid in lifted}
+    # Blocks are lifted in id order, so each pred list comes out sorted.
+    preds: dict[int, list[int]] = {}
     for bid, (_statements, succs) in lifted.items():
         for succ in succs:
-            if succ in preds:
-                preds[succ].add(bid)
+            if succ in lifted:
+                have = preds.get(succ)
+                if have is None:
+                    preds[succ] = [bid]
+                else:
+                    have.append(bid)
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new = tuple.__new__
     return TACProgram(
         blocks={
-            bid: TACBlock(bid, statements, tuple(sorted(preds[bid])), succs)
+            bid: new(TACBlock, (bid, statements, tuple(preds.get(bid, ())), succs))
             for bid, (statements, succs) in lifted.items()
         }
     )
+
+
+def _continuation(
+    summary: BlockSummary,
+    entry: Env,
+    jump_target: Callable[[AbstractValue], int | None],
+    continuations: frozenset[int],
+) -> tuple[int, Collection[AbstractValue]] | None:
+    """(slot, values) of the first exit slot holding a value that names a
+    confirmed continuation, or None.
+
+    Walks the exit slots in order without building the exit env: first
+    produced[j], where a def site stands for itself and an entry slot for
+    its entry set, then each entry slot k from consumed_depth on, passed
+    through to exit slot k + shift. Like transfer_block it stops at
+    MAX_STACK_DEPTH. An entry slot with no values reads UNDERFLOW, which
+    names no block, so it is passed over.
+    """
+    produced = summary.produced
+    for j, value in enumerate(produced[:MAX_STACK_DEPTH]):
+        if value < UNDERFLOW:
+            values = entry.get(entry_slot(value))
+            if values and not continuations.isdisjoint(map(jump_target, values)):
+                return j, values
+        elif jump_target(value) in continuations:
+            return j, (value,)
+    consumed = summary.consumed_depth
+    shift = len(produced) - consumed
+    for k in sorted(entry):
+        if k < consumed:
+            continue
+        if k + shift >= MAX_STACK_DEPTH:
+            break
+        values = entry[k]
+        if not continuations.isdisjoint(map(jump_target, values)):
+            return k + shift, values
+    return None
 
 
 def _lift_block(
     bid: int,
     summary: BlockSummary,
     entry: Env,
-    succs: set[int],
+    succs: Collection[int],
     is_call: bool,
     program: BytecodeProgram,
     continuations: frozenset[int],
@@ -142,29 +226,22 @@ def _lift_block(
     """(statements, succs) of one block, or None when an entry slot it reads
     mixes UNDERFLOW with values.
 
-    A call passes the exit slots down to its continuation slot, the first
-    exit slot holding a value that names a confirmed continuation, and
-    returns to the blocks that slot names. A call with no such slot passes
-    its target alone and keeps its jump edge.
+    A call passes the exit slots down to its continuation slot (see
+    _continuation) and returns to the blocks that slot names. A call with
+    no such slot passes its target alone and keeps its jump edge.
     """
-    jump_target = program.targets.get
-    produced = summary.produced
     args: tuple[AbstractValue, ...] = ()
     if is_call:
-        # From the merged entry env, which differs from the per-context
-        # union only by UNDERFLOW; only the blocks values name are read here.
-        out = transfer_block(summary, entry)
-        cont_slot = next(
-            (slot for slot in sorted(out) if not continuations.isdisjoint(map(jump_target, out[slot]))),
-            None,
-        )
-        if cont_slot is not None:
-            # Exit slot j is produced[j], or else an entry slot passed through.
-            shift = len(produced) - summary.consumed_depth
-            args = tuple(
-                produced[j] if j < len(produced) else entry_slot(j - shift) for j in range(cont_slot + 1)
-            )
-            succs = set(map(jump_target, out[cont_slot])) - {None}
+        jump_target = program.targets.get
+        found = _continuation(summary, entry, jump_target, continuations)
+        if found is not None:
+            cont_slot, values = found
+            # Exit slot j is produced[j], or else entry slot j - shift passed through.
+            produced, consumed = summary.produced, summary.consumed_depth
+            shift = len(produced) - consumed
+            args = produced[: cont_slot + 1] + tuple(map(entry_slot, range(consumed, cont_slot + 1 - shift)))
+            succs = set(map(jump_target, values))
+            succs.discard(None)
 
     # read holds every entry slot an operand names, so each gets its token
     # in names below before a statement reads it.
@@ -173,19 +250,19 @@ def _lift_block(
     if args:
         read = read.union(entry_slot(v) for v in args if v < UNDERFLOW)
     for slot in sorted(read):
-        real = sorted(entry.get(slot, ()))
-        if real and real[0] == UNDERFLOW:  # UNDERFLOW sorts first
-            if len(real) > 1:
-                return None
-            real.clear()
-        if not real:
+        values = entry.get(slot, ())
+        if len(values) == 1:
+            (value,) = values
+            names[entry_slot(slot)] = PLACEHOLDER if value == UNDERFLOW else names[value]
+        elif not values:
             names[entry_slot(slot)] = PLACEHOLDER
-        elif len(real) == 1:
-            names[entry_slot(slot)] = names[real[0]]
         else:
+            real = sorted(values)
+            if real[0] == UNDERFLOW:  # UNDERFLOW sorts first
+                return None
             def_name = names[entry_slot(slot)] = f"v{bid:x}_{slot:x}"
             operands = tuple(map(names.__getitem__, real))
-            statements.append(TACStatement(f"0x{bid:x}_0x{slot:x}", "PHI", operands, def_name))
+            statements.append(TACStatement(f"{hex(bid)}_{hex(slot)}", "PHI", operands, def_name))
 
     # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
     new, token, tac_opcodes, constants = tuple.__new__, names.__getitem__, TAC_OPCODES, program.constants
@@ -195,20 +272,15 @@ def _lift_block(
             if 0 in read and names[entry_slot(0)] == def_name:  # the PHI of a lone JUMP's slot 0
                 def_name += "r"
             operands = tuple(map(token, (operands[0], *args)))
-            statements.append(TACStatement(f"0x{pc:x}", "CALLPRIVATE", operands, def_name))
+            statements.append(TACStatement(hex(pc), "CALLPRIVATE", operands, def_name))
             continue
         statements.append(
             new(
                 TACStatement,
-                (f"0x{pc:x}", tac_opcodes[opcode], tuple(map(token, operands)), token(result), constants.get(result)),
+                (hex(pc), tac_opcodes[opcode], tuple(map(token, operands)) if operands else (), token(result), constants.get(result)),
             )
         )
     return tuple(statements), tuple(sorted(succs))
-
-
-def render_tac(tac: TACProgram) -> str:
-    parts = [tac.blocks[bid].render() for bid in sorted(tac.blocks)]
-    return "\n\n".join(parts) + "\n"
 
 
 _HEADER_RE = re.compile(r"^Begin block (0x[0-9a-f]+)$")

@@ -151,9 +151,14 @@ def compute_important_edges(
             if len(vals) >= 2 and len(set(map(jump_target, vals)) - {None}) >= 2
         }
 
+    # Most envs hold one value per slot; those are passed over at C speed.
     imprecise_in = {
-        key: slots for key, env in result.block_input.items() if (slots := imprecise(env))
+        key: slots
+        for key, env in result.block_input.items()
+        if env and max(map(len, env.values())) >= 2 and (slots := imprecise(env))
     }
+    if not imprecise_in:
+        return frozenset()
     # Only edges into an imprecise slot can be blamed or carry the blame, so
     # only their sources' exit envs are needed.
     edges = [edge for edge in result.global_block_edge if edge[2:] in imprecise_in]

@@ -220,7 +220,25 @@ def test_per_block_merges_contexts_without_touching_the_store():
     merged = AnalysisResult(block_input=store).per_block
     assert merged == {0x8: {0: {A, B}, 1: {C}}, 0x6: {}}
     assert store[(INITIAL_CONTEXT, 0x8)] == {0: {A}, 1: {C}}
+    assert store[(inner, 0x8)] == {0: {B}}
     assert all(isinstance(vals, frozenset) for vals in _slot_sets(merged))
+    # A block seen in one context maps to that context's env itself; a block
+    # that a second context joins gets a copy of its own.
+    assert merged[0x6] is store[(inner, 0x6)]
+    assert all(merged[0x8] is not env for env in store.values())
+    # A slot neither context grows keeps the first context's set.
+    assert merged[0x8][1] is store[(INITIAL_CONTEXT, 0x8)][1]
+
+
+def test_per_block_copies_a_block_once_however_many_contexts_join():
+    contexts = [Context(None, (c,)) for c in range(4)]
+    first = {0: frozenset({A}), 1: frozenset({C})}
+    store = {(contexts[0], 0x8): first}
+    store.update({(ctx, 0x8): {0: frozenset({v})} for ctx, v in zip(contexts[1:], (B, C, A))})
+    merged = AnalysisResult(block_input=store).per_block
+    assert merged == {0x8: {0: {A, B, C}, 1: {C}}}
+    assert first == {0: {A}, 1: {C}}
+    assert [env for env in store.values()][1:] == [{0: {B}}, {0: {C}}, {0: {A}}]
 
 
 # (fact_count, transfers) of the pre-analysis (None when it is off) and of the

@@ -278,6 +278,20 @@ def test_batch_argument_validation(tmp_path, capsys, dispatch_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--tac-out", "--metrics-out"])
+def test_batch_and_sweep_refuse_an_output_path(tmp_path, capsys, chained_file, flag):
+    batch = _make_batch_dir(tmp_path)
+    out = tmp_path / "out"
+    before = sorted(p.name for p in batch.iterdir())
+    assert main(["lift", "--batch", str(batch), flag, str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in batch.iterdir()) == before
+    assert main([str(chained_file), "--sweep", flag, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_sweep_prints_config_table(chained_file, capsys):
     assert main([str(chained_file), "--sweep"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

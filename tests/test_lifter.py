@@ -13,8 +13,14 @@ from conftest import (
     underflow_drop_code,
     unresolved_operand_code,
 )
-from evmlift.lifter import parse_tac, render_tac
+from evmlift.analysis import MAX_STACK_DEPTH, transfer_block
+from evmlift.bytecode import Terminator
+from evmlift.cli import SWEEP_CONFIGS
+from evmlift.lifter import TACBlock, TACProgram, _continuation, parse_tac, render_tac
+from evmlift.local import BlockSummary
 from evmlift.pipeline import RunConfig, run_pipeline
+from evmlift.values import entry_slot
+from test_golden import CORPORA
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +233,81 @@ def test_readme_tac_sample_is_an_excerpt_of_the_rendered_output(cloned):
     for header, paragraph in zip(headers, paragraphs):
         pattern = r"\n(?:.*\n)*".join(map(re.escape, paragraph.split("\n...\n")))
         assert re.fullmatch(pattern, rendered[header]), paragraph
+
+
+def _exit_env_rule(summary, entry, jump_target, continuations):
+    """The continuation rule read off the whole exit env: (slot, blocks) of
+    the first exit slot holding a value that names a continuation."""
+    out = transfer_block(summary, entry)
+    for slot in sorted(out):
+        if not continuations.isdisjoint(map(jump_target, out[slot])):
+            return slot, set(map(jump_target, out[slot])) - {None}
+    return None
+
+
+def _scan(summary, entry, jump_target, continuations):
+    found = _continuation(summary, entry, jump_target, continuations)
+    if found is None:
+        return None
+    slot, values = found
+    return slot, set(map(jump_target, values)) - {None}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_the_continuation_scan_agrees_with_the_exit_env(corpus):
+    # On every JUMP block the analysis reached, not only the calls; each
+    # CALLPRIVATE's succ list is the blocks its continuation slot names.
+    calls = 0
+    for code in CORPORA[corpus]():
+        for name, overrides in SWEEP_CONFIGS:
+            res = run_pipeline(code, RunConfig(**overrides))
+            jump_target = res.program.targets.get
+            continuations = frozenset(cont for _caller, cont in res.confirmed.private_calls)
+            for bid, entry in res.analysis.per_block.items():
+                if res.program.blocks[bid].terminator is not Terminator.JUMP:
+                    continue
+                summary = res.summaries[bid]
+                expected = _exit_env_rule(summary, entry, jump_target, continuations)
+                assert _scan(summary, entry, jump_target, continuations) == expected, (code.hex(), name, bid)
+                block = res.tac.blocks.get(bid)
+                if block is not None and block.statements and block.statements[-1].opcode == "CALLPRIVATE":
+                    calls += 1
+                    if expected is not None:
+                        assert block.succs == tuple(sorted(expected[1])), (code.hex(), name, bid)
+    assert calls
+
+
+def test_the_continuation_scan_stops_at_max_stack_depth():
+    cont = 0x40
+    jump_target = {7: cont}.get  # the def site at pc 7 names the continuation
+    continuations = frozenset({cont})
+    filler = tuple(range(1000, 1000 + MAX_STACK_DEPTH))  # def sites that name no block
+    cases = [
+        # a pushed continuation at exit slot MAX_STACK_DEPTH is cut, one slot up it is found
+        (BlockSummary(0, filler + (7,)), {}, None),
+        (BlockSummary(0, filler[1:] + (7,)), {}, MAX_STACK_DEPTH - 1),
+        # entry slot k passes through to exit slot k + 1 here
+        (BlockSummary(1, (1000, 1001)), {MAX_STACK_DEPTH - 1: frozenset({7})}, None),
+        (BlockSummary(1, (1000, 1001)), {MAX_STACK_DEPTH - 2: frozenset({7})}, MAX_STACK_DEPTH - 1),
+        # a produced entry slot stands for its entry set; an empty one reads UNDERFLOW
+        (BlockSummary(1, (1000, entry_slot(0))), {0: frozenset({1001, 7})}, 1),
+        (BlockSummary(1, (entry_slot(0), 7)), {}, 1),
+        # a consumed entry slot is not passed through
+        (BlockSummary(2, (entry_slot(1),)), {0: frozenset({7}), 1: frozenset({1000})}, None),
+    ]
+    for summary, entry, slot in cases:
+        expected = _exit_env_rule(summary, entry, jump_target, continuations)
+        assert (None if expected is None else expected[0]) == slot, summary
+        assert _scan(summary, entry, jump_target, continuations) == expected, summary
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_every_render_writes_the_same_lines(corpus):
+    for code in CORPORA[corpus]():
+        tac = run_pipeline(code).tac
+        blocks = [tac.blocks[bid] for bid in sorted(tac.blocks)]
+        assert render_tac(tac) == "\n\n".join(block.render() for block in blocks) + "\n"
+        for block in blocks:
+            assert block.render().split("\n")[3:] == [stmt.render() for stmt in block.statements]
+    assert render_tac(TACProgram({})) == "\n"
+    assert TACBlock(0x1, ()).render() == "Begin block 0x1\nprev=[], succ=[]\n" + "=" * 33

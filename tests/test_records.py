@@ -103,7 +103,6 @@ def test_slot_sets_hold_only_def_sites_and_underflow(monkeypatch):
         return out
 
     monkeypatch.setattr(analysis, "transfer_block", spy)
-    monkeypatch.setattr(lifter, "transfer_block", spy)
     for corpus in sorted(CORPORA):
         for code in CORPORA[corpus]():
             for _name, overrides in SWEEP_CONFIGS:
