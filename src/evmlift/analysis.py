@@ -31,10 +31,12 @@ DEFAULT_FACT_LIMIT = 1_000_000
 # Entry-stack slots modeled per (context, block) pair; deeper slots are cut.
 MAX_STACK_DEPTH = 100
 
-# Slot sets are frozensets shared between envs and keys; none is ever
-# mutated, so passing one through a block or into a store needs no copy.
-# They hold def sites and UNDERFLOW only, never an entry slot (see values).
-Env = dict[int, frozenset[AbstractValue]]
+# An env is a tuple of slot sets, slot 0 at the top. Envs and their
+# frozensets are shared between keys and never mutated, so passing one
+# through a block or into a store needs no copy; a slot that grows gives a
+# new tuple. Slot sets hold def sites and UNDERFLOW only, never an entry
+# slot (see values).
+Env = tuple[frozenset[AbstractValue], ...]
 PairKey = tuple[Context, int]
 
 _UNDERFLOW_ONLY = frozenset({UNDERFLOW})
@@ -47,9 +49,9 @@ class AnalysisResult:
 
     An exit env is not stored: it is transfer_block of the block's entry env.
     fact_count counts the tuples of the three relations: one entry-stack
-    value, jump target or edge each. The slot sets of block_input are
-    frozensets shared with other keys and exit envs; a slot that grows is
-    replaced by a new set, never updated in place. facts and cfg are what
+    value, jump target or edge each. The envs of block_input and their slot
+    sets are shared with other keys and exit envs; an env that grows is
+    replaced by a new tuple, never updated in place. facts and cfg are what
     the run merged contexts under and fact_limit the limit it ran under, so
     a later run can tell whether it would replay this one (see _replays).
     per_block and edge_pairs are built on their first read, which must
@@ -86,73 +88,60 @@ class AnalysisResult:
 
     @cached_property
     def per_block(self) -> dict[int, Env]:
-        """block_input projected onto blocks, merging contexts slot-wise
-        with the fixpoint's union and without its tuple count.
-
-        Copy on write: a block seen in one context maps to that context's
-        entry env itself, which is never written. The env is copied only
-        when a second context joins it.
-        """
+        """block_input projected onto blocks: the fixpoint's join of every
+        context's entry env. A block seen in one context maps to that
+        context's env itself."""
         merged: dict[int, Env] = {}
-        copied: set[int] = set()
         for (_ctx, bid), env in self.block_input.items():
-            cur = merged.get(bid)
-            if cur is None:
-                merged[bid] = env
-                continue
-            if bid not in copied:
-                copied.add(bid)
-                cur = merged[bid] = dict(cur)
-            for slot, vals in env.items():
-                have = cur.get(slot)
-                if have is None:
-                    cur[slot] = vals
-                elif vals is not have and not vals <= have:
-                    cur[slot] = have | vals
+            if merged.setdefault(bid, env) is not env:
+                _join(merged, bid, env)
         return merged
 
 
 def transfer_block(summary: BlockSummary, input_env: Env) -> Env:
     """Exit environment induced by one entry environment.
 
-    A read of an empty entry slot yields UNDERFLOW. A slot read or passed
-    through holds the entry env's own set, not a copy. Slots from
-    MAX_STACK_DEPTH down are dropped.
+    The produced slots come first, then the entry slots below the consumed
+    ones, passed through as they are. A read past the entry env's bottom
+    yields UNDERFLOW. Slots from MAX_STACK_DEPTH down are dropped.
     """
-    produced = summary.produced
-    out: Env = {}
-    for j, value in enumerate(produced[:MAX_STACK_DEPTH]):
+    depth = len(input_env)
+    out: list[frozenset[AbstractValue]] = []
+    for value in summary.produced[:MAX_STACK_DEPTH]:
         if value < UNDERFLOW:
-            out[j] = input_env.get(entry_slot(value)) or _UNDERFLOW_ONLY
+            slot = entry_slot(value)
+            out.append(input_env[slot] if slot < depth else _UNDERFLOW_ONLY)
         else:
-            out[j] = frozenset((value,))
-    shift = len(produced) - summary.consumed_depth
-    for k in input_env:
-        if k >= summary.consumed_depth and k + shift < MAX_STACK_DEPTH:
-            out[k + shift] = input_env[k]
-    return out
+            out.append(frozenset((value,)))
+    consumed = summary.consumed_depth
+    out += input_env[consumed : consumed + MAX_STACK_DEPTH - len(out)]
+    return tuple(out)
 
 
 def _join(store: dict[K, Env], key: K, env: Env) -> int:
     """Slot-wise union of env into store[key]; returns the number of new tuples.
 
-    The dict of a new key is copied, since one exit env feeds several
-    successors; its slot sets are shared. A slot that grows gets a new set.
+    A new key stores env itself. A key that grows gets a new tuple, and a
+    slot that grows a new set.
     """
     cur = store.get(key)
     if cur is None:
-        store[key] = dict(env)
-        return sum(map(len, env.values()))
+        store[key] = env
+        return sum(map(len, env))
     added = 0
-    for slot, vals in env.items():
-        have = cur.get(slot)
-        if have is None:
-            cur[slot] = vals
-            added += len(vals)
-        elif vals is not have and not vals <= have:
-            grown = have | vals
+    joined = None
+    for slot, (have, vals) in enumerate(zip(cur, env)):
+        if vals is not have and not vals <= have:
+            if joined is None:
+                joined = list(cur)
+            grown = joined[slot] = have | vals
             added += len(grown) - len(have)
-            cur[slot] = grown
+    deeper = env[len(cur) :]
+    if deeper:
+        added += sum(map(len, deeper))
+    elif joined is None:
+        return 0
+    store[key] = (cur if joined is None else tuple(joined)) + deeper
     return added
 
 
@@ -262,7 +251,7 @@ def analyze(
     env_facts = transfers = 0
     stop = STOP_FIXPOINT
     start: PairKey = (INITIAL_CONTEXT, 0)
-    block_input[start] = {}
+    block_input[start] = ()
     queue: deque[PairKey] = deque((start,))
     queued: set[PairKey] = {start}
 
@@ -288,7 +277,11 @@ def analyze(
         succs: list[PairKey] = []
         if jump is not None:
             # UNDERFLOW names no block, so an empty slot jumps nowhere.
-            values = sorted(input_env.get(entry_slot(jump), ())) if jump < UNDERFLOW else (jump,)
+            if jump < UNDERFLOW:
+                slot = entry_slot(jump)
+                values = sorted(input_env[slot]) if slot < len(input_env) else ()
+            else:
+                values = (jump,)
             for value in values:
                 target = jump_target(value)
                 if target is not None:

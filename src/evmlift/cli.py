@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lift.add_argument("--tac-out", metavar="PATH")
     lift.add_argument("--metrics-out", metavar="PATH")
     lift.add_argument("--batch", metavar="DIR", help="lift every file in DIR")
-    lift.add_argument("--jobs", type=_at_least(1), default=1, metavar="N")
+    lift.add_argument("--jobs", type=_at_least(1), default=None, metavar="N")  # batch only; None runs 1
     lift.add_argument("--sweep", action="store_true", help="print a table over standard configs")
 
     trace = sub.add_parser("trace", help="run the concrete interpreter and print the visited blocks")
@@ -158,7 +158,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     jobs = [(path, config) for path in inputs]
     # A forking pool starts all its workers at once, so start no more than there are files.
-    workers = min(args.jobs, len(jobs))
+    workers = min(args.jobs or 1, len(jobs))
     if workers > 1:
         import concurrent.futures  # only here, as it loads logging and inspect
 
@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return _run_batch(args)
     if not args.input:
         print("an input file or --batch DIR is required", file=sys.stderr)
+        return EXIT_ERROR
+    if args.jobs is not None:
+        print("--jobs sets the workers of a --batch run; a single lift or --sweep runs in one process", file=sys.stderr)
         return EXIT_ERROR
     if args.sweep:
         if outputs:

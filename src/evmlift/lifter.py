@@ -7,12 +7,12 @@ that value's name directly, a slot with several gets a PHI, and a slot the
 analysis knows nothing about reads as the placeholder "?". Call blocks
 whose unique jump target is a confirmed private entry render as
 CALLPRIVATE, carrying the target and the argument slots up to and
-including the pushed continuation address. The continuation slot is found
-by walking the block's exit slots in order from its summary and entry
-env; no exit env is built. One value -> token table per lift names every
-operand: each def site once, and the entry slots a block reads, written
-before its statements read them. TAC_OPCODES maps a mnemonic to the opcode
-its statement shows.
+including the pushed continuation address: the first slot of the block's
+exit env, as transfer_block lays it out, that names a confirmed
+continuation. One value -> token table per lift names every operand: each
+def site once, and the entry slots a block reads, written before its
+statements read them. TAC_OPCODES maps a mnemonic to the opcode its
+statement shows.
 
 One formatter writes the text: _write_statements holds the statement line
 format and _write_block the block header, and TACStatement.render,
@@ -27,7 +27,7 @@ import re
 from collections.abc import Callable, Collection, Iterable
 from typing import NamedTuple
 
-from .analysis import MAX_STACK_DEPTH, AnalysisResult, Env
+from .analysis import AnalysisResult, Env, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary
@@ -176,43 +176,6 @@ def lift(
     )
 
 
-def _continuation(
-    summary: BlockSummary,
-    entry: Env,
-    jump_target: Callable[[AbstractValue], int | None],
-    continuations: frozenset[int],
-) -> tuple[int, Collection[AbstractValue]] | None:
-    """(slot, values) of the first exit slot holding a value that names a
-    confirmed continuation, or None.
-
-    Walks the exit slots in order without building the exit env: first
-    produced[j], where a def site stands for itself and an entry slot for
-    its entry set, then each entry slot k from consumed_depth on, passed
-    through to exit slot k + shift. Like transfer_block it stops at
-    MAX_STACK_DEPTH. An entry slot with no values reads UNDERFLOW, which
-    names no block, so it is passed over.
-    """
-    produced = summary.produced
-    for j, value in enumerate(produced[:MAX_STACK_DEPTH]):
-        if value < UNDERFLOW:
-            values = entry.get(entry_slot(value))
-            if values and not continuations.isdisjoint(map(jump_target, values)):
-                return j, values
-        elif jump_target(value) in continuations:
-            return j, (value,)
-    consumed = summary.consumed_depth
-    shift = len(produced) - consumed
-    for k in sorted(entry):
-        if k < consumed:
-            continue
-        if k + shift >= MAX_STACK_DEPTH:
-            break
-        values = entry[k]
-        if not continuations.isdisjoint(map(jump_target, values)):
-            return k + shift, values
-    return None
-
-
 def _lift_block(
     bid: int,
     summary: BlockSummary,
@@ -226,22 +189,22 @@ def _lift_block(
     """(statements, succs) of one block, or None when an entry slot it reads
     mixes UNDERFLOW with values.
 
-    A call passes the exit slots down to its continuation slot (see
-    _continuation) and returns to the blocks that slot names. A call with
-    no such slot passes its target alone and keeps its jump edge.
+    A call passes the exit slots down to the first that names a confirmed
+    continuation and returns to the blocks that slot names. A call with no
+    such slot passes its target alone and keeps its jump edge.
     """
     args: tuple[AbstractValue, ...] = ()
     if is_call:
         jump_target = program.targets.get
-        found = _continuation(summary, entry, jump_target, continuations)
-        if found is not None:
-            cont_slot, values = found
-            # Exit slot j is produced[j], or else entry slot j - shift passed through.
-            produced, consumed = summary.produced, summary.consumed_depth
-            shift = len(produced) - consumed
-            args = produced[: cont_slot + 1] + tuple(map(entry_slot, range(consumed, cont_slot + 1 - shift)))
-            succs = set(map(jump_target, values))
-            succs.discard(None)
+        for cont_slot, values in enumerate(transfer_block(summary, entry)):
+            if not continuations.isdisjoint(map(jump_target, values)):
+                # Exit slot j is produced[j], or else entry slot j - shift passed through.
+                produced, consumed = summary.produced, summary.consumed_depth
+                shift = len(produced) - consumed
+                args = produced[: cont_slot + 1] + tuple(map(entry_slot, range(consumed, cont_slot + 1 - shift)))
+                succs = set(map(jump_target, values))
+                succs.discard(None)
+                break
 
     # read holds every entry slot an operand names, so each gets its token
     # in names below before a statement reads it.
@@ -249,8 +212,9 @@ def _lift_block(
     read = summary.read_slots()
     if args:
         read = read.union(entry_slot(v) for v in args if v < UNDERFLOW)
+    depth = len(entry)
     for slot in sorted(read):
-        values = entry.get(slot, ())
+        values = entry[slot] if slot < depth else ()
         if len(values) == 1:
             (value,) = values
             names[entry_slot(slot)] = PLACEHOLDER if value == UNDERFLOW else names[value]

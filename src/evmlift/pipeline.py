@@ -8,14 +8,15 @@ returns every original block unchanged, so the second local pass
 summarizes only the clones; every other block keeps its first summary.
 Every phase maps a value to a block through one pc -> block table,
 BytecodeProgram.targets, which the local passes and cloning fill by the
-one rule that names clones (BytecodeProgram.record_constants). The pre-analysis decides what it confirms,
-also when it stops short; the main pass runs under those facts and the
-same fact limit, so it returns the pre-analysis result whenever it would
-replay it, also when the limit stopped it. Each analysis result owns its
-per-block projection, so when the main pass returns the pre-analysis
-result, the lifter reads the projection public-call confirmation built,
-or builds it when there was none to confirm; when it reruns, any such
-projection is dropped.
+one rule that names clones (BytecodeProgram.record_constants). The
+pre-analysis decides what it confirms, also when it stops short; the main
+pass runs under those facts and the same fact limit, so it returns the
+pre-analysis result whenever it would replay it, also when the limit
+stopped it. Each analysis result owns its per-block projection, one env
+tuple per block that shares the envs no join grew, so when the main pass
+returns the pre-analysis result, the lifter reads the projection
+public-call confirmation built, or builds it when there was none to
+confirm; when it reruns, any such projection is dropped.
 """
 
 from __future__ import annotations

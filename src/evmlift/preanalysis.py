@@ -39,7 +39,8 @@ def _values(entry: Env, operand: AbstractValue) -> frozenset[AbstractValue]:
     """The values an operand of a block can hold, given the block's entry
     env over every context."""
     if operand < UNDERFLOW:
-        return entry.get(entry_slot(operand), frozenset())
+        slot = entry_slot(operand)
+        return entry[slot] if slot < len(entry) else frozenset()
     return frozenset((operand,))
 
 
@@ -66,7 +67,7 @@ def selector_values(
     a fixpoint so chained masks stay in the set. constants is the
     program's pc -> constant table.
     """
-    records = [(per_block.get(bid, {}), rec) for bid, s in summaries.items() for rec in s.ops]
+    records = [(per_block.get(bid, ()), rec) for bid, s in summaries.items() for rec in s.ops]
 
     def has_constant(entry: Env, operand: AbstractValue, constant: int) -> bool:
         return any(constants.get(v) == constant for v in _values(entry, operand))
@@ -119,7 +120,7 @@ def confirm_public_calls(
         eq = chase_condition_to_eq(summary, summary.cond_expr)
         if eq is None:
             continue
-        entry = per_block.get(bid, {})
+        entry = per_block.get(bid, ())
         if any(_values(entry, op) & selectors for op in eq.operands):
             kept.add((bid, selector, target))
     return frozenset(kept)
@@ -147,7 +148,7 @@ def compute_important_edges(
         # The size test first: most slots hold one value and cost no scan.
         return {
             slot
-            for slot, vals in env.items()
+            for slot, vals in enumerate(env)
             if len(vals) >= 2 and len(set(map(jump_target, vals)) - {None}) >= 2
         }
 
@@ -155,7 +156,7 @@ def compute_important_edges(
     imprecise_in = {
         key: slots
         for key, env in result.block_input.items()
-        if env and max(map(len, env.values())) >= 2 and (slots := imprecise(env))
+        if env and max(map(len, env)) >= 2 and (slots := imprecise(env))
     }
     if not imprecise_in:
         return frozenset()

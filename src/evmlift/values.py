@@ -8,13 +8,14 @@ Within one program every value is an int:
   that is -2 - i.
 
 An entry slot is only ever read against the entry env of the summary that
-names it, so the block needs no encoding, and analysis envs hold def sites
-and UNDERFLOW only: transfer_block replaces every entry slot with the entry
-env's set. A statically known constant (pushes and folded arithmetic) is
-not part of the value: it lives in the program's pc -> constant table,
-BytecodeProgram.constants, and the block a jump on it lands on in
-BytecodeProgram.targets. Ints hash and compare in C, and a tuple of them is
-one the cyclic collector stops visiting.
+names it, so the block needs no encoding. An env is a tuple of slot sets,
+so entry slot i reads env[i], or UNDERFLOW past the env's bottom, and
+analysis envs hold def sites and UNDERFLOW only: transfer_block replaces
+every entry slot with the entry env's set. A statically known constant
+(pushes and folded arithmetic) is not part of the value: it lives in the
+program's pc -> constant table, BytecodeProgram.constants, and the block a
+jump on it lands on in BytecodeProgram.targets. Ints hash and compare in
+C, and an exact tuple of them is one the cyclic collector stops visiting.
 
 UNDERFLOW sorts before every def site, so every reader that orders a slot
 set for output drops it first.

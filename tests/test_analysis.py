@@ -26,9 +26,10 @@ from evmlift.bytecode import BytecodeProgram, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.context import DEFAULT_DEPTH, INITIAL_CONTEXT, Context, Scheme, SchemeConfig
 from evmlift.facts import ConfirmedFacts, raw_confirmed
-from evmlift.local import summarize_block, summarize_program
+from evmlift.local import BlockSummary, summarize_block, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
-from evmlift.values import UNDERFLOW
+from evmlift.values import UNDERFLOW, entry_slot
+from test_golden import CORPORA
 
 
 def _summary(code: bytes, bid: int = 0):
@@ -41,43 +42,72 @@ A, B, C = 0x100, 0x101, 0x102  # def sites
 
 def test_transfer_constants():
     prog = extract_blocks(asm("PUSH1 0x07", "STOP"))
-    out = transfer_block(summarize_block(prog.blocks[0], prog), {})
-    assert out == {0: {0x0}}
+    out = transfer_block(summarize_block(prog.blocks[0], prog), ())
+    assert out == ({0x0},)
     assert prog.constants == {0x0: 0x07}
 
 
 def test_transfer_shifts_passthrough_slots():
     summary = _summary(asm("POP", "STOP"))
-    out = transfer_block(summary, {0: {A}, 1: {B}})
-    assert out == {0: {B}}
+    out = transfer_block(summary, ({A}, {B}))
+    assert out == ({B},)
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    out = transfer_block(summary, {0: {A}})
-    assert out == {0: {0x0}, 1: {A}}
+    out = transfer_block(summary, ({A},))
+    assert out == ({0x0}, {A})
 
 
 def test_transfer_reads_entry_slots():
     summary = _summary(asm("DUP2", "STOP"))
-    out = transfer_block(summary, {0: {A}, 1: {B}})
-    assert out == {0: {B}, 1: {A}, 2: {B}}
+    out = transfer_block(summary, ({A}, {B}))
+    assert out == ({B}, {A}, {B})
 
 
 def test_transfer_flags_underflow():
     summary = _summary(asm("DUP1", "STOP"))
-    out = transfer_block(summary, {})
-    assert out == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
+    out = transfer_block(summary, ())
+    assert out == ({UNDERFLOW}, {UNDERFLOW})
 
 
 def test_transfer_truncates_at_the_modeled_stack_depth():
     pushes = MAX_STACK_DEPTH + 1
     summary = _summary(asm(*[f"PUSH1 0x{i:02x}" for i in range(pushes)], "STOP"))
-    out = transfer_block(summary, {})
+    out = transfer_block(summary, ())
     # Slot j holds push number pushes - 1 - j; the first push, past the cap, is cut.
-    kept = {j: pushes - 1 - j for j in range(MAX_STACK_DEPTH)}
-    assert out == {j: {2 * i} for j, i in kept.items()}
+    kept = [pushes - 1 - j for j in range(MAX_STACK_DEPTH)]
+    assert out == tuple({2 * i} for i in kept)
     summary = _summary(asm("PUSH1 0x07", "STOP"))
-    entry = {0: {A}, MAX_STACK_DEPTH - 2: {B}, MAX_STACK_DEPTH - 1: {C}, MAX_STACK_DEPTH: {C}}
+    # An env is dense, so the slots between A and B hold def sites of their own.
+    middle = tuple({0x200 + k} for k in range(MAX_STACK_DEPTH - 3))
+    entry = ({A},) + middle + ({B}, {C}, {C})
     out = transfer_block(summary, entry)
-    assert out == {0: {0x0}, 1: {A}, MAX_STACK_DEPTH - 1: {B}}
+    assert out == ({0x0}, {A}) + middle + ({B},)
+
+
+def test_transfer_block_lays_out_the_exit_stack_up_to_the_modeled_depth():
+    filler = tuple(range(1000, 1000 + MAX_STACK_DEPTH))  # def sites
+    cont, pushed = frozenset({7}), 7
+    cases = [
+        # a push at exit slot MAX_STACK_DEPTH is cut, one slot up it is kept
+        (BlockSummary(0, filler + (pushed,)), (), None),
+        (BlockSummary(0, filler[1:] + (pushed,)), (), MAX_STACK_DEPTH - 1),
+        # entry slot k passes through to exit slot k + 1 here, below the cut
+        (BlockSummary(1, (1000, 1001)), ({1002},) * (MAX_STACK_DEPTH - 1) + (cont,), None),
+        (BlockSummary(1, (1000, 1001)), ({1002},) * (MAX_STACK_DEPTH - 2) + (cont,), MAX_STACK_DEPTH - 1),
+        # a produced entry slot holds its entry set, and one past the env's bottom UNDERFLOW
+        (BlockSummary(1, (1000, entry_slot(0))), (cont | {1001},), 1),
+        (BlockSummary(1, (entry_slot(0), pushed)), (), 1),
+        # a consumed entry slot is not passed through
+        (BlockSummary(2, (entry_slot(1),)), (cont, frozenset({1000})), None),
+    ]
+    for summary, entry, slot in cases:
+        out = transfer_block(summary, entry)
+        assert len(out) <= MAX_STACK_DEPTH
+        assert [j for j, values in enumerate(out) if pushed in values] == ([] if slot is None else [slot]), summary
+    assert transfer_block(BlockSummary(1, (entry_slot(0), pushed)), ()) == ({UNDERFLOW}, {pushed})
+    # A slot read or passed through holds the entry env's own set.
+    entry = (cont | {1001}, cont)
+    out = transfer_block(BlockSummary(1, (1000, entry_slot(0))), entry)
+    assert out == ({1000}, entry[0], cont) and out[1] is entry[0] and out[2] is entry[1]
 
 
 def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, **limits):
@@ -124,7 +154,7 @@ def test_underflowing_entry_block_is_flagged():
     code = asm("DUP1", "STOP")
     result = _analyze(code)
     entry = result.block_input[(INITIAL_CONTEXT, 0)]
-    assert transfer_block(_summary(code), entry) == {0: {UNDERFLOW}, 1: {UNDERFLOW}}
+    assert transfer_block(_summary(code), entry) == ({UNDERFLOW}, {UNDERFLOW})
 
 
 CALL_RETURN = layout(
@@ -186,7 +216,7 @@ def test_analysis_is_deterministic():
     assert (first.fact_count, first.transfers) == (second.fact_count, second.transfers)
 
 
-# Block 0's one exit env {0: {0xaa}} feeds both its jump target 0x10 and its
+# Block 0's one exit env ({0xaa},) feeds both its jump target 0x10 and its
 # fallthrough 0x08; 0x08 then jumps to 0x10 with 0xbb in the same slot.
 SHARED_EXIT = layout(
     {
@@ -198,14 +228,14 @@ SHARED_EXIT = layout(
 
 
 def _slot_sets(store):
-    return [vals for env in store.values() for vals in env.values()]
+    return [vals for env in store.values() for vals in env]
 
 
 def test_a_grown_successor_leaves_its_sibling_alone():
     result = _analyze(SHARED_EXIT)
     aa, bb = 0x0, 0x9  # the pushes of 0xaa and 0xbb
-    assert result.block_input[(INITIAL_CONTEXT, 0x10)] == {0: {aa, bb}}
-    assert result.block_input[(INITIAL_CONTEXT, 0x08)] == {0: {aa}}
+    assert result.block_input[(INITIAL_CONTEXT, 0x10)] == ({aa, bb},)
+    assert result.block_input[(INITIAL_CONTEXT, 0x08)] == ({aa},)
     # Slot sets are shared between keys, which is sound only if none can change.
     assert all(isinstance(vals, frozenset) for vals in _slot_sets(result.block_input))
 
@@ -213,32 +243,47 @@ def test_a_grown_successor_leaves_its_sibling_alone():
 def test_per_block_merges_contexts_without_touching_the_store():
     inner = Context(None, (0x0,))
     store = {
-        (INITIAL_CONTEXT, 0x8): {0: frozenset({A}), 1: frozenset({C})},
-        (inner, 0x8): {0: frozenset({B})},
-        (inner, 0x6): {},
+        (INITIAL_CONTEXT, 0x8): (frozenset({A}), frozenset({C})),
+        (inner, 0x8): (frozenset({B}),),
+        (inner, 0x6): (),
     }
     merged = AnalysisResult(block_input=store).per_block
-    assert merged == {0x8: {0: {A, B}, 1: {C}}, 0x6: {}}
-    assert store[(INITIAL_CONTEXT, 0x8)] == {0: {A}, 1: {C}}
-    assert store[(inner, 0x8)] == {0: {B}}
+    assert merged == {0x8: ({A, B}, {C}), 0x6: ()}
+    assert store[(INITIAL_CONTEXT, 0x8)] == ({A}, {C})
+    assert store[(inner, 0x8)] == ({B},)
     assert all(isinstance(vals, frozenset) for vals in _slot_sets(merged))
     # A block seen in one context maps to that context's env itself; a block
-    # that a second context joins gets a copy of its own.
+    # whose env a second context grows gets a new one.
     assert merged[0x6] is store[(inner, 0x6)]
     assert all(merged[0x8] is not env for env in store.values())
     # A slot neither context grows keeps the first context's set.
     assert merged[0x8][1] is store[(INITIAL_CONTEXT, 0x8)][1]
 
 
-def test_per_block_copies_a_block_once_however_many_contexts_join():
+def test_per_block_joins_any_number_of_contexts_without_touching_the_store():
     contexts = [Context(None, (c,)) for c in range(4)]
-    first = {0: frozenset({A}), 1: frozenset({C})}
+    first = (frozenset({A}), frozenset({C}))
     store = {(contexts[0], 0x8): first}
-    store.update({(ctx, 0x8): {0: frozenset({v})} for ctx, v in zip(contexts[1:], (B, C, A))})
+    store.update({(ctx, 0x8): (frozenset({v}),) for ctx, v in zip(contexts[1:], (B, C, A))})
     merged = AnalysisResult(block_input=store).per_block
-    assert merged == {0x8: {0: {A, B, C}, 1: {C}}}
-    assert first == {0: {A}, 1: {C}}
-    assert [env for env in store.values()][1:] == [{0: {B}}, {0: {C}}, {0: {A}}]
+    assert merged == {0x8: ({A, B, C}, {C})}
+    assert first == ({A}, {C})
+    assert [env for env in store.values()][1:] == [({B},), ({C},), ({A},)]
+    # A context that reaches deeper than the joined env so far adds its slots.
+    store[(INITIAL_CONTEXT, 0x8)] = (frozenset({A}), frozenset({C}), frozenset({B}))
+    assert AnalysisResult(block_input=store).per_block == {0x8: ({A, B, C}, {C}, {B})}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_every_env_is_a_tuple_of_nonempty_slot_sets(corpus):
+    for code in CORPORA[corpus]():
+        for name, overrides in SWEEP_CONFIGS:
+            res = run_pipeline(code, RunConfig(**overrides))
+            passes = filter(None, (res.preanalysis and res.preanalysis.result, res.analysis))
+            for result in passes:
+                for env in (*result.block_input.values(), *result.per_block.values()):
+                    assert type(env) is tuple and len(env) <= MAX_STACK_DEPTH, (code.hex(), name)
+                    assert all(type(vals) is frozenset and vals for vals in env), (code.hex(), name)
 
 
 # (fact_count, transfers) of the pre-analysis (None when it is off) and of the

@@ -172,6 +172,22 @@ def test_timeout_exits_two(chained_file, capsys):
     assert "timeout" in capsys.readouterr().out
 
 
+def test_sweep_timeout_exits_two(chained_file, capsys):
+    assert main([str(chained_file), "--sweep", "--timeout", "0"]) == 2
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 4 and all(row.split()[-1] == "timeout" for row in rows)
+
+
+@pytest.mark.parametrize("mode", [[], ["--sweep"]], ids=["lift", "sweep"])
+@pytest.mark.parametrize("jobs", ["1", "8"])
+def test_jobs_is_refused_without_batch(chained_file, capsys, mode, jobs):
+    before = sorted(p.name for p in chained_file.parent.iterdir())
+    assert main([str(chained_file), *mode, "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert "--jobs" in captured.err and captured.out == ""
+    assert sorted(p.name for p in chained_file.parent.iterdir()) == before
+
+
 def test_flags_reach_the_pipeline(chained_file):
     assert main([str(chained_file), "--no-cloning", "--tac-out", str(chained_file) + ".nc"]) == 0
     uncloned = parse_tac((chained_file.parent / (chained_file.name + ".nc")).read_text())

@@ -13,13 +13,10 @@ from conftest import (
     underflow_drop_code,
     unresolved_operand_code,
 )
-from evmlift.analysis import MAX_STACK_DEPTH, transfer_block
-from evmlift.bytecode import Terminator
+from evmlift.analysis import transfer_block
 from evmlift.cli import SWEEP_CONFIGS
-from evmlift.lifter import TACBlock, TACProgram, _continuation, parse_tac, render_tac
-from evmlift.local import BlockSummary
+from evmlift.lifter import TACBlock, TACProgram, parse_tac, render_tac
 from evmlift.pipeline import RunConfig, run_pipeline
-from evmlift.values import entry_slot
 from test_golden import CORPORA
 
 
@@ -235,70 +232,31 @@ def test_readme_tac_sample_is_an_excerpt_of_the_rendered_output(cloned):
         assert re.fullmatch(pattern, rendered[header]), paragraph
 
 
-def _exit_env_rule(summary, entry, jump_target, continuations):
-    """The continuation rule read off the whole exit env: (slot, blocks) of
-    the first exit slot holding a value that names a continuation."""
-    out = transfer_block(summary, entry)
-    for slot in sorted(out):
-        if not continuations.isdisjoint(map(jump_target, out[slot])):
-            return slot, set(map(jump_target, out[slot])) - {None}
-    return None
-
-
-def _scan(summary, entry, jump_target, continuations):
-    found = _continuation(summary, entry, jump_target, continuations)
-    if found is None:
-        return None
-    slot, values = found
-    return slot, set(map(jump_target, values)) - {None}
-
-
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_the_continuation_scan_agrees_with_the_exit_env(corpus):
-    # On every JUMP block the analysis reached, not only the calls; each
-    # CALLPRIVATE's succ list is the blocks its continuation slot names.
+    # Each CALLPRIVATE passes the exit slots down to the first that names a
+    # confirmed continuation, and its succ list is the blocks that slot names;
+    # a call with no such slot passes its target alone.
     calls = 0
     for code in CORPORA[corpus]():
         for name, overrides in SWEEP_CONFIGS:
             res = run_pipeline(code, RunConfig(**overrides))
             jump_target = res.program.targets.get
             continuations = frozenset(cont for _caller, cont in res.confirmed.private_calls)
-            for bid, entry in res.analysis.per_block.items():
-                if res.program.blocks[bid].terminator is not Terminator.JUMP:
+            for bid, block in res.tac.blocks.items():
+                if not block.statements or block.statements[-1].opcode != "CALLPRIVATE":
                     continue
-                summary = res.summaries[bid]
-                expected = _exit_env_rule(summary, entry, jump_target, continuations)
-                assert _scan(summary, entry, jump_target, continuations) == expected, (code.hex(), name, bid)
-                block = res.tac.blocks.get(bid)
-                if block is not None and block.statements and block.statements[-1].opcode == "CALLPRIVATE":
-                    calls += 1
-                    if expected is not None:
-                        assert block.succs == tuple(sorted(expected[1])), (code.hex(), name, bid)
+                calls += 1
+                out = transfer_block(res.summaries[bid], res.analysis.per_block[bid])
+                named = [set(map(jump_target, values)) - {None} for values in out]
+                slots = [slot for slot, blocks in enumerate(named) if not continuations.isdisjoint(blocks)]
+                operands = block.statements[-1].operands
+                if slots:
+                    assert block.succs == tuple(sorted(named[slots[0]])), (code.hex(), name, bid)
+                    assert len(operands) == slots[0] + 2, (code.hex(), name, bid)
+                else:
+                    assert len(operands) == 1, (code.hex(), name, bid)
     assert calls
-
-
-def test_the_continuation_scan_stops_at_max_stack_depth():
-    cont = 0x40
-    jump_target = {7: cont}.get  # the def site at pc 7 names the continuation
-    continuations = frozenset({cont})
-    filler = tuple(range(1000, 1000 + MAX_STACK_DEPTH))  # def sites that name no block
-    cases = [
-        # a pushed continuation at exit slot MAX_STACK_DEPTH is cut, one slot up it is found
-        (BlockSummary(0, filler + (7,)), {}, None),
-        (BlockSummary(0, filler[1:] + (7,)), {}, MAX_STACK_DEPTH - 1),
-        # entry slot k passes through to exit slot k + 1 here
-        (BlockSummary(1, (1000, 1001)), {MAX_STACK_DEPTH - 1: frozenset({7})}, None),
-        (BlockSummary(1, (1000, 1001)), {MAX_STACK_DEPTH - 2: frozenset({7})}, MAX_STACK_DEPTH - 1),
-        # a produced entry slot stands for its entry set; an empty one reads UNDERFLOW
-        (BlockSummary(1, (1000, entry_slot(0))), {0: frozenset({1001, 7})}, 1),
-        (BlockSummary(1, (entry_slot(0), 7)), {}, 1),
-        # a consumed entry slot is not passed through
-        (BlockSummary(2, (entry_slot(1),)), {0: frozenset({7}), 1: frozenset({1000})}, None),
-    ]
-    for summary, entry, slot in cases:
-        expected = _exit_env_rule(summary, entry, jump_target, continuations)
-        assert (None if expected is None else expected[0]) == slot, summary
-        assert _scan(summary, entry, jump_target, continuations) == expected, summary
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))

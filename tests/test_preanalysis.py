@@ -138,17 +138,20 @@ def rule_based_important_edges(result, summaries, constants, jumpdests, clone_pu
     def splits_a_jump(vals):
         return len({target(v) for v in vals} - {None}) >= 2
 
+    def at(env, slot):
+        return env[slot] if slot < len(env) else ()
+
     def imprecise_in(ctx, bid, slot):
-        return splits_a_jump(result.block_input.get((ctx, bid), {}).get(slot, ()))
+        return splits_a_jump(at(result.block_input.get((ctx, bid), ()), slot))
 
     def imprecise_out(ctx, bid, slot):
         env = transfer_block(summaries[bid], result.block_input[(ctx, bid)])
-        return splits_a_jump(env.get(slot, ()))
+        return splits_a_jump(at(env, slot))
 
     edges = result.global_block_edge
     blamed = set()
     for ctx, bid, ctx2, bid2 in edges:
-        for slot in result.block_input.get((ctx2, bid2), {}):
+        for slot in range(len(result.block_input.get((ctx2, bid2), ()))):
             if not imprecise_in(ctx2, bid2, slot):
                 continue
             if imprecise_out(ctx, bid, slot):
