@@ -4,7 +4,9 @@ Propagates sets of abstract values through the block graph, one stack slot
 at a time, under a chosen context scheme. The analysis is a plain monotone
 worklist fixpoint: per (context, block) pair it joins entry environments,
 applies the block summary as a transfer function, and feeds exit
-environments to the successors the resolved jump targets induce. It is
+environments to the successors the resolved jump targets induce. A block's
+values are read against its entry env by resolve, the one reader that
+transfer, the jump read, pre-analysis and the lifter share. It is
 deliberately incomplete: it stops at a fact limit or a deadline and
 reports which of the three stop conditions ended the run.
 """
@@ -98,21 +100,29 @@ class AnalysisResult:
         return merged
 
 
+def resolve(env: Env, value: AbstractValue) -> frozenset[AbstractValue]:
+    """The values value holds against env, the entry env of the summary that
+    names it: the one reader of a value against an env.
+
+    An entry slot reads its slot set, or {UNDERFLOW} below the env's bottom,
+    and a def site reads itself.
+    """
+    if value < UNDERFLOW:
+        slot = entry_slot(value)
+        return env[slot] if slot < len(env) else _UNDERFLOW_ONLY
+    return frozenset((value,))
+
+
 def transfer_block(summary: BlockSummary, input_env: Env) -> Env:
     """Exit environment induced by one entry environment.
 
-    The produced slots come first, then the entry slots below the consumed
-    ones, passed through as they are. A read past the entry env's bottom
-    yields UNDERFLOW. Slots from MAX_STACK_DEPTH down are dropped.
+    The produced slots come first, each resolved against the entry env,
+    then the entry slots below the consumed ones, passed through as they
+    are. Slots from MAX_STACK_DEPTH down are dropped.
     """
-    depth = len(input_env)
     out: list[frozenset[AbstractValue]] = []
     for value in summary.produced[:MAX_STACK_DEPTH]:
-        if value < UNDERFLOW:
-            slot = entry_slot(value)
-            out.append(input_env[slot] if slot < depth else _UNDERFLOW_ONLY)
-        else:
-            out.append(frozenset((value,)))
+        out.append(resolve(input_env, value))
     consumed = summary.consumed_depth
     out += input_env[consumed : consumed + MAX_STACK_DEPTH - len(out)]
     return tuple(out)
@@ -276,13 +286,8 @@ def analyze(
         out_env = transfer_block(summary, input_env)
         succs: list[PairKey] = []
         if jump is not None:
-            # UNDERFLOW names no block, so an empty slot jumps nowhere.
-            if jump < UNDERFLOW:
-                slot = entry_slot(jump)
-                values = sorted(input_env[slot]) if slot < len(input_env) else ()
-            else:
-                values = (jump,)
-            for value in values:
+            # UNDERFLOW names no block, so a read below the bottom jumps nowhere.
+            for value in sorted(resolve(input_env, jump)):
                 target = jump_target(value)
                 if target is not None:
                     ctx2 = merge(cfg, facts, ctx, bid, target) if merges else ctx

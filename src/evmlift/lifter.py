@@ -27,7 +27,7 @@ import re
 from collections.abc import Callable, Collection, Iterable
 from typing import NamedTuple
 
-from .analysis import AnalysisResult, Env, transfer_block
+from .analysis import AnalysisResult, Env, resolve, transfer_block
 from .bytecode import BytecodeProgram, Terminator
 from .facts import ConfirmedFacts
 from .local import BlockSummary
@@ -212,19 +212,17 @@ def _lift_block(
     read = summary.read_slots()
     if args:
         read = read.union(entry_slot(v) for v in args if v < UNDERFLOW)
-    depth = len(entry)
     for slot in sorted(read):
-        values = entry[slot] if slot < depth else ()
+        operand = entry_slot(slot)
+        values = resolve(entry, operand)
         if len(values) == 1:
             (value,) = values
-            names[entry_slot(slot)] = PLACEHOLDER if value == UNDERFLOW else names[value]
-        elif not values:
-            names[entry_slot(slot)] = PLACEHOLDER
+            names[operand] = PLACEHOLDER if value == UNDERFLOW else names[value]
         else:
             real = sorted(values)
             if real[0] == UNDERFLOW:  # UNDERFLOW sorts first
                 return None
-            def_name = names[entry_slot(slot)] = f"v{bid:x}_{slot:x}"
+            def_name = names[operand] = f"v{bid:x}_{slot:x}"
             operands = tuple(map(names.__getitem__, real))
             statements.append(TACStatement(f"{hex(bid)}_{hex(slot)}", "PHI", operands, def_name))
 

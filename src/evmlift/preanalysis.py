@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, Env, analyze, transfer_block
+from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, Env, analyze, resolve, transfer_block
 from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
 from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
 from .local import BlockSummary, chase_condition_to_eq
-from .values import UNDERFLOW, AbstractValue, entry_slot
+from .values import AbstractValue
 
 SELECTOR_SHIFT = 0xE0
 SELECTOR_DIVISOR = 1 << 224
@@ -33,15 +33,6 @@ class PreanalysisOutcome(NamedTuple):
     result: AnalysisResult
     confirmed: ConfirmedFacts
     public_call_sites: frozenset[tuple[int, int, int]]  # (block, selector, target)
-
-
-def _values(entry: Env, operand: AbstractValue) -> frozenset[AbstractValue]:
-    """The values an operand of a block can hold, given the block's entry
-    env over every context."""
-    if operand < UNDERFLOW:
-        slot = entry_slot(operand)
-        return entry[slot] if slot < len(entry) else frozenset()
-    return frozenset((operand,))
 
 
 def confirm_private_calls(
@@ -70,7 +61,7 @@ def selector_values(
     records = [(per_block.get(bid, ()), rec) for bid, s in summaries.items() for rec in s.ops]
 
     def has_constant(entry: Env, operand: AbstractValue, constant: int) -> bool:
-        return any(constants.get(v) == constant for v in _values(entry, operand))
+        return any(constants.get(v) == constant for v in resolve(entry, operand))
 
     calldata_zero: set[AbstractValue] = set()
     for entry, rec in records:
@@ -81,12 +72,12 @@ def selector_values(
     for entry, rec in records:
         if rec.opcode == "SHR":
             if has_constant(entry, rec.operands[0], SELECTOR_SHIFT) and (
-                _values(entry, rec.operands[1]) & calldata_zero
+                resolve(entry, rec.operands[1]) & calldata_zero
             ):
                 selectors.add(rec.result)
         elif rec.opcode == "DIV":
             if has_constant(entry, rec.operands[1], SELECTOR_DIVISOR) and (
-                _values(entry, rec.operands[0]) & calldata_zero
+                resolve(entry, rec.operands[0]) & calldata_zero
             ):
                 selectors.add(rec.result)
 
@@ -98,9 +89,9 @@ def selector_values(
                 continue
             a, b = rec.operands
             masked = (
-                has_constant(entry, a, SELECTOR_MASK) and _values(entry, b) & selectors
+                has_constant(entry, a, SELECTOR_MASK) and resolve(entry, b) & selectors
             ) or (
-                has_constant(entry, b, SELECTOR_MASK) and _values(entry, a) & selectors
+                has_constant(entry, b, SELECTOR_MASK) and resolve(entry, a) & selectors
             )
             if masked:
                 selectors.add(rec.result)
@@ -121,7 +112,7 @@ def confirm_public_calls(
         if eq is None:
             continue
         entry = per_block.get(bid, ())
-        if any(_values(entry, op) & selectors for op in eq.operands):
+        if any(resolve(entry, op) & selectors for op in eq.operands):
             kept.add((bid, selector, target))
     return frozenset(kept)
 

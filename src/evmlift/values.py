@@ -9,9 +9,10 @@ Within one program every value is an int:
 
 An entry slot is only ever read against the entry env of the summary that
 names it, so the block needs no encoding. An env is a tuple of slot sets,
-so entry slot i reads env[i], or UNDERFLOW past the env's bottom, and
-analysis envs hold def sites and UNDERFLOW only: transfer_block replaces
-every entry slot with the entry env's set. A statically known constant
+and analysis.resolve is the one reader of a value against one: entry slot
+i reads env[i], or {UNDERFLOW} past the env's bottom, and a def site reads
+itself. Analysis envs hold def sites and UNDERFLOW only: transfer_block
+resolves every produced value against the entry env. A statically known constant
 (pushes and folded arithmetic) is not part of the value: it lives in the
 program's pc -> constant table, BytecodeProgram.constants, and the block a
 jump on it lands on in BytecodeProgram.targets. Ints hash and compare in

@@ -530,109 +530,46 @@ def gen_recursive_program(rng: random.Random) -> bytes:
 # ---------------------------------------------------------------------------
 # corpus generators
 
-_ALU2 = ["ADD", "MUL", "SUB", "AND", "OR", "XOR", "LT", "GT", "EQ"]
+@functools.cache
+def _perfbench_corpus():
+    """The benchmark's corpus module, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
-def _emit_line(a: Assembler, rng: random.Random) -> None:
-    choice = rng.randrange(5)
-    if choice == 0:
-        a.emit(
-            f"PUSH1 {rng.randrange(256)}",
-            f"PUSH1 {rng.randrange(256)}",
-            rng.choice(_ALU2),
-            "POP",
-        )
-    elif choice == 1:
-        a.emit(f"PUSH1 {rng.randrange(256)}", "ISZERO", "POP")
-    elif choice == 2:
-        a.emit(
-            f"PUSH1 {rng.choice([0, 32, 64])}",
-            "CALLDATALOAD",
-            f"PUSH1 {rng.randrange(256)}",
-            "AND",
-            "POP",
-        )
-    elif choice == 3:
-        a.emit(f"PUSH1 {rng.randrange(8)}", "SLOAD", "POP")
-    else:
-        a.emit(f"PUSH1 {rng.randrange(256)}", f"PUSH1 {rng.randrange(8)}", "SSTORE")
+def gen_dispatch_program(functions: int) -> bytes:
+    """The benchmark's frozen `gen_dispatch_program`, seeded `golden-dispatch-N`."""
+    code, _selectors = _perfbench_corpus().gen_dispatch_program(
+        functions, random.Random(f"golden-dispatch-{functions}")
+    )
+    return code
 
 
-def gen_sound_program(rng: random.Random) -> bytes:
-    """Random terminating program built from call / chained-call /
-    stack-balancing / branch templates plus straight-line fillers.
+def dispatch_calldatas(functions: int) -> list[bytes]:
+    """The benchmark's oracle calldatas for gen_dispatch_program(functions): one
+    call per selector, empty calldata and an unknown selector."""
+    corpus = _perfbench_corpus()
+    _code, selectors = corpus.gen_dispatch_program(
+        functions, random.Random(f"golden-dispatch-{functions}")
+    )
+    return list(corpus.dispatch_calldatas(selectors, random.Random(f"golden-calldata-{functions}")))
 
-    All jumps go forward (calls return to forward continuations), so every
-    concrete run halts; branch conditions read calldata words 0 and 32.
-    """
-    a = Assembler()
-    steps = rng.randint(3, 7)
-    helper = rng.choice(["hadd", "hmul"])
-    for i in range(steps):
-        kind = rng.choices(
-            ["line", "branch", "jump", "call", "chained", "balance"],
-            weights=[30, 20, 10, 15, 15, 10],
-        )[0]
-        if kind == "line":
-            _emit_line(a, rng)
-        elif kind == "branch":
-            off = rng.choice([0, 32])
-            a.emit(f"PUSH1 {off}", "CALLDATALOAD", f"PUSH2 @taken{i}", "JUMPI")
-            _emit_line(a, rng)
-            a.emit(f"PUSH2 @next{i}", "JUMP")
-            a.label(f"taken{i}")
-            a.emit("JUMPDEST")
-            _emit_line(a, rng)
-            a.label(f"next{i}")
-            a.emit("JUMPDEST")
-        elif kind == "jump":
-            a.emit(f"PUSH2 @next{i}", "JUMP")
-            a.label(f"next{i}")
-            a.emit("JUMPDEST")
-        elif kind == "call":
-            a.emit(
-                f"PUSH2 @next{i}",
-                f"PUSH1 {rng.randrange(256)}",
-                f"PUSH1 {rng.randrange(256)}",
-                f"PUSH2 @{helper}",
-                "JUMP",
-            )
-            a.label(f"next{i}")
-            a.emit("JUMPDEST", "POP")
-        elif kind == "chained":
-            a.emit(
-                f"PUSH2 @next{i}",
-                f"PUSH1 {rng.randrange(256)}",
-                "PUSH2 @shared",
-                f"PUSH1 {rng.randrange(256)}",
-                "PUSH2 @shared",
-                f"PUSH1 {rng.randrange(256)}",
-                f"PUSH1 {rng.randrange(256)}",
-                f"PUSH2 @{helper}",
-                "JUMP",
-            )
-            a.label(f"next{i}")
-            a.emit("JUMPDEST", "POP")
-        else:  # balance
-            a.emit(
-                f"PUSH2 @next{i}",
-                f"PUSH1 {rng.randrange(256)}",
-                "PUSH2 @balancer",
-                "JUMP",
-            )
-            a.label(f"next{i}")
-            a.emit("JUMPDEST")
-    a.emit(*rng.choice([("STOP",), ("PUSH0", "PUSH0", "RETURN"), ("PUSH0", "PUSH0", "REVERT")]))
-    # helpers: pop two arguments, leave one result, jump to the continuation
-    a.label("hadd")
-    a.emit("JUMPDEST", "ADD", "SWAP1", "JUMP")
-    a.label("hmul")
-    a.emit("JUMPDEST", "MUL", "SWAP1", "JUMP")
-    a.label("shared")
-    a.emit("JUMPDEST", f"PUSH2 @{helper}", "JUMP")
-    a.label("balancer")
-    a.emit("JUMPDEST", "POP", "JUMP")
-    return a.assemble()
+
+def toggled_words(words: int) -> list[bytes]:
+    """Calldatas holding 0 or 1 in each of the first `words` words, every combination."""
+    return list(_perfbench_corpus().toggled_words(words))
+
+
+# The test suite lifts the benchmark's own generators, so each has one copy.
+_emit_line = _perfbench_corpus()._emit_line
+gen_sound_program = _perfbench_corpus().gen_sound_program
+gen_deep_program = _perfbench_corpus().gen_deep_program
+# Calldatas toggling the two branch words gen_sound_program reads.
+oracle_calldatas = functools.partial(toggled_words, 2)
 
 
 def _push_address(a: Assembler, label: str, rng: random.Random) -> None:
@@ -725,104 +662,6 @@ def analysis_outputs(result) -> tuple:
         result.transfers,
         result.stop_condition,
     )
-
-
-def oracle_calldatas() -> list[bytes]:
-    """Calldata set toggling the two branch words used by the generators."""
-    zero = bytes(64)
-    w0 = bytes(31) + b"\x01" + bytes(32)
-    w1 = bytes(63) + b"\x01"
-    both = bytes(31) + b"\x01" + bytes(31) + b"\x01"
-    return [zero, w0, w1, both]
-
-
-def gen_deep_program(stages: int, flavors: int = 2, rng: random.Random | None = None) -> bytes:
-    """Deep call chain through a shared return dispatcher.
-
-    The entry picks a terminal-block address (the carrier) and calls into
-    stage 1; each stage branches between `flavors` call blocks that all push
-    the next stage as continuation and jump to the shared dispatcher `d`,
-    which immediately returns.  The final block jumps to the carrier, which
-    only the caller block at the very start determined.  An rng adds
-    stack-neutral filler lines to the entry and stage headers so corpora of
-    distinct programs share one call structure.
-    """
-    assert flavors in (2, 4)
-    a = Assembler()
-
-    def filler() -> None:
-        if rng is not None:
-            for _ in range(rng.randrange(3)):
-                _emit_line(a, rng)
-
-    filler()
-    a.emit("PUSH1 0x00", "CALLDATALOAD", "PUSH2 @pa", "JUMPI")
-    a.emit("PUSH2 @term_b", "PUSH2 @s1", "JUMP")  # carrier caller pb
-    a.label("pa")
-    a.emit("JUMPDEST", "PUSH2 @term_a", "PUSH2 @s1", "JUMP")
-    for i in range(1, stages + 1):
-        cont = f"@s{i + 1}"
-        a.label(f"s{i}")
-        a.emit("JUMPDEST")
-        filler()
-        a.emit(f"PUSH1 {(2 * i) % 7 * 32}", "CALLDATALOAD", f"PUSH2 @alt{i}", "JUMPI")
-        if flavors == 4:
-            a.emit(f"PUSH1 {(2 * i + 1) % 7 * 32}", "CALLDATALOAD", f"PUSH2 @mid{i}", "JUMPI")
-            a.emit(f"PUSH2 {cont}", "PUSH2 @d", "JUMP")
-            a.label(f"mid{i}")
-            a.emit("JUMPDEST", f"PUSH2 {cont}", "PUSH2 @d", "JUMP")
-            a.label(f"alt{i}")
-            a.emit("JUMPDEST", f"PUSH1 {(2 * i + 1) % 7 * 32}", "CALLDATALOAD", f"PUSH2 @alt2{i}", "JUMPI")
-            a.emit(f"PUSH2 {cont}", "PUSH2 @d", "JUMP")
-            a.label(f"alt2{i}")
-            a.emit("JUMPDEST", f"PUSH2 {cont}", "PUSH2 @d", "JUMP")
-        else:
-            a.emit(f"PUSH2 {cont}", "PUSH2 @d", "JUMP")
-            a.label(f"alt{i}")
-            a.emit("JUMPDEST", f"PUSH2 {cont}", "PUSH2 @d", "JUMP")
-    a.label(f"s{stages + 1}")
-    a.emit("JUMPDEST", "JUMP")  # jumps to the carrier
-    a.label("d")
-    a.emit("JUMPDEST", "JUMP")  # shared return dispatcher
-    a.label("term_a")
-    a.emit("JUMPDEST", "STOP")
-    a.label("term_b")
-    a.emit("JUMPDEST", "PUSH0", "PUSH0", "REVERT")
-    return a.assemble()
-
-
-@functools.cache
-def _perfbench_corpus():
-    """The benchmark's corpus module, loaded by path (perfbench is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-def gen_dispatch_program(functions: int) -> bytes:
-    """The benchmark's frozen `gen_dispatch_program`, seeded `golden-dispatch-N`."""
-    code, _selectors = _perfbench_corpus().gen_dispatch_program(
-        functions, random.Random(f"golden-dispatch-{functions}")
-    )
-    return code
-
-
-def dispatch_calldatas(functions: int) -> list[bytes]:
-    """The benchmark's oracle calldatas for gen_dispatch_program(functions): one
-    call per selector, empty calldata and an unknown selector."""
-    corpus = _perfbench_corpus()
-    _code, selectors = corpus.gen_dispatch_program(
-        functions, random.Random(f"golden-dispatch-{functions}")
-    )
-    return list(corpus.dispatch_calldatas(selectors, random.Random(f"golden-calldata-{functions}")))
-
-
-def toggled_words(words: int) -> list[bytes]:
-    """Calldatas holding 0 or 1 in each of the first `words` words, every combination."""
-    return list(_perfbench_corpus().toggled_words(words))
 
 
 def gen_chained_program(rng: random.Random) -> bytes:

@@ -20,6 +20,7 @@ from evmlift.analysis import (
     AnalysisResult,
     _reading_changed_facts,
     analyze,
+    resolve,
     transfer_block,
 )
 from evmlift.bytecode import BytecodeProgram, extract_blocks
@@ -38,6 +39,19 @@ def _summary(code: bytes, bid: int = 0):
 
 
 A, B, C = 0x100, 0x101, 0x102  # def sites
+
+
+def test_resolve_reads_a_value_against_an_env():
+    env = (frozenset({A, B}), frozenset({C}))
+    # an entry slot inside the env reads its slot set itself
+    assert resolve(env, entry_slot(0)) is env[0]
+    assert resolve(env, entry_slot(1)) is env[1]
+    # one below the env's bottom reads UNDERFLOW
+    assert resolve(env, entry_slot(2)) == {UNDERFLOW}
+    assert resolve((), entry_slot(0)) == {UNDERFLOW}
+    # a def site reads itself, whatever the env
+    assert resolve(env, A) == {A}
+    assert resolve((), 0) == {0}
 
 
 def test_transfer_constants():

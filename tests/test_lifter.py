@@ -196,6 +196,19 @@ def test_unknown_slot_reads_as_placeholder():
     assert "0x9: v9 = ISZERO ?" in lines(res.tac, 0x8)
 
 
+def test_a_read_below_the_entry_env_reads_as_placeholder():
+    # 0xa is reached with one slot, the 0x5 pushed at 0x0, and its ADD reads two
+    code = layout(
+        {
+            0x0: asm("PUSH1 0x05", "PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x0a", "JUMPI", "STOP"),
+            0xA: asm("JUMPDEST", "ADD", "POP", "STOP"),
+        }
+    )
+    res = run_pipeline(code)
+    assert res.analysis.per_block[0xA] == ({0x0},)
+    assert lines(res.tac, 0xA) == ["0xb: vb = ADD v0, ?", "0xd: STOP"]
+
+
 def test_render_parse_round_trip(cloned, uncloned):
     # an empty program renders as a lone newline and parses back to no blocks
     for res in (cloned, uncloned, run_pipeline(b"")):
