@@ -4,7 +4,9 @@ The first two count imprecision the lifted code exposes directly:
 polymorphic jump targets and unresolved operands. The next three count
 structure the lifter failed to recover: unstructured control flow, blocks
 lost to underflow, and blocks with fewer successors than their terminator
-requires. The stop condition says whether the run even reached a fixpoint.
+requires: one jump target for a JUMP or JUMPI, plus the next block for a
+JUMPI or a fall through, unless it lies past the end of the code (an
+implicit STOP). The stop condition says whether the run even reached a fixpoint.
 """
 
 from __future__ import annotations
@@ -60,14 +62,20 @@ def compute_metrics(
         for stmt in block.statements:
             if PLACEHOLDER in stmt.operands:
                 unresolved += 1
-        terminator = program.blocks[bid].terminator
+        code_block = program.blocks[bid]
+        terminator = code_block.terminator
         succs = len(block.succs)
         if terminator is Terminator.JUMP and bid not in confirmed.private_returns and succs > 1:
             unstructured += 1
         elif terminator is Terminator.CONDITIONAL_JUMP and succs > 2:
             unstructured += 1
-        # compared with `is`: an Enum dict key hashes through a Python-level __hash__
-        required = 2 if terminator is Terminator.CONDITIONAL_JUMP else 0 if terminator is Terminator.HALT else 1
+        # A jump needs its target, and a fall the block it falls into, as
+        # analyze adds that edge: a fall past the end of the code is an
+        # implicit STOP. Compared with `is`: an Enum dict key hashes through
+        # a Python-level __hash__.
+        jumps = terminator is Terminator.JUMP or terminator is Terminator.CONDITIONAL_JUMP
+        falls = terminator is Terminator.CONDITIONAL_JUMP or terminator is Terminator.FALLTHROUGH
+        required = jumps + (falls and code_block.fallthrough_pc in program.blocks)
         if succs < required:
             missing_cf += 1
 

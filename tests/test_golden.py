@@ -89,9 +89,11 @@ GOLDEN = {
         "fd80eb57146d329637be3e80258e12409dc4d3cc6787ed4737f0827aa82fbaef",
         "bedea2694fc716b44f3e580f50d162bed022263cdbcede2f934497d62731c28b",
     ),
+    # A fall past the end of the code needs no successor: inputs 65, 86,
+    # 87, 92 and 159 count one missing_control_flow fewer than before.
     "random": Digests(
         "18769ac408cbe12d42570fbf60ff23c739175b11727b59771e80510a41400409",
-        "e0ccb1b088ade5d163f86544177e30adc153fe20321963b3388388244d46c839",
+        "ab4d73219d9e2900f5ad50e7e8f29097840b8b24a55a6e6238c40af78a605608",
     ),
 }
 
