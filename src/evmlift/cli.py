@@ -192,17 +192,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     worst = EXIT_OK
     for name, overrides in SWEEP_CONFIGS:
         metrics = run_pipeline(code, _config_from_args(args, **overrides)).metrics
-        rows.append(
-            (
-                name,
-                str(metrics.polymorphic_jump_target),
-                str(metrics.unresolved_operand),
-                str(metrics.unstructured_control_flow),
-                str(metrics.missing_ir_block),
-                str(metrics.missing_control_flow),
-                metrics.stop_condition,
-            )
-        )
+        # a report is the five counts, then the stop condition, in column order
+        rows.append((name, *map(str, metrics)))
         if metrics.stop_condition == STOP_TIMEOUT:
             worst = EXIT_TIMEOUT
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]

@@ -6,7 +6,8 @@ structure the lifter failed to recover: unstructured control flow, blocks
 lost to underflow, and blocks with fewer successors than their terminator
 requires: one jump target for a JUMP or JUMPI, plus the next block for a
 JUMPI or a fall through, unless it lies past the end of the code (an
-implicit STOP). The stop condition says whether the run even reached a fixpoint.
+implicit STOP). The stop condition says whether the run even reached a
+fixpoint.
 """
 
 from __future__ import annotations
@@ -69,10 +70,8 @@ def compute_metrics(
             unstructured += 1
         elif terminator is Terminator.CONDITIONAL_JUMP and succs > 2:
             unstructured += 1
-        # A jump needs its target, and a fall the block it falls into, as
-        # analyze adds that edge: a fall past the end of the code is an
-        # implicit STOP. Compared with `is`: an Enum dict key hashes through
-        # a Python-level __hash__.
+        # A fall needs the next block only where analyze adds that edge.
+        # Compared with `is`: an Enum dict key hashes through a Python-level __hash__.
         jumps = terminator is Terminator.JUMP or terminator is Terminator.CONDITIONAL_JUMP
         falls = terminator is Terminator.CONDITIONAL_JUMP or terminator is Terminator.FALLTHROUGH
         required = jumps + (falls and code_block.fallthrough_pc in program.blocks)

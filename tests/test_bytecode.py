@@ -161,6 +161,7 @@ def test_parse_bytecode_text():
     assert parse_bytecode_text(b"0x60 01\n") == b"\x60\x01"
     assert parse_bytecode_text(b"\x60\x01") is None  # binary, not hex text
     assert parse_bytecode_text(b"hello") is None
+    assert parse_bytecode_text(b" \n\t") == b""  # whitespace only: empty code
     with pytest.raises(BytecodeError) as err:
         parse_bytecode_text(b"0x60zz")
     assert err.value.offset == 4

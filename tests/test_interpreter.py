@@ -7,10 +7,12 @@ from evmlift.bytecode import extract_blocks
 from evmlift.interpreter import (
     EnvSets,
     EnvValuation,
+    binop,
     concrete_execute,
     enumerate_edges,
     run_block,
 )
+from evmlift.opcodes import STACK_LIMIT
 
 WORD = 1 << 256
 
@@ -58,6 +60,68 @@ def test_division_by_zero_yields_zero():
     assert trace.stack == (0,)
     trace = _run(asm("PUSH1 0x00", "PUSH1 0x07", "MOD", "STOP"))
     assert trace.stack == (0,)
+
+
+@pytest.mark.parametrize(
+    "opcode, a, b, expected",
+    [
+        # a is the top of the stack; a signed division by zero is 0 as well
+        ("SDIV", 5, 0, 0),
+        ("SMOD", WORD - 5, 0, 0),
+        ("EXP", 3, 5, 243),
+        ("EXP", 2, 255, 1 << 255),
+        ("EXP", 2, 256, 0),  # 2**256 wraps to 0
+        # byte index 31 or more leaves the word as it is
+        ("SIGNEXTEND", 31, 0x80 << 240, 0x80 << 240),
+        ("SIGNEXTEND", 40, 0xFF, 0xFF),
+        # sign bit of byte 0 clear: the bits above it are cleared
+        ("SIGNEXTEND", 0, 0x17F, 0x7F),
+        ("SLT", WORD - 1, 0, 1),  # -1 < 0
+        ("SLT", 0, WORD - 1, 0),
+        ("SGT", 0, WORD - 1, 1),  # 0 > -1
+        ("SGT", WORD - 1, 0, 0),
+        ("BYTE", 31, 0x1234, 0x34),  # byte 31 is the least significant
+        ("BYTE", 30, 0x1234, 0x12),
+        ("BYTE", 0, 0xAB << 248, 0xAB),
+        ("BYTE", 32, WORD - 1, 0),
+        # a shift of 256 or more fills the word with the sign bit
+        ("SAR", 256, WORD - 16, WORD - 1),
+        ("SAR", 300, 16, 0),
+    ],
+)
+def test_binop_matches_the_evm(opcode, a, b, expected):
+    assert binop(opcode, a, b) == expected
+
+
+def test_binop_rejects_an_opcode_it_does_not_cover():
+    with pytest.raises(KeyError):
+        binop("BALANCE", 1)
+
+
+def test_addmod_and_mulmod_reduce_the_full_precision_result():
+    # ADDMOD(a, b, n) pops a first: (2**256 - 1 + 2) % 3 == 2, since 2**256 % 3 == 1
+    trace = _run(asm("PUSH1 0x03", "PUSH1 0x02", f"PUSH32 0x{WORD - 1:064x}", "ADDMOD", "STOP"))
+    assert trace.stack == (2,)
+    # (2**256 - 1) ** 2 % 12 == 9, since 2**256 % 12 == 4
+    max_word = f"PUSH32 0x{WORD - 1:064x}"
+    trace = _run(asm("PUSH1 0x0c", max_word, max_word, "MULMOD", "STOP"))
+    assert trace.stack == (9,)
+    # a zero modulus gives 0
+    trace = _run(asm("PUSH0", "PUSH1 0x02", "PUSH1 0x03", "ADDMOD", "STOP"))
+    assert trace.stack == (0,)
+    trace = _run(asm("PUSH0", "PUSH1 0x02", "PUSH1 0x03", "MULMOD", "STOP"))
+    assert trace.stack == (0,)
+
+
+def test_dup_and_swap_past_the_stack_are_invalid():
+    assert _run(asm("PUSH1 0x01", "DUP2", "STOP")).halted == "invalid"
+    assert _run(asm("PUSH1 0x01", "SWAP1", "STOP")).halted == "invalid"
+
+
+def test_a_push_past_the_stack_limit_is_invalid():
+    full = _run(asm(*["PUSH0"] * STACK_LIMIT, "STOP"))
+    assert full.halted == "stop" and len(full.stack) == STACK_LIMIT
+    assert _run(asm(*["PUSH0"] * (STACK_LIMIT + 1), "STOP")).halted == "invalid"
 
 
 def test_jump_and_invalid_target():
