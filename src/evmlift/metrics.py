@@ -63,19 +63,20 @@ def compute_metrics(
         for stmt in block.statements:
             if PLACEHOLDER in stmt.operands:
                 unresolved += 1
-        code_block = program.blocks[bid]
-        terminator = code_block.terminator
+        terminator = program.blocks[bid].terminator
         succs = len(block.succs)
         if terminator is Terminator.JUMP and bid not in confirmed.private_returns and succs > 1:
             unstructured += 1
         elif terminator is Terminator.CONDITIONAL_JUMP and succs > 2:
             unstructured += 1
-        # A fall needs the next block only where analyze adds that edge.
-        # Compared with `is`: an Enum dict key hashes through a Python-level __hash__.
-        jumps = terminator is Terminator.JUMP or terminator is Terminator.CONDITIONAL_JUMP
-        falls = terminator is Terminator.CONDITIONAL_JUMP or terminator is Terminator.FALLTHROUGH
-        required = jumps + (falls and code_block.fallthrough_pc in program.blocks)
-        if succs < required:
+        # compared with `is`: an Enum dict key hashes through a Python-level __hash__
+        required = 2 if terminator is Terminator.CONDITIONAL_JUMP else 0 if terminator is Terminator.HALT else 1
+        # A fall needs its next block only where analyze adds that edge, so
+        # a block one successor short is short only if it does; the
+        # fallthrough is looked up for such a block alone.
+        if succs < required and (
+            terminator is Terminator.JUMP or succs < required - 1 or program.blocks[bid].fallthrough_pc in program.blocks
+        ):
             missing_cf += 1
 
     endpoints = {b for pair in result.edge_pairs() for b in pair}
