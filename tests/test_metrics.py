@@ -7,7 +7,6 @@ from conftest import (
     asm,
     dispatch_pair_code,
     chained_call_code,
-    layout,
     poly_merge_code,
     underflow_drop_code,
     unresolved_operand_code,
@@ -69,10 +68,11 @@ def test_a_fall_past_the_end_of_the_code_needs_no_successor():
     # PUSH1 1; POP falls off the end: an implicit STOP, as the interpreter runs it
     assert run_pipeline(bytes.fromhex("600150")).metrics.missing_control_flow == 0
     # a JUMPI whose fallthrough lies past the end needs its target alone
-    code = layout({0x0: asm("PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x08", "JUMPI"), 0x8: asm("JUMPDEST", "STOP")})
-    assert run_pipeline(code).metrics.missing_control_flow == 0
+    code = asm("PUSH1 0x05", "JUMP", "JUMPDEST", "STOP", "JUMPDEST", "PUSH1 0x00", "CALLDATALOAD", "PUSH1 0x03", "JUMPI")
+    res = run_pipeline(code)
+    assert res.tac.blocks[0x5].succs == (0x3,) and res.metrics.missing_control_flow == 0
     # one whose fallthrough lies in the code still needs both
-    code = layout({0x0: asm("PUSH1 0x00", "CALLDATALOAD", "JUMPI", "STOP")})
+    code = asm("PUSH1 0x00", "CALLDATALOAD", "JUMPI", "STOP")
     assert run_pipeline(code).metrics.missing_control_flow == 1
 
 
