@@ -240,18 +240,30 @@ def analyze(
     jump_target = program.targets.get
     sources = merge_sources(facts)
 
-    # Per block that is not too deep: its summary, the value it jumps on
-    # (None when it does not jump), its fallthrough block in the program
-    # (None when it has none), and whether merge can change the context.
-    plan: dict[int, tuple[BlockSummary, AbstractValue | None, int | None, bool]] = {}
+    # Per block that is not too deep: its summary, the entry slot it jumps
+    # on (None when it jumps on none), the values a jump on a def site
+    # reads, taken once here since a def site reads itself whatever the env,
+    # its fallthrough block in the program (None when it has none), and
+    # whether merge can change the context.
+    plan: dict[int, tuple[BlockSummary, AbstractValue | None, tuple[AbstractValue, ...], int | None, bool]] = {}
+    blocks = program.blocks
     for bid, summary in summaries.items():
         if summary.too_deep:
             continue
-        block = program.blocks[bid]
-        jumps = block.terminator in (Terminator.JUMP, Terminator.CONDITIONAL_JUMP)
-        falls = block.terminator in (Terminator.CONDITIONAL_JUMP, Terminator.FALLTHROUGH)
-        fall = block.fallthrough_pc if falls and block.fallthrough_pc in program.blocks else None
-        plan[bid] = (summary, summary.target_expr if jumps else None, fall, bid in sources)
+        block = blocks[bid]
+        terminator = block.terminator
+        slot = fall = None
+        values: tuple[AbstractValue, ...] = ()
+        if terminator is Terminator.JUMP or terminator is Terminator.CONDITIONAL_JUMP:
+            if summary.target_expr < UNDERFLOW:
+                slot = summary.target_expr
+            else:
+                values = tuple(resolve((), summary.target_expr))
+        if terminator is Terminator.CONDITIONAL_JUMP or terminator is Terminator.FALLTHROUGH:
+            fall = block.fallthrough_pc
+            if fall not in blocks:
+                fall = None
+        plan[bid] = (summary, slot, values, fall, bid in sources)
 
     # Every relation only grows, so the facts so far are the two sets' sizes
     # plus the entry-env tuples each join added.
@@ -279,21 +291,21 @@ def analyze(
         step = plan.get(bid)
         if step is None:
             continue
-        summary, jump, fall, merges = step
+        summary, slot, values, fall, merges = step
         transfers += 1
 
         input_env = block_input[key]
         out_env = transfer_block(summary, input_env)
         succs: list[PairKey] = []
-        if jump is not None:
+        # An entry-slot jump reads the entry env on every transfer.
+        for value in values if slot is None else sorted(resolve(input_env, slot)):
+            target = jump_target(value)
             # UNDERFLOW names no block, so a read below the bottom jumps nowhere.
-            for value in sorted(resolve(input_env, jump)):
-                target = jump_target(value)
-                if target is not None:
-                    ctx2 = merge(cfg, facts, ctx, bid, target) if merges else ctx
-                    jump_facts.add((ctx, bid, value, target))
-                    edges.add((ctx, bid, ctx2, target))
-                    succs.append((ctx2, target))
+            if target is not None:
+                ctx2 = merge(cfg, facts, ctx, bid, target) if merges else ctx
+                jump_facts.add((ctx, bid, value, target))
+                edges.add((ctx, bid, ctx2, target))
+                succs.append((ctx2, target))
         if fall is not None:
             edges.add((ctx, bid, ctx, fall))
             succs.append((ctx, fall))

@@ -26,20 +26,12 @@ class BytecodeError(ValueError):
         self.offset = offset
 
 
-class Instruction(NamedTuple):
-    """One decoded instruction (a NamedTuple: cheap to build, hashed in C).
-
-    pushed_value is present exactly for the PUSH family; truncated immediates
-    at the end of code are zero-padded on the right.
-    """
-
-    pc: int
-    opcode: str
-    pushed_value: int | None = None
-
-    @property
-    def size(self) -> int:
-        return BY_NAME[self.opcode].size
+# One decoded instruction: (pc, opcode, pushed_value). pushed_value is an
+# int exactly for the PUSH family, with a truncated immediate at the end of
+# code zero-padded on the right, and None otherwise. An exact tuple, read by
+# position: a tuple display builds it from the free list, and the collector
+# stops tracking it once scanned, since it holds only ints, a str and None.
+Instruction = tuple[int, str, int | None]
 
 
 class BasicBlock(NamedTuple):
@@ -55,7 +47,8 @@ class BasicBlock(NamedTuple):
 
     @property
     def fallthrough_pc(self) -> int:
-        return self.last.pc + self.last.size
+        pc, opcode, _pushed = self.instructions[-1]
+        return pc + BY_NAME[opcode].size
 
 
 class _ProgramFields(NamedTuple):
@@ -141,15 +134,14 @@ def disassemble(code: bytes) -> list[Instruction]:
     _within_limit(code)
     # zero-padded once: an immediate that runs off the end reads zeros
     padded = code + bytes(32)
-    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
-    new, from_bytes = tuple.__new__, int.from_bytes
+    from_bytes = int.from_bytes
     out: list[Instruction] = []
     pc = 0
     while pc < len(code):
         info = TABLE[code[pc]]
         size = info.size
         value = from_bytes(padded[pc + 1 : pc + size], "big") if info.is_push else None
-        out.append(new(Instruction, (pc, info.mnemonic, value)))
+        out.append((pc, info.mnemonic, value))
         pc += size
     return out
 
@@ -167,14 +159,15 @@ def extract_blocks(code: bytes) -> BytecodeProgram:
     body: list[Instruction] = []
 
     def cut(terminator: Terminator) -> None:
-        blocks[body[0].pc] = BasicBlock(body[0].pc, tuple(body), terminator)
+        bid = body[0][0]  # the pc of its first instruction
+        blocks[bid] = BasicBlock(bid, tuple(body), terminator)
         body.clear()
 
     cuts = _CUTS
     for ins in disassemble(code):
-        opcode = ins.opcode
+        pc, opcode, _pushed = ins
         if opcode == "JUMPDEST":
-            jumpdests.append(ins.pc)
+            jumpdests.append(pc)
             if body:
                 cut(Terminator.FALLTHROUGH)
         body.append(ins)

@@ -46,7 +46,7 @@ def select_clone_candidates(
 
 def _rebase(block: BasicBlock, clone_id: int) -> BasicBlock:
     offset = clone_id - block.id
-    instructions = tuple(ins._replace(pc=ins.pc + offset) for ins in block.instructions)
+    instructions = tuple((pc + offset, opcode, pushed) for pc, opcode, pushed in block.instructions)
     return BasicBlock(id=clone_id, instructions=instructions, terminator=block.terminator)
 
 

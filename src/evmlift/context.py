@@ -44,7 +44,9 @@ class SchemeConfig(NamedTuple):
 class Context(NamedTuple):
     """public is the active function entry block; private lists call sites,
     most recent first, never longer than the configured depth. A tuple, so
-    the fixpoint's keys hash and compare without Python-level calls."""
+    the fixpoint's keys hash and compare without Python-level calls; merge
+    builds one with tuple.__new__, without the NamedTuple's Python-level
+    __new__."""
 
     public: int | None
     private: tuple[int, ...]
@@ -94,7 +96,7 @@ def _merge_shrinking(
     nxt: int,
 ) -> Context:
     if (cur, nxt) in facts.public_calls:
-        return Context(nxt, ctx.private)
+        return tuple.__new__(Context, (nxt, ctx.private))
     is_return = cur in facts.private_returns
     matched = None
     if is_return:
@@ -106,9 +108,9 @@ def _merge_shrinking(
     )
     if grow:  # a block already on the context, unless a return, is cut back to first
         private = cut_to(ctx.private, cur) if cur in ctx.private and not is_return else ctx.private
-        return Context(ctx.public, ((cur,) + private)[: cfg.depth])
+        return tuple.__new__(Context, (ctx.public, ((cur,) + private)[: cfg.depth]))
     if is_return:
-        return Context(ctx.public, cut_to(ctx.private, matched))
+        return tuple.__new__(Context, (ctx.public, cut_to(ctx.private, matched)))
     return ctx
 
 
@@ -120,7 +122,7 @@ def _merge_transactional(
     nxt: int,
 ) -> Context:
     if (cur, nxt) in facts.public_calls:
-        return Context(nxt, ctx.private)
+        return tuple.__new__(Context, (nxt, ctx.private))
     if cur in facts.private_callers or cur in facts.private_returns:
-        return Context(ctx.public, ((cur,) + ctx.private)[: cfg.depth])
+        return tuple.__new__(Context, (ctx.public, ((cur,) + ctx.private)[: cfg.depth]))
     return ctx

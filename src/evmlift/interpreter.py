@@ -190,11 +190,10 @@ class _Machine:
             raise _Halt("invalid")
         return self.stack.pop()
 
-    def step(self, ins, info) -> tuple[str, int | None, int | None]:
-        """Run one instruction; returns (kind, jump_target, condition)."""
-        op = ins.opcode
+    def step(self, op: str, pushed: int | None, info) -> tuple[str, int | None, int | None]:
+        """Run one instruction, op with its pushed value; returns (kind, jump_target, condition)."""
         if info.is_push:
-            self.push(ins.pushed_value)
+            self.push(pushed)
         elif info.dup_index:
             if len(self.stack) < info.dup_index:
                 raise _Halt("invalid")
@@ -277,11 +276,11 @@ def concrete_execute(
             return done("stop" if visits else "invalid")
         visits.append(bid)
         try:
-            for ins in block.instructions:
+            for _pc, op, pushed in block.instructions:
                 if steps >= max_steps:
                     return done("out-of-steps")
                 steps += 1
-                kind, target, cond = machine.step(ins, BY_NAME[ins.opcode])
+                kind, target, cond = machine.step(op, pushed, BY_NAME[op])
                 if kind == "jump" or (kind == "jumpi" and cond != 0):
                     if target not in jumpdests:
                         return done("invalid")
@@ -307,8 +306,8 @@ def run_block(
     machine.stack = list(reversed(entry_stack))
     jump_target = None
     try:
-        for ins in program.blocks[block_id].instructions:
-            kind, target, _cond = machine.step(ins, BY_NAME[ins.opcode])
+        for _pc, op, pushed in program.blocks[block_id].instructions:
+            kind, target, _cond = machine.step(op, pushed, BY_NAME[op])
             if kind in ("jump", "jumpi"):
                 jump_target = target
     except _Halt as halt:

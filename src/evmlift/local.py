@@ -54,13 +54,12 @@ def _effect(info: OpInfo) -> tuple[int, int]:
 EFFECTS = {info.mnemonic: _effect(info) for info in TABLE}
 
 
-class OpRecord(NamedTuple):
-    """Operand/result view of one instruction, in entry-relative terms."""
-
-    pc: int
-    opcode: str
-    operands: tuple[AbstractValue, ...]
-    result: AbstractValue | None
+# Operand/result view of one instruction, in entry-relative terms:
+# (pc, opcode, operands, result), operands top first and result None for an
+# instruction that pushes nothing. An exact tuple, read by position: a tuple
+# display builds it from the free list, and the collector stops tracking it
+# once scanned, since it holds only ints, a str, None and a tuple of ints.
+OpRecord = tuple[int, str, tuple[AbstractValue, ...], AbstractValue | None]
 
 
 class BlockSummary(NamedTuple):
@@ -81,7 +80,9 @@ class BlockSummary(NamedTuple):
 
     def read_slots(self) -> frozenset[int]:
         """Entry-slot indices any instruction actually consumes."""
-        return frozenset(entry_slot(v) for rec in self.ops for v in rec.operands if v < UNDERFLOW)
+        return frozenset(
+            entry_slot(v) for _pc, _opcode, operands, _result in self.ops for v in operands if v < UNDERFLOW
+        )
 
 
 def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary:
@@ -93,8 +94,7 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
     target_expr: AbstractValue | None = None
     cond_expr: AbstractValue | None = None
     too_deep = False
-    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
-    new, effects = tuple.__new__, EFFECTS
+    effects = EFFECTS
 
     for pc, opcode, pushed in block.instructions:
         reads, kind = effects[opcode]
@@ -106,7 +106,7 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
         if kind == PUSH:
             constants[pc] = pushed
             stack.append(pc)
-            ops.append(new(OpRecord, (pc, opcode, (), pc)))
+            ops.append((pc, opcode, (), pc))
         elif kind == DUP:
             stack.append(stack[-reads])
         elif kind == SWAP:
@@ -128,7 +128,7 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
                 target_expr = operands[0]
             elif kind == JUMPI:
                 target_expr, cond_expr = operands
-            ops.append(new(OpRecord, (pc, opcode, operands, result)))
+            ops.append((pc, opcode, operands, result))
         if depth > STACK_LIMIT:
             too_deep = True
             break
@@ -163,15 +163,16 @@ def summarize_program(
 
 def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpRecord | None:
     """Follow at most two ISZEROs from the JUMPI condition back to an EQ."""
-    by_pc = {rec.pc: rec for rec in summary.ops}
+    by_pc = {rec[0]: rec for rec in summary.ops}
     hops = 0
     while value in by_pc:
         rec = by_pc[value]
-        if rec.opcode == "EQ":
+        _pc, opcode, operands, _result = rec
+        if opcode == "EQ":
             return rec
-        if rec.opcode == "ISZERO" and hops < 2:
+        if opcode == "ISZERO" and hops < 2:
             hops += 1
-            value = rec.operands[0]
+            value = operands[0]
             continue
         return None
     return None
@@ -217,7 +218,8 @@ def detect_patterns(program: BytecodeProgram, summaries: dict[int, BlockSummary]
             eq = chase_condition_to_eq(summary, summary.cond_expr)
             if eq is None:
                 continue
-            consts = map(constants.get, eq.operands)
+            _pc, _opcode, operands, _result = eq
+            consts = map(constants.get, operands)
             selector = next((c for c in consts if c is not None and c <= MAX_SELECTOR), None)
             if selector is not None:
                 public.add((bid, selector, target))

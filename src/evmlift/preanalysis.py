@@ -27,6 +27,7 @@ from .values import AbstractValue
 SELECTOR_SHIFT = 0xE0
 SELECTOR_DIVISOR = 1 << 224
 SELECTOR_MASK = 0xFFFFFFFF
+_SELECTOR_OPCODES = frozenset({"CALLDATALOAD", "SHR", "DIV", "AND"})
 
 
 class PreanalysisOutcome(NamedTuple):
@@ -58,43 +59,49 @@ def selector_values(
     a fixpoint so chained masks stay in the set. constants is the
     program's pc -> constant table.
     """
-    records = [(per_block.get(bid, ()), rec) for bid, s in summaries.items() for rec in s.ops]
+    # Only these four opcodes seed or grow the set, so only their records are kept.
+    records = [
+        (per_block.get(bid, ()), opcode, operands, result)
+        for bid, s in summaries.items()
+        for _pc, opcode, operands, result in s.ops
+        if opcode in _SELECTOR_OPCODES
+    ]
 
     def has_constant(entry: Env, operand: AbstractValue, constant: int) -> bool:
         return any(constants.get(v) == constant for v in resolve(entry, operand))
 
     calldata_zero: set[AbstractValue] = set()
-    for entry, rec in records:
-        if rec.opcode == "CALLDATALOAD" and has_constant(entry, rec.operands[0], 0):
-            calldata_zero.add(rec.result)
+    for entry, opcode, operands, result in records:
+        if opcode == "CALLDATALOAD" and has_constant(entry, operands[0], 0):
+            calldata_zero.add(result)
 
     selectors: set[AbstractValue] = set()
-    for entry, rec in records:
-        if rec.opcode == "SHR":
-            if has_constant(entry, rec.operands[0], SELECTOR_SHIFT) and (
-                resolve(entry, rec.operands[1]) & calldata_zero
+    for entry, opcode, operands, result in records:
+        if opcode == "SHR":
+            if has_constant(entry, operands[0], SELECTOR_SHIFT) and (
+                resolve(entry, operands[1]) & calldata_zero
             ):
-                selectors.add(rec.result)
-        elif rec.opcode == "DIV":
-            if has_constant(entry, rec.operands[1], SELECTOR_DIVISOR) and (
-                resolve(entry, rec.operands[0]) & calldata_zero
+                selectors.add(result)
+        elif opcode == "DIV":
+            if has_constant(entry, operands[1], SELECTOR_DIVISOR) and (
+                resolve(entry, operands[0]) & calldata_zero
             ):
-                selectors.add(rec.result)
+                selectors.add(result)
 
     grew = True
     while grew:
         grew = False
-        for entry, rec in records:
-            if rec.opcode != "AND" or rec.result in selectors:
+        for entry, opcode, operands, result in records:
+            if opcode != "AND" or result in selectors:
                 continue
-            a, b = rec.operands
+            a, b = operands
             masked = (
                 has_constant(entry, a, SELECTOR_MASK) and resolve(entry, b) & selectors
             ) or (
                 has_constant(entry, b, SELECTOR_MASK) and resolve(entry, a) & selectors
             )
             if masked:
-                selectors.add(rec.result)
+                selectors.add(result)
                 grew = True
     return frozenset(selectors)
 
@@ -111,8 +118,9 @@ def confirm_public_calls(
         eq = chase_condition_to_eq(summary, summary.cond_expr)
         if eq is None:
             continue
+        _pc, _opcode, operands, _result = eq
         entry = per_block.get(bid, ())
-        if any(resolve(entry, op) & selectors for op in eq.operands):
+        if any(resolve(entry, op) & selectors for op in operands):
             kept.add((bid, selector, target))
     return frozenset(kept)
 

@@ -21,25 +21,25 @@ MAX_CODE_SIZE = 24576
 
 def test_disassemble_simple():
     ins = disassemble(asm("PUSH1 0x01", "PUSH1 0x02", "ADD", "STOP"))
-    assert [(i.pc, i.opcode) for i in ins] == [(0, "PUSH1"), (2, "PUSH1"), (4, "ADD"), (5, "STOP")]
-    assert ins[0].pushed_value == 1 and ins[1].pushed_value == 2
-    assert ins[0].size == 2 and ins[2].size == 1
+    assert [(pc, opcode) for pc, opcode, _pushed in ins] == [(0, "PUSH1"), (2, "PUSH1"), (4, "ADD"), (5, "STOP")]
+    assert ins[0][2] == 1 and ins[1][2] == 2
+    assert BY_NAME[ins[0][1]].size == 2 and BY_NAME[ins[2][1]].size == 1
 
 
 def test_every_byte_decodes_through_the_one_table():
     halting = {"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
     for b in range(256):
         info = TABLE[b]
-        ins = disassemble(bytes([b]))[0]
-        assert ins.opcode == info.mnemonic
+        ((_pc, opcode, _pushed),) = disassemble(bytes([b]))
+        assert opcode == info.mnemonic
         if info.byte != b:
-            assert (ins.opcode, ins.size) == ("INVALID", 1)
+            assert (opcode, BY_NAME[opcode].size) == ("INVALID", 1)
             assert extract_blocks(bytes([b])).blocks[0].terminator is Terminator.HALT
             continue
         assert BY_NAME[info.mnemonic].byte == b
         assert info.is_push is (0x5F <= b <= 0x7F)
         if info.is_push:
-            assert info.size == ins.size == b - 0x5F + 1
+            assert info.size == BY_NAME[opcode].size == b - 0x5F + 1
         if info.mnemonic == "JUMP":
             assert info.terminator is Terminator.JUMP
         elif info.mnemonic == "JUMPI":
@@ -54,22 +54,23 @@ def test_disassemble_truncated_push_zero_padded():
     # immediate runs past the end of the code: missing bytes read as zero
     ins = disassemble(bytes([0x61, 0xAB]))
     assert len(ins) == 1
-    assert ins[0].opcode == "PUSH2"
-    assert ins[0].pushed_value == 0xAB00
-    ins = disassemble(b"\x60")
-    assert ins[0].pushed_value == 0
+    _pc, opcode, pushed = ins[0]
+    assert opcode == "PUSH2"
+    assert pushed == 0xAB00
+    ((_pc, _opcode, pushed),) = disassemble(b"\x60")
+    assert pushed == 0
     # every width, cut at every byte of its immediate, after a JUMPDEST
     for width in range(1, 33):
         immediate = bytes(range(0xE0, 0xE0 + width))
         for cut in range(width + 1):
-            _jumpdest, push = disassemble(bytes([0x5B, 0x5F + width]) + immediate[:cut])
-            assert (push.pc, push.opcode) == (1, f"PUSH{width}")
-            assert push.pushed_value == int.from_bytes(immediate[:cut].ljust(width, b"\x00"), "big")
+            _jumpdest, (pc, opcode, pushed) = disassemble(bytes([0x5B, 0x5F + width]) + immediate[:cut])
+            assert (pc, opcode) == (1, f"PUSH{width}")
+            assert pushed == int.from_bytes(immediate[:cut].ljust(width, b"\x00"), "big")
 
 
 def test_disassemble_undefined_bytes_halt():
     ins = disassemble(bytes([0x0C, 0xEF]))
-    assert [i.opcode for i in ins] == ["INVALID", "INVALID"]
+    assert [opcode for _pc, opcode, _pushed in ins] == ["INVALID", "INVALID"]
 
 
 def test_code_size_limit():
@@ -99,7 +100,8 @@ def test_block_boundaries():
     assert set(prog.blocks) == {0x0, 0x5, 0x6, 0x7, 0x8}
     assert prog.blocks[0x0].terminator is Terminator.CONDITIONAL_JUMP
     assert prog.blocks[0x5].terminator is Terminator.HALT
-    assert prog.blocks[0x8].instructions[0].opcode == "JUMPDEST"
+    _pc, opcode, _pushed = prog.blocks[0x8].instructions[0]
+    assert opcode == "JUMPDEST"
     assert prog.jumpdests == frozenset({0x8})
 
 
@@ -113,26 +115,26 @@ def test_fallthrough_terminator():
 def test_chained_call_layout_is_byte_exact():
     code = chained_call_code()
     assert len(code) == 0x1D4
-    ins = {i.pc: i for i in disassemble(code)}
-    assert ins[0x1A].opcode == "CALLDATALOAD"
-    assert ins[0x1D].opcode == "SHR"
-    assert ins[0x24].opcode == "EQ"
-    assert ins[0x2F].opcode == "EQ"
-    assert ins[0x28].opcode == "JUMPI"
-    assert ins[0x33].opcode == "JUMPI"
-    assert ins[0x5A].opcode == "PUSH2" and ins[0x5A].pushed_value == 0x77
-    assert ins[0x71].opcode == "JUMP"
-    assert ins[0xA9].opcode == "JUMP"
+    ins = {pc: (opcode, pushed) for pc, opcode, pushed in disassemble(code)}
+    assert ins[0x1A][0] == "CALLDATALOAD"
+    assert ins[0x1D][0] == "SHR"
+    assert ins[0x24][0] == "EQ"
+    assert ins[0x2F][0] == "EQ"
+    assert ins[0x28][0] == "JUMPI"
+    assert ins[0x33][0] == "JUMPI"
+    assert ins[0x5A] == ("PUSH2", 0x77)
+    assert ins[0x71][0] == "JUMP"
+    assert ins[0xA9][0] == "JUMP"
 
     prog = extract_blocks(code)
     assert prog.jumpdests == frozenset({0x38, 0x44, 0x58, 0x72, 0x77, 0x90, 0x1C7, 0x1D0})
-    assert prog.blocks[0x0].last.pc == 0x28
-    assert prog.blocks[0x29].last.pc == 0x33
+    assert prog.blocks[0x0].last[0] == 0x28
+    assert prog.blocks[0x29].last[0] == 0x33
     assert prog.blocks[0x29].fallthrough_pc == 0x34
-    assert prog.blocks[0x58].last.pc == 0x71
+    assert prog.blocks[0x58].last[0] == 0x71
     assert prog.blocks[0x58].terminator is Terminator.JUMP
-    assert prog.blocks[0x72].last.pc == 0x76
-    assert prog.blocks[0x1C7].last.pc == 0x1CA
+    assert prog.blocks[0x72].last[0] == 0x76
+    assert prog.blocks[0x1C7].last[0] == 0x1CA
 
 
 def test_jump_target_names_a_clone_only_through_its_push():

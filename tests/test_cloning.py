@@ -58,8 +58,8 @@ def test_apply_cloning_rewrites_no_push():
     cloned, _ = apply_cloning(prog, facts)
     # every original block comes back as the same object, pushes included
     assert all(cloned.blocks[bid] is block for bid, block in prog.blocks.items())
-    (push,) = [i for i in cloned.blocks[0x58].instructions if i.pc == 0x60]
-    assert push.pushed_value == 0x72
+    (pushed,) = [pushed for pc, _opcode, pushed in cloned.blocks[0x58].instructions if pc == 0x60]
+    assert pushed == 0x72
     # the clone is named by the push's pc, not by its value
     assert cloned.constants[0x60] == 0x72 and cloned.targets.get(0x60) == 0x1E0
     assert cloned.constants[0x5A] == 0x77 and cloned.targets.get(0x5A) == 0x77
@@ -70,10 +70,11 @@ def test_clone_bodies_are_pristine_rebased_copies():
     cloned, _ = apply_cloning(prog, facts)
     original = cloned.blocks[0x72]
     clone = cloned.blocks[0x1F0]
-    assert [i.pc for i in clone.instructions] == [0x1F0, 0x1F1, 0x1F4]
-    assert [i.opcode for i in clone.instructions] == [i.opcode for i in original.instructions]
+    assert [pc for pc, _opcode, _pushed in clone.instructions] == [0x1F0, 0x1F1, 0x1F4]
+    assert [op for _pc, op, _pushed in clone.instructions] == [op for _pc, op, _pushed in original.instructions]
     # the push inside the copy still targets the shared helper
-    assert clone.instructions[1].pushed_value == 0x1C7
+    _pc, _opcode, pushed = clone.instructions[1]
+    assert pushed == 0x1C7
     assert clone.terminator is original.terminator
 
 

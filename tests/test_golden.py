@@ -244,7 +244,7 @@ def test_every_const_carries_the_value_the_bytecode_pushes(corpus):
     # at the pc of the instruction copied.
     consts = 0
     for code in CORPORA[corpus]():
-        pushed = {ins.pc: ins.pushed_value for ins in disassemble(code) if ins.pushed_value is not None}
+        pushed = {pc: value for pc, _opcode, value in disassemble(code) if value is not None}
         for name, overrides in SWEEP_CONFIGS:
             res = run_pipeline(code, RunConfig(**overrides))
             for bid, block in res.tac.blocks.items():

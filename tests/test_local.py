@@ -69,7 +69,7 @@ def test_summary_swap_reorders():
 
 def test_summary_records_skip_stack_shuffles():
     summary, _ = _summary(asm("JUMPDEST", "PUSH1 0x01", "DUP1", "SWAP1", "POP", "ADD", "STOP"))
-    assert [rec.opcode for rec in summary.ops] == ["PUSH1", "ADD", "STOP"]
+    assert [opcode for _pc, opcode, _operands, _result in summary.ops] == ["PUSH1", "ADD", "STOP"]
 
 
 def test_summary_too_deep():
@@ -104,7 +104,9 @@ def test_chase_condition_through_iszero():
     )
     summary, _ = _summary(code)
     rec = chase_condition_to_eq(summary, summary.cond_expr)
-    assert rec is not None and rec.opcode == "EQ"
+    assert rec is not None
+    _pc, opcode, _operands, _result = rec
+    assert opcode == "EQ"
     # a third negation is out of range
     code3 = asm(
         "PUSH1 0x00",

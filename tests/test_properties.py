@@ -244,17 +244,17 @@ def test_blocks_cut_the_instruction_stream_at_jumpdests_and_terminators():
         assert stream == disassemble(code), code.hex()
         previous = None
         for block in blocks:
-            first, last = block.instructions[0], block.instructions[-1]
-            assert block.id == first.pc
+            (first_pc, first, _pushed), (_pc, last, _pushed) = block.instructions[0], block.instructions[-1]
+            assert block.id == first_pc
             assert (
                 block.id == 0
-                or first.opcode == "JUMPDEST"
-                or BY_NAME[previous.last.opcode].terminator is not Terminator.FALLTHROUGH
+                or first == "JUMPDEST"
+                or BY_NAME[previous.last[1]].terminator is not Terminator.FALLTHROUGH
             ), code.hex()
-            assert all(ins.opcode != "JUMPDEST" for ins in block.instructions[1:]), code.hex()
+            assert all(op != "JUMPDEST" for _pc, op, _pushed in block.instructions[1:]), code.hex()
             assert all(
-                BY_NAME[ins.opcode].terminator is Terminator.FALLTHROUGH for ins in block.instructions[:-1]
+                BY_NAME[op].terminator is Terminator.FALLTHROUGH for _pc, op, _pushed in block.instructions[:-1]
             ), code.hex()
-            assert block.terminator is BY_NAME[last.opcode].terminator, code.hex()
+            assert block.terminator is BY_NAME[last].terminator, code.hex()
             previous = block
         assert program.jumpdests == _scan_jumpdests(code), code.hex()

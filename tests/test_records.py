@@ -7,7 +7,10 @@ decoration cost of a dataclass. ConfirmedFacts is a tuple with an instance
 dict, so it can cache private_callers. The abstract values the records hold
 are plain ints (see evmlift.values), so a plain tuple of them drops out of
 the collector's tracking once scanned. CPython un-tracks only exact tuples,
-so the records themselves, tuple subclasses, stay tracked for good.
+so the NamedTuple records, tuple subclasses, stay tracked for good. The two
+records built once per instruction, Instruction and OpRecord, are read only
+by position, so they are exact tuples: a tuple display builds one, and it
+drops out of the collector's tracking like any other tuple of ints.
 """
 
 import gc
@@ -15,14 +18,14 @@ import gc
 import pytest
 
 from evmlift import analysis, lifter
-from evmlift.bytecode import BasicBlock, BytecodeProgram, Instruction, extract_blocks
+from evmlift.bytecode import BasicBlock, BytecodeProgram, disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import CloneInstance, apply_cloning
 from evmlift.context import SchemeConfig
 from evmlift.facts import ConfirmedFacts, PatternFacts
 from evmlift.interpreter import BlockRun, EnvSets, EnvValuation, Trace
 from evmlift.lifter import TACBlock, TACProgram, TACStatement
-from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_program
+from evmlift.local import BlockSummary, detect_patterns, summarize_block, summarize_program
 from evmlift.metrics import MetricsReport
 from evmlift.opcodes import STACK_LIMIT
 from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
@@ -31,8 +34,6 @@ from evmlift.values import UNDERFLOW, entry_slot
 from test_golden import CORPORA
 
 RECORDS = (
-    Instruction,
-    OpRecord,
     BlockSummary,
     TACStatement,
     TACBlock,
@@ -127,9 +128,9 @@ def test_records_name_only_def_sites_and_entry_slots():
             summaries = summarize_program(program)
             cloned, _clones = apply_cloning(program, detect_patterns(program, summaries))
             for bid, summary in summarize_program(cloned, summaries).items():
-                pcs = {ins.pc for ins in cloned.blocks[bid].instructions}
+                pcs = {pc for pc, _opcode, _pushed in cloned.blocks[bid].instructions}
                 named = [summary.target_expr, summary.cond_expr, *summary.produced]
-                named += [v for rec in summary.ops for v in rec.operands]
+                named += [v for _pc, _opcode, operands, _result in summary.ops for v in operands]
                 for v in named:
                     if v is None:
                         continue
@@ -146,19 +147,34 @@ def test_records_name_only_def_sites_and_entry_slots():
 def test_a_lift_leaves_its_value_tuples_untracked():
     # Tuples of ints drop out of the collector's tracking once it has
     # scanned them, so a lift's summaries add nothing to later collections.
+    # So do the per-instruction records, exact tuples of ints, strs, None
+    # and such tuples.
     results = [run_pipeline(code) for code in CORPORA["deep"]()]
     gc.collect()
     tuples = [
         values
         for res in results
         for summary in res.summaries.values()
-        for values in (summary.produced, *(rec.operands for rec in summary.ops))
+        for values in (summary.produced, *(operands for _pc, _opcode, operands, _result in summary.ops))
         if values
     ]
     assert tuples
     assert not [values for values in tuples if gc.is_tracked(values)]
+    instructions = [ins for res in results for block in res.program.blocks.values() for ins in block.instructions]
+    ops = [rec for res in results for summary in res.summaries.values() for rec in summary.ops]
+    assert instructions and ops
+    assert all(type(rec) is tuple for rec in instructions + ops)
+    assert not [rec for rec in instructions + ops if gc.is_tracked(rec)]
     # The records that hold them are tuple subclasses, which stay tracked.
     assert all(gc.is_tracked(summary) for res in results for summary in res.summaries.values())
+    assert all(gc.is_tracked(block) for res in results for block in res.program.blocks.values())
+
+
+def test_instruction_and_op_record_layouts():
+    # (pc, opcode, pushed_value) and (pc, opcode, operands top first, result)
+    program = extract_blocks(bytes.fromhex("600156"))
+    assert disassemble(program.code) == [(0, "PUSH1", 1), (2, "JUMP", None)]
+    assert summarize_block(program.blocks[0], program).ops == ((0, "PUSH1", (), 0), (2, "JUMP", (0,), None))
 
 
 def test_a_lift_leaves_no_reference_cycles():
