@@ -173,8 +173,11 @@ def test_a_lift_leaves_its_value_tuples_untracked():
 def test_instruction_and_op_record_layouts():
     # (pc, opcode, pushed_value) and (pc, opcode, operands top first, result)
     program = extract_blocks(bytes.fromhex("600156"))
-    assert disassemble(program.code) == [(0, "PUSH1", 1), (2, "JUMP", None)]
-    assert summarize_block(program.blocks[0], program).ops == ((0, "PUSH1", (), 0), (2, "JUMP", (0,), None))
+    instructions = disassemble(program.code)
+    ops = summarize_block(program.blocks[0], program).ops
+    assert instructions == [(0, "PUSH1", 1), (2, "JUMP", None)]
+    assert ops == ((0, "PUSH1", (), 0), (2, "JUMP", (0,), None))
+    assert all(type(rec) is tuple for rec in (*instructions, *ops))
 
 
 def test_a_lift_leaves_no_reference_cycles():
