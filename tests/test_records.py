@@ -14,18 +14,19 @@ drops out of the collector's tracking like any other tuple of ints.
 """
 
 import gc
+import typing
 
 import pytest
 
 from evmlift import analysis, lifter
-from evmlift.bytecode import BasicBlock, BytecodeProgram, disassemble, extract_blocks
+from evmlift.bytecode import BasicBlock, BytecodeProgram, Instruction, disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import CloneInstance, apply_cloning
 from evmlift.context import SchemeConfig
 from evmlift.facts import ConfirmedFacts, PatternFacts
 from evmlift.interpreter import BlockRun, EnvSets, EnvValuation, Trace
 from evmlift.lifter import TACBlock, TACProgram, TACStatement
-from evmlift.local import BlockSummary, detect_patterns, summarize_block, summarize_program
+from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_block, summarize_program
 from evmlift.metrics import MetricsReport
 from evmlift.opcodes import STACK_LIMIT
 from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
@@ -54,12 +55,22 @@ RECORDS = (
 )
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+# Aliases of an exact tuple type: a record of either is a tuple itself.
+TUPLE_ALIASES = {"Instruction": Instruction, "OpRecord": OpRecord}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [*RECORDS, *(pytest.param(alias, id=name) for name, alias in TUPLE_ALIASES.items())],
+    ids=lambda record: record.__name__,
+)
 def test_record_is_a_tuple_that_hashes_and_compares_as_one(record):
+    record = typing.get_origin(record) or record
     assert issubclass(record, tuple)
     assert record.__hash__ is tuple.__hash__
     assert record.__eq__ is tuple.__eq__
-    assert record.__slots__ == ()  # no per-instance __dict__
+    # no per-instance __dict__: an exact tuple has none to give up
+    assert record is tuple or record.__slots__ == ()
 
 
 def test_records_never_share_a_default_map():
