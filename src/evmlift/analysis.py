@@ -17,10 +17,11 @@ import math
 import time
 from collections import deque
 from functools import cached_property
+from itertools import zip_longest
 from typing import TypeVar
 
 from .bytecode import BytecodeProgram, Terminator
-from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge, merge_sources
+from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge, merge_for, merge_sources
 from .facts import ConfirmedFacts
 from .local import BlockSummary
 from .values import UNDERFLOW, AbstractValue, entry_slot
@@ -42,6 +43,7 @@ Env = tuple[frozenset[AbstractValue], ...]
 PairKey = tuple[Context, int]
 
 _UNDERFLOW_ONLY = frozenset({UNDERFLOW})
+_EMPTY: frozenset[AbstractValue] = frozenset()
 
 K = TypeVar("K")
 
@@ -90,13 +92,32 @@ class AnalysisResult:
 
     @cached_property
     def per_block(self) -> dict[int, Env]:
-        """block_input projected onto blocks: the fixpoint's join of every
-        context's entry env. A block seen in one context maps to that
-        context's env itself."""
+        """block_input projected onto blocks: the slot-wise union of every
+        context's entry env, built in one pass linear in the envs' slots.
+
+        A block seen in one context maps to that context's env itself, and
+        a slot no other context grows keeps the first context's set.
+        """
         merged: dict[int, Env] = {}
+        # The envs of each block seen with an env other than its first one.
+        columns: dict[int, list[Env]] = {}
         for (_ctx, bid), env in self.block_input.items():
-            if merged.setdefault(bid, env) is not env:
-                _join(merged, bid, env)
+            first = merged.setdefault(bid, env)
+            if first is not env:
+                envs = columns.get(bid)
+                if envs is None:
+                    columns[bid] = [first, env]
+                else:
+                    envs.append(env)
+        union = _EMPTY.union
+        for bid, envs in columns.items():
+            slots = []
+            # Envs of different depths: a context that stops short adds nothing below.
+            for column in zip_longest(*envs, fillvalue=_EMPTY):
+                first = column[0]
+                vals = union(*column)
+                slots.append(first if len(vals) == len(first) else vals)
+            merged[bid] = tuple(slots)
         return merged
 
 
@@ -128,16 +149,13 @@ def transfer_block(summary: BlockSummary, input_env: Env) -> Env:
     return tuple(out)
 
 
-def _join(store: dict[K, Env], key: K, env: Env) -> int:
-    """Slot-wise union of env into store[key]; returns the number of new tuples.
+def _join(store: dict[K, Env], key: K, cur: Env, env: Env) -> int:
+    """Slot-wise union of env into cur, the env store holds at key; returns
+    the number of new tuples.
 
-    A new key stores env itself. A key that grows gets a new tuple, and a
-    slot that grows a new set.
+    A key that grows gets a new tuple, and a slot that grows a new set; cur
+    and its sets are never changed. A new key is stored by analyze itself.
     """
-    cur = store.get(key)
-    if cur is None:
-        store[key] = env
-        return sum(map(len, env))
     added = 0
     joined = None
     for slot, (have, vals) in enumerate(zip(cur, env)):
@@ -239,6 +257,7 @@ def analyze(
         return result
     jump_target = program.targets.get
     sources = merge_sources(facts)
+    scheme_merge = merge_for(cfg.scheme)
 
     # Per block that is not too deep: its summary, the entry slot it jumps
     # on (None when it jumps on none), the values a jump on a def site
@@ -302,7 +321,7 @@ def analyze(
             target = jump_target(value)
             # UNDERFLOW names no block, so a read below the bottom jumps nowhere.
             if target is not None:
-                ctx2 = merge(cfg, facts, ctx, bid, target) if merges else ctx
+                ctx2 = scheme_merge(cfg, facts, ctx, bid, target) if merges else ctx
                 jump_facts.add((ctx, bid, value, target))
                 edges.add((ctx, bid, ctx2, target))
                 succs.append((ctx2, target))
@@ -310,14 +329,20 @@ def analyze(
             edges.add((ctx, bid, ctx, fall))
             succs.append((ctx, fall))
         for succ in succs:
-            # A new key may add no tuple (the successor of an empty exit
-            # stack) and must still be transferred once.
-            new = succ not in block_input
-            added = _join(block_input, succ, out_env)
-            env_facts += added
-            if (added or new) and succ not in queued:
+            cur = block_input.get(succ)
+            if cur is None:
+                # A new key stores the exit env itself. It may add no tuple
+                # (the successor of an empty exit stack) and must still be
+                # transferred once; it cannot be queued yet.
+                block_input[succ] = out_env
+                env_facts += sum(map(len, out_env))
                 queued.add(succ)
                 queue.append(succ)
+            elif added := _join(block_input, succ, cur, out_env):
+                env_facts += added
+                if succ not in queued:
+                    queued.add(succ)
+                    queue.append(succ)
 
     result.stop_condition = stop
     result.fact_count = env_facts + len(jump_facts) + len(edges)

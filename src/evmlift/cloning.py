@@ -56,9 +56,11 @@ def apply_cloning(
     """Copy each candidate block per push site and name each copy by its push.
 
     The result shares program's code and every one of its blocks, so only
-    the clones need a summary (see local.summarize_program). It records
-    program's constants under the clone pushes, so each chosen push names
-    its clone.
+    the clones need a summary (see local.summarize_program) and a pattern
+    walk (see local.detect_patterns). It starts from copies of program's
+    constants and targets and records only the chosen pushes' constants
+    again, through record_constants, so each chosen push names its clone
+    and every other target stays as it was.
     """
     candidates = select_clone_candidates(program, facts)
     if not candidates:
@@ -82,6 +84,9 @@ def apply_cloning(
         jumpdests=program.jumpdests,
         clone_of={inst.clone_id: inst.original for inst in instances},
         clone_pushes={inst.push_pc: inst.clone_id for inst in instances},
+        constants=dict(program.constants),
+        targets=dict(program.targets),
     )
-    cloned.record_constants(program.constants)
+    constants = program.constants
+    cloned.record_constants({inst.push_pc: constants[inst.push_pc] for inst in instances})
     return cloned, tuple(instances)

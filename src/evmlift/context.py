@@ -20,6 +20,7 @@ prepends, ignores important edges, and is kept as the comparison baseline.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .facts import ConfirmedFacts
@@ -71,9 +72,13 @@ def merge(
     cur: int,
     nxt: int,
 ) -> Context:
-    if cfg.scheme is Scheme.TRANSACTIONAL:
-        return _merge_transactional(cfg, facts, ctx, cur, nxt)
-    return _merge_shrinking(cfg, facts, ctx, cur, nxt)
+    """The context a jump from cur in ctx to nxt lands in, under cfg's scheme."""
+    return merge_for(cfg.scheme)(cfg, facts, ctx, cur, nxt)
+
+
+def merge_for(scheme: Scheme) -> Callable[[SchemeConfig, ConfirmedFacts, Context, int, int], Context]:
+    """The merge of one scheme, for a caller that merges many jumps under it."""
+    return _merge_transactional if scheme is Scheme.TRANSACTIONAL else _merge_shrinking
 
 
 def merge_sources(facts: ConfirmedFacts) -> frozenset[int]:

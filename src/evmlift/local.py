@@ -8,11 +8,12 @@ opcodes.TABLE, and entry slots missing under the stack go there in one
 slice assignment. Values are ints (see values); the constants the pass
 knows for pushes and folded results go into the program's pc -> constant
 table. detect_patterns then finds every call pattern in one walk over the
-summaries.
+summaries; after cloning, the walk covers only the clones.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .bytecode import BasicBlock, BytecodeProgram, Terminator
@@ -178,7 +179,9 @@ def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpReco
     return None
 
 
-def detect_patterns(program: BytecodeProgram, summaries: dict[int, BlockSummary]) -> PatternFacts:
+def detect_patterns(
+    program: BytecodeProgram, summaries: dict[int, BlockSummary], known: PatternFacts | None = None
+) -> PatternFacts:
     """The call-pattern candidates of every block, in one walk.
 
     Each block branches once on its terminator:
@@ -195,12 +198,29 @@ def detect_patterns(program: BytecodeProgram, summaries: dict[int, BlockSummary]
       really the call-data selector is left to the pre-analysis.
     An entry slot never carries a constant, so the two JUMP cases never
     overlap. Every value names its block through program.targets.
+
+    known is the first walk's facts when program is apply_cloning's result
+    and summaries are summarize_program(program, first summaries). Only the
+    clones are walked then. Every original block keeps its summary, and
+    cloning moves only the targets of the chosen pushes, each a push of a
+    private caller and never a JUMPI's target, so the known public
+    candidates and returns carry over, and each known private candidate
+    reads its continuation again through program.targets.
     """
-    public: set[tuple[int, int, int]] = set()
-    private: set[tuple[int, int, int]] = set()
-    returns: set[int] = set()
-    blocks, constants, targets = program.blocks, program.constants, program.targets
-    for bid, summary in summaries.items():
+    targets = program.targets
+    if known is None:
+        public: set[tuple[int, int, int]] = set()
+        private: set[tuple[int, int, int]] = set()
+        returns: set[int] = set()
+        walk: Iterable[int] = summaries
+    else:
+        public = set(known.public_call_candidates)
+        private = {(caller, targets[push], push) for caller, _cont, push in known.private_call_candidates}
+        returns = set(known.private_returns)
+        walk = program.clone_of
+    blocks, constants = program.blocks, program.constants
+    for bid in walk:
+        summary = summaries[bid]
         block = blocks[bid]
         terminator = block.terminator
         if terminator is Terminator.JUMP:

@@ -1,11 +1,12 @@
 """End-to-end driver: bytecode in, lifted code and metrics out.
 
 Phases run in a fixed order: decode, local patterns, cloning, local
-patterns again over the cloned program, pre-analysis and fact
-confirmation, the main context-sensitive analysis, lifting, metrics. All
-phases share one wall-clock deadline. Cloning rewrites no instruction and
-returns every original block unchanged, so the second local pass
-summarizes only the clones; every other block keeps its first summary.
+patterns again over the clones, pre-analysis and fact confirmation, the
+main context-sensitive analysis, lifting, metrics. All phases share one
+wall-clock deadline. Cloning rewrites no instruction and returns every
+original block unchanged, so the second local pass summarizes only the
+clones, and every other block keeps its first summary; pattern detection
+walks only the clones too, starting from the first walk's facts.
 Every phase maps a value to a block through one pc -> block table,
 BytecodeProgram.targets, which the local passes and cloning fill by the
 one rule that names clones (BytecodeProgram.record_constants). The
@@ -13,10 +14,11 @@ pre-analysis decides what it confirms, also when it stops short; the main
 pass runs under those facts and the same fact limit, so it returns the
 pre-analysis result whenever it would replay it, also when the limit
 stopped it. Each analysis result owns its per-block projection, one env
-tuple per block that shares the envs no join grew, so when the main pass
-returns the pre-analysis result, the lifter reads the projection
-public-call confirmation built, or builds it when there was none to
-confirm; when it reruns, any such projection is dropped.
+tuple per block built in one pass over the entry envs, sharing the env of
+a block seen in one context and each slot set no other context grew, so
+when the main pass returns the pre-analysis result, the lifter reads the
+projection public-call confirmation built, or builds it when there was
+none to confirm; when it reruns, any such projection is dropped.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
         cloned, clones = apply_cloning(program, patterns)
         if clones:
             summaries = summarize_program(cloned, summaries)
-            patterns = detect_patterns(cloned, summaries)
+            patterns = detect_patterns(cloned, summaries, patterns)
         program = cloned
 
     pre: PreanalysisOutcome | None = None

@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     analysis_outputs,
@@ -286,6 +288,73 @@ def test_per_block_joins_any_number_of_contexts_without_touching_the_store():
     # A context that reaches deeper than the joined env so far adds its slots.
     store[(INITIAL_CONTEXT, 0x8)] = (frozenset({A}), frozenset({C}), frozenset({B}))
     assert AnalysisResult(block_input=store).per_block == {0x8: ({A, B, C}, {C}, {B})}
+
+
+def _slotwise_fold(store):
+    """Reference projection: one context at a time, each slot joined on its own."""
+    out = {}
+    for (_ctx, bid), env in store.items():
+        have = out.get(bid, ())
+        slots = []
+        for i in range(max(len(have), len(env))):
+            vals = have[i] if i < len(have) else frozenset()
+            slots.append(vals | env[i] if i < len(env) else vals)
+        out[bid] = tuple(slots)
+    return out
+
+
+def _check_per_block(store):
+    before = dict(store)
+    merged = AnalysisResult(block_input=store).per_block
+    assert merged == _slotwise_fold(store)
+    assert store == before and all(store[key] is env for key, env in before.items())
+    assert all(type(env) is tuple for env in merged.values())
+    assert all(type(vals) is frozenset for vals in _slot_sets(merged))
+    envs_of: dict[int, list] = {}
+    for (_ctx, bid), env in store.items():
+        envs_of.setdefault(bid, []).append(env)
+    for bid, (first, *rest) in envs_of.items():
+        # A block seen in one context, or with one env shared by all its
+        # contexts, maps to that env itself.
+        if all(env is first for env in rest):
+            assert merged[bid] is first
+        # A slot no other context grows keeps the first context's set.
+        for i, vals in enumerate(first):
+            if all(len(env) <= i or env[i] <= vals for env in rest):
+                assert merged[bid][i] is vals
+    return merged
+
+
+@st.composite
+def _stores(draw):
+    """Entry stores over a few blocks and contexts: envs of uneven depth whose
+    slots are drawn from a few shared sets or built fresh. Like the fixpoint's
+    store, several keys may hold one env."""
+    fresh = st.frozensets(st.integers(0, 24), min_size=1, max_size=4)
+    shared = draw(st.lists(fresh, min_size=1, max_size=4))
+    env = st.lists(st.one_of(st.sampled_from(shared), fresh), max_size=5).map(tuple)
+    shared_envs = draw(st.lists(env, min_size=1, max_size=3))
+    keys = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), unique=True, max_size=16))
+    return {(Context(None, (c,)), bid): draw(st.one_of(st.sampled_from(shared_envs), env)) for c, bid in keys}
+
+
+@given(_stores())
+@settings(deadline=None)
+def test_per_block_equals_the_slotwise_fold(store):
+    _check_per_block(store)
+
+
+def test_per_block_joins_one_block_in_two_thousand_contexts():
+    # The benchmark's deep-210 shape: its return dispatcher has 1,660
+    # contexts. Every seventh context reaches one slot deeper.
+    shared = frozenset({A, B})
+    store = {
+        (Context(None, (c,)), 0x8): (frozenset({c}), shared) + ((frozenset({C}),) if c % 7 == 0 else ())
+        for c in range(2000)
+    }
+    merged = _check_per_block(store)
+    assert merged == {0x8: (frozenset(range(2000)), shared, frozenset({C}))}
+    assert merged[0x8][1] is shared
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))

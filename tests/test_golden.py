@@ -127,6 +127,42 @@ def test_output_matches_golden_digest(corpus):
     assert output_digests(CORPORA[corpus]()) == GOLDEN[corpus]
 
 
+# perfbench/run.py's output_sha256 of each benchmark workload at seed 0
+# under the default config. The golden deep corpus stops at 30 stages; the
+# benchmark's reaches deep-210, whose return dispatcher has 1,660 contexts.
+BENCHMARK_OUTPUTS = {
+    "sound": "4a6769d74aa35ee61d588ef0797c84aa0d42ed5a466ff994da2cf32304f20295",
+    "deep": "e03027bb39bfc45bf0224e6e536b06e0e135e9f67f28f0904c322ba1d336b6ee",
+    "dispatch": "4354dd460f3017ac6b2616eb52b5f454d2f46d84091d5855a0e61bd514be113a",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_OUTPUTS))
+def test_benchmark_output_matches_its_pinned_digest(workload):
+    # Hashed as the benchmark hashes it: (name, TAC, metrics JSON) per
+    # program, each part behind its 8-byte big-endian length.
+    digest = hashlib.sha256()
+    for program in conftest._perfbench_corpus().CORPORA[workload](0):
+        res = run_pipeline(program.code)
+        for part in (program.name, render_tac(res.tac), res.metrics.to_json()):
+            data = part.encode()
+            digest.update(len(data).to_bytes(8, "big") + data)
+    assert digest.hexdigest() == BENCHMARK_OUTPUTS[workload]
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_clone_only_pattern_detection_equals_a_full_walk(corpus):
+    # After cloning, detect_patterns walks only the clones, starting from
+    # the first walk's facts; a walk over every block must agree.
+    for code in CORPORA[corpus]():
+        for name, overrides in SWEEP_CONFIGS:
+            config = RunConfig(**overrides)
+            if not config.cloning:
+                continue
+            res = run_pipeline(code, config)
+            assert res.patterns == detect_patterns(res.program, res.summaries), (code.hex(), name)
+
+
 def _full_replay_check(prior, facts, cfg, fact_limit) -> bool:
     """The reuse decision evaluating merge on every recorded jump edge."""
     if prior.stop_condition == "timeout" or prior.fact_limit != fact_limit:
@@ -175,6 +211,18 @@ def test_a_reused_preanalysis_equals_a_fresh_main_pass(corpus):
     assert reused == REUSED[corpus]
 
 
+class _Visits(dict):
+    """A summaries dict that records each block whose summary is read."""
+
+    def __init__(self, summaries):
+        super().__init__(summaries)
+        self.keys_read = []
+
+    def __getitem__(self, bid):
+        self.keys_read.append(bid)
+        return super().__getitem__(bid)
+
+
 # Neither dispatch nor recursion has a block worth cloning.
 @pytest.mark.parametrize("corpus", sorted(set(CORPORA) - {"dispatch", "recursion"}))
 def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
@@ -207,6 +255,11 @@ def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
         # callers of chosen pushes, whose continuations are now clones.
         chosen_callers = {c for c, _k, push in facts.private_call_candidates if push in cloned.clone_pushes}
         again = detect_patterns(cloned, resummarized)
+        # Starting from the first walk's facts, the second walk visits the
+        # clones and nothing else, and finds what the full walk finds.
+        visited = _Visits(resummarized)
+        assert detect_patterns(cloned, visited, facts) == again, code.hex()
+        assert sorted(visited.keys_read) == sorted(clone_ids), code.hex()
         for before, after in zip(facts, again):
             moved = {fact if isinstance(fact, int) else fact[0] for fact in before ^ after}
             assert moved <= clone_ids | chosen_callers, code.hex()

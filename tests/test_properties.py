@@ -13,7 +13,7 @@ from evmlift.context import Context, Scheme, SchemeConfig, merge
 from evmlift.facts import ConfirmedFacts
 from evmlift.interpreter import run_block
 from evmlift.lifter import parse_tac, render_tac
-from evmlift.local import summarize_block
+from evmlift.local import detect_patterns, summarize_block
 from evmlift.opcodes import BY_NAME
 from evmlift.pipeline import run_pipeline
 from evmlift.values import UNDERFLOW, entry_slot
@@ -161,6 +161,8 @@ def test_pipeline_terminates_on_random_bytes():
         assert res.metrics.stop_condition == "fixpoint", code.hex()
         text = render_tac(res.tac)
         assert render_tac(parse_tac(text)) == text, code.hex()
+        # Pattern detection after cloning walks only the clones.
+        assert res.patterns == detect_patterns(res.program, res.summaries), code.hex()
 
 
 @pytest.mark.parametrize(
