@@ -121,6 +121,63 @@ def test_merge_invariants(
         assert out == ctx or out == grown or out in cuts
         if scheme is Scheme.TRANSACTIONAL:
             assert out in (ctx, grown)
+    assert out == _reference_merge(scheme, depth, facts, ctx, cur, nxt)
+
+
+_tiny = st.integers(0, 3)
+
+
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    depth=st.integers(1, 5),
+    private=st.lists(_tiny, max_size=5),
+    private_calls=st.frozensets(st.tuples(_tiny, _tiny), max_size=8),
+    important=st.frozensets(st.tuples(_tiny, _tiny), max_size=2),
+    cur=_tiny,
+    nxt=_tiny,
+)
+@settings(deadline=None)
+def test_a_return_merges_as_the_reference_says(scheme, depth, private, private_calls, important, cur, nxt):
+    # Out of a return, over few blocks: the context often holds several call
+    # sites whose continuation is nxt, so a match against any but the most
+    # recent one shows.
+    facts = ConfirmedFacts(frozenset(), private_calls, frozenset({cur}), important)
+    ctx = Context(None, tuple(private)[:depth])
+    out = merge(SchemeConfig(scheme, depth), facts, ctx, cur, nxt)
+    assert out == _reference_merge(scheme, depth, facts, ctx, cur, nxt)
+
+
+def _reference_merge(scheme, depth, facts, ctx, cur, nxt):
+    """The merge rule written out, one case at a time, from the fields alone.
+
+    A public call enters its target with the call sites kept. Under the
+    transactional scheme a private caller or return is pushed. Under the
+    shrinking scheme a return cuts back to the most recent call site on the
+    context whose continuation is nxt, unless the return is also a private
+    caller or an important edge's source there; an unmatched return grows;
+    any other push of a block already on the context cuts it back first.
+    """
+    public, private = ctx
+    if (cur, nxt) in facts.public_calls:
+        return Context(nxt, private)
+    callers = {caller for caller, _cont in facts.private_calls}
+    is_return = cur in facts.private_returns
+    if scheme is Scheme.TRANSACTIONAL:
+        if cur in callers or is_return:
+            return Context(public, ((cur,) + private)[:depth])
+        return ctx
+    pushes = cur in callers or (cur, nxt) in facts.important_edges
+    if is_return:
+        if not pushes:
+            for i, site in enumerate(private):
+                if (site, nxt) in facts.private_calls:
+                    return Context(public, private[i + 1 :])
+        return Context(public, ((cur,) + private)[:depth])
+    if pushes:
+        if cur in private:
+            private = private[private.index(cur) + 1 :]
+        return Context(public, ((cur,) + private)[:depth])
+    return ctx
 
 
 @given(st.binary(min_size=1, max_size=64))
