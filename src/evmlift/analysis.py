@@ -20,10 +20,11 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import TypeVar
 
-from .bytecode import BytecodeProgram, Terminator
+from .bytecode import BytecodeProgram
 from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge, merge_for, merge_sources
 from .facts import ConfirmedFacts
 from .local import BlockSummary
+from .opcodes import TERM_CONDITIONAL_JUMP, TERM_FALLTHROUGH, TERM_JUMP
 from .values import UNDERFLOW, AbstractValue, entry_slot
 
 STOP_FIXPOINT = "fixpoint"
@@ -273,12 +274,12 @@ def analyze(
         terminator = block.terminator
         slot = fall = None
         values: tuple[AbstractValue, ...] = ()
-        if terminator is Terminator.JUMP or terminator is Terminator.CONDITIONAL_JUMP:
+        if terminator is TERM_JUMP or terminator is TERM_CONDITIONAL_JUMP:
             if summary.target_expr < UNDERFLOW:
                 slot = summary.target_expr
             else:
                 values = tuple(resolve((), summary.target_expr))
-        if terminator is Terminator.CONDITIONAL_JUMP or terminator is Terminator.FALLTHROUGH:
+        if terminator is TERM_CONDITIONAL_JUMP or terminator is TERM_FALLTHROUGH:
             fall = block.fallthrough_pc
             if fall not in blocks:
                 fall = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .opcodes import BY_NAME, TABLE, Terminator
+from .opcodes import BY_NAME, TABLE, TERM_FALLTHROUGH, Terminator
 
 MAX_CODE_SIZE = 24576
 
@@ -126,7 +126,7 @@ def _within_limit(code: bytes) -> bytes:
 
 
 # mnemonic -> how it ends a block, for every opcode that ends one
-_CUTS = {info.mnemonic: info.terminator for info in TABLE if info.terminator is not Terminator.FALLTHROUGH}
+_CUTS = {info.mnemonic: info.terminator for info in TABLE if info.terminator is not TERM_FALLTHROUGH}
 
 
 def disassemble(code: bytes) -> list[Instruction]:
@@ -160,22 +160,23 @@ def extract_blocks(code: bytes) -> BytecodeProgram:
 
     def cut(terminator: Terminator) -> None:
         bid = body[0][0]  # the pc of its first instruction
-        blocks[bid] = BasicBlock(bid, tuple(body), terminator)
+        blocks[bid] = new(BasicBlock, (bid, tuple(body), terminator))
         body.clear()
 
-    cuts = _CUTS
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new, cuts = tuple.__new__, _CUTS
     for ins in disassemble(code):
         pc, opcode, _pushed = ins
         if opcode == "JUMPDEST":
             jumpdests.append(pc)
             if body:
-                cut(Terminator.FALLTHROUGH)
+                cut(TERM_FALLTHROUGH)
         body.append(ins)
         terminator = cuts.get(opcode)
         if terminator is not None:
             cut(terminator)
     if body:
-        cut(Terminator.FALLTHROUGH)
+        cut(TERM_FALLTHROUGH)
     return BytecodeProgram(code, blocks, frozenset(jumpdests))
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bytecode import BasicBlock, BytecodeProgram, Terminator
+from .bytecode import BasicBlock, BytecodeProgram
 from .facts import PatternFacts
+from .opcodes import TERM_JUMP
 
 
 class CloneInstance(NamedTuple):
@@ -40,7 +41,7 @@ def select_clone_candidates(
     return {
         bid: tuple(sorted(pcs))
         for bid, pcs in sites.items()
-        if len(pcs) >= 2 and program.blocks[bid].terminator is Terminator.JUMP
+        if len(pcs) >= 2 and program.blocks[bid].terminator is TERM_JUMP
     }
 
 

@@ -100,23 +100,26 @@ def _merge_shrinking(
     cur: int,
     nxt: int,
 ) -> Context:
+    """A public call enters nxt. A return that is neither a private caller
+    nor an important edge's source cuts back to the most recent call site
+    on ctx whose continuation is nxt, read from facts.callers_of; any other
+    return grows. A private caller or important edge's source grows, cut
+    back first to where it already is on ctx."""
+    private = ctx.private
     if (cur, nxt) in facts.public_calls:
-        return tuple.__new__(Context, (nxt, ctx.private))
-    is_return = cur in facts.private_returns
-    matched = None
-    if is_return:
-        matched = next((c for c in ctx.private if (c, nxt) in facts.private_calls), None)
-    grow = (
-        cur in facts.private_callers
-        or (is_return and matched is None)
-        or (cur, nxt) in facts.important_edges
-    )
-    if grow:  # a block already on the context, unless a return, is cut back to first
-        private = cut_to(ctx.private, cur) if cur in ctx.private and not is_return else ctx.private
-        return tuple.__new__(Context, (ctx.public, ((cur,) + private)[: cfg.depth]))
-    if is_return:
-        return tuple.__new__(Context, (ctx.public, cut_to(ctx.private, matched)))
-    return ctx
+        return tuple.__new__(Context, (nxt, private))
+    pushes = cur in facts.private_callers or (cur, nxt) in facts.important_edges
+    if cur in facts.private_returns:
+        callers = facts.callers_of.get(nxt)
+        if callers is not None and not pushes:
+            for i, site in enumerate(private):
+                if site in callers:
+                    return tuple.__new__(Context, (ctx.public, private[i + 1 :]))
+    elif not pushes:
+        return ctx
+    elif cur in private:
+        private = cut_to(private, cur)
+    return tuple.__new__(Context, (ctx.public, ((cur,) + private)[: cfg.depth]))
 
 
 def _merge_transactional(

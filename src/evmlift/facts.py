@@ -32,13 +32,24 @@ class ConfirmedFacts(_ConfirmedFields):
     public_calls:  (dispatch block, function entry) pairs
     private_calls: (caller block, continuation block) pairs
 
-    Equal field by field, as a tuple. Not slotted, so private_callers, which
-    merge reads on every jump edge, is computed once per object.
+    Equal field by field, as a tuple. Not slotted, so private_callers and
+    callers_of, which merge reads on every jump edge out of a caller or a
+    return, are computed once per object.
     """
 
     @cached_property
     def private_callers(self) -> frozenset[int]:
         return frozenset(caller for caller, _ in self.private_calls)
+
+    @cached_property
+    def callers_of(self) -> dict[int, frozenset[int]]:
+        """continuation -> the caller blocks of the private calls that pass it,
+        so a return into nxt matches a call site c on the context exactly when
+        c in callers_of[nxt]."""
+        callers: dict[int, set[int]] = {}
+        for caller, cont in self.private_calls:
+            callers.setdefault(cont, set()).add(caller)
+        return {cont: frozenset(sites) for cont, sites in callers.items()}
 
 
 def raw_confirmed(candidates: PatternFacts) -> ConfirmedFacts:

@@ -14,7 +14,7 @@ import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 from .bytecode import BytecodeProgram
-from .opcodes import BY_NAME, STACK_LIMIT, Terminator
+from .opcodes import BY_NAME, STACK_LIMIT, TERM_HALT
 
 WORD = 1 << 256
 MAX_VALUATIONS = 10_000
@@ -213,7 +213,7 @@ class _Machine:
             target = self.pop()
             cond = self.pop()
             return ("jumpi", target, cond)
-        elif info.terminator is Terminator.HALT:
+        elif info.terminator is TERM_HALT:
             for _ in range(info.pops):
                 self.pop()
             raise _Halt(_HALT_REASON.get(op, "invalid"))

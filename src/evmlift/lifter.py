@@ -28,14 +28,15 @@ from collections.abc import Callable, Collection, Iterable
 from typing import NamedTuple
 
 from .analysis import AnalysisResult, Env, resolve, transfer_block
-from .bytecode import BytecodeProgram, Terminator
+from .bytecode import BytecodeProgram
 from .facts import ConfirmedFacts
 from .local import BlockSummary
-from .opcodes import TABLE
+from .opcodes import TABLE, TERM_JUMP
 from .values import UNDERFLOW, AbstractValue, entry_slot
 
 PLACEHOLDER = "?"
 RULE = "=" * 33
+_NO_SLOTS: frozenset[int] = frozenset()
 
 
 class TACStatement(NamedTuple):
@@ -150,7 +151,7 @@ def lift(
         is_call = (
             len(targets) == 1
             and targets[0] in private_entries
-            and blocks[bid].terminator is Terminator.JUMP
+            and blocks[bid].terminator is TERM_JUMP
         )
         block = _lift_block(bid, summaries[bid], entry, targets, is_call, program, continuations, names)
         if block is not None:
@@ -191,7 +192,10 @@ def _lift_block(
 
     A call passes the exit slots down to the first that names a confirmed
     continuation and returns to the blocks that slot names. A call with no
-    such slot passes its target alone and keeps its jump edge.
+    such slot passes its target alone and keeps its jump edge. A block that
+    consumes no entry slot reads none, so it names and sorts no slot but
+    the entry slots a call's arguments pass through. Statements are built
+    with tuple.__new__, without TACStatement's Python-level __new__.
     """
     args: tuple[AbstractValue, ...] = ()
     if is_call:
@@ -208,11 +212,12 @@ def _lift_block(
 
     # read holds every entry slot an operand names, so each gets its token
     # in names below before a statement reads it.
+    new = tuple.__new__
     statements: list[TACStatement] = []
-    read = summary.read_slots()
+    read = summary.read_slots() if summary.consumed_depth else _NO_SLOTS
     if args:
         read = read.union(entry_slot(v) for v in args if v < UNDERFLOW)
-    for slot in sorted(read):
+    for slot in sorted(read) if read else ():
         operand = entry_slot(slot)
         values = resolve(entry, operand)
         if len(values) == 1:
@@ -224,17 +229,16 @@ def _lift_block(
                 return None
             def_name = names[operand] = f"v{bid:x}_{slot:x}"
             operands = tuple(map(names.__getitem__, real))
-            statements.append(TACStatement(f"{hex(bid)}_{hex(slot)}", "PHI", operands, def_name))
+            statements.append(new(TACStatement, (f"{hex(bid)}_{hex(slot)}", "PHI", operands, def_name, None)))
 
-    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
-    new, token, tac_opcodes, constants = tuple.__new__, names.__getitem__, TAC_OPCODES, program.constants
+    token, tac_opcodes, constants = names.__getitem__, TAC_OPCODES, program.constants
     for pc, opcode, operands, result in summary.ops:
         if is_call and opcode == "JUMP":
             def_name = f"v{pc:x}_0"
             if 0 in read and names[entry_slot(0)] == def_name:  # the PHI of a lone JUMP's slot 0
                 def_name += "r"
             operands = tuple(map(token, (operands[0], *args)))
-            statements.append(TACStatement(hex(pc), "CALLPRIVATE", operands, def_name))
+            statements.append(new(TACStatement, (hex(pc), "CALLPRIVATE", operands, def_name, None)))
             continue
         statements.append(
             new(

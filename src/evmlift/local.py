@@ -16,10 +16,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .bytecode import BasicBlock, BytecodeProgram, Terminator
+from .bytecode import BasicBlock, BytecodeProgram
 from .facts import PatternFacts
 from .interpreter import binop
-from .opcodes import STACK_LIMIT, TABLE, OpInfo
+from .opcodes import STACK_LIMIT, TABLE, TERM_CONDITIONAL_JUMP, TERM_JUMP, OpInfo
 from .values import UNDERFLOW, AbstractValue, entry_slot
 
 MAX_SELECTOR = 0xFFFFFFFF
@@ -42,9 +42,9 @@ def _effect(info: OpInfo) -> tuple[int, int]:
         return info.swap_index + 1, SWAP
     if info.mnemonic in ("POP", "JUMPDEST"):
         return info.pops, DROP
-    if info.terminator is Terminator.JUMP:
+    if info.terminator is TERM_JUMP:
         return 1, JUMP
-    if info.terminator is Terminator.CONDITIONAL_JUMP:
+    if info.terminator is TERM_CONDITIONAL_JUMP:
         return 2, JUMPI
     if not info.pushes:
         return info.pops, EFFECT
@@ -139,8 +139,9 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
     if local_target is not None and local_target >= len(program.code):
         local_target = None
 
-    return BlockSummary(
-        depth, tuple(reversed(stack)), target_expr, cond_expr, local_target, tuple(ops), too_deep
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    return tuple.__new__(
+        BlockSummary, (depth, tuple(reversed(stack)), target_expr, cond_expr, local_target, tuple(ops), too_deep)
     )
 
 
@@ -223,7 +224,7 @@ def detect_patterns(
         summary = summaries[bid]
         block = blocks[bid]
         terminator = block.terminator
-        if terminator is Terminator.JUMP:
+        if terminator is TERM_JUMP:
             expr = summary.target_expr
             if expr is not None and expr < UNDERFLOW:
                 returns.add(bid)
@@ -232,7 +233,7 @@ def detect_patterns(
                 for value in pushes.intersection(summary.produced):
                     if (continuation := targets.get(value)) is not None:
                         private.add((bid, continuation, value))
-        elif terminator is Terminator.CONDITIONAL_JUMP:
+        elif terminator is TERM_CONDITIONAL_JUMP:
             if summary.too_deep or (target := targets.get(summary.target_expr)) is None:
                 continue
             eq = chase_condition_to_eq(summary, summary.cond_expr)

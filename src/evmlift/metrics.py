@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .analysis import AnalysisResult
-from .bytecode import BytecodeProgram, Terminator
+from .bytecode import BytecodeProgram
 from .facts import ConfirmedFacts
 from .lifter import PLACEHOLDER, TACProgram
+from .opcodes import TERM_CONDITIONAL_JUMP, TERM_HALT, TERM_JUMP
 
 
 class MetricsReport(NamedTuple):
@@ -65,17 +66,17 @@ def compute_metrics(
                 unresolved += 1
         terminator = program.blocks[bid].terminator
         succs = len(block.succs)
-        if terminator is Terminator.JUMP and bid not in confirmed.private_returns and succs > 1:
+        if terminator is TERM_JUMP and bid not in confirmed.private_returns and succs > 1:
             unstructured += 1
-        elif terminator is Terminator.CONDITIONAL_JUMP and succs > 2:
+        elif terminator is TERM_CONDITIONAL_JUMP and succs > 2:
             unstructured += 1
         # compared with `is`: an Enum dict key hashes through a Python-level __hash__
-        required = 2 if terminator is Terminator.CONDITIONAL_JUMP else 0 if terminator is Terminator.HALT else 1
+        required = 2 if terminator is TERM_CONDITIONAL_JUMP else 0 if terminator is TERM_HALT else 1
         # A fall needs its next block only where analyze adds that edge, so
         # a block one successor short is short only if it does; the
         # fallthrough is looked up for such a block alone.
         if succs < required and (
-            terminator is Terminator.JUMP or succs < required - 1 or program.blocks[bid].fallthrough_pc in program.blocks
+            terminator is TERM_JUMP or succs < required - 1 or program.blocks[bid].fallthrough_pc in program.blocks
         ):
             missing_cf += 1
 

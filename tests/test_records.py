@@ -10,14 +10,23 @@ the collector's tracking once scanned. CPython un-tracks only exact tuples,
 so the NamedTuple records, tuple subclasses, stay tracked for good. The two
 records built once per instruction, Instruction and OpRecord, are read only
 by position, so they are exact tuples: a tuple display builds one, and it
-drops out of the collector's tracking like any other tuple of ints.
+drops out of the collector's tracking like any other tuple of ints. The
+records built once per block or statement are built with tuple.__new__,
+without the NamedTuple's Python-level __new__, and are still exactly their
+record type.
 """
 
+import ast
 import gc
+import random
 import typing
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_code
 from evmlift import analysis, lifter
 from evmlift.bytecode import BasicBlock, BytecodeProgram, Instruction, disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
@@ -28,7 +37,7 @@ from evmlift.interpreter import BlockRun, EnvSets, EnvValuation, Trace
 from evmlift.lifter import TACBlock, TACProgram, TACStatement
 from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_block, summarize_program
 from evmlift.metrics import MetricsReport
-from evmlift.opcodes import STACK_LIMIT
+from evmlift.opcodes import STACK_LIMIT, Terminator
 from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
 from evmlift.preanalysis import PreanalysisOutcome
 from evmlift.values import UNDERFLOW, entry_slot
@@ -85,7 +94,7 @@ def test_records_never_share_a_default_map():
 
 def test_confirmed_facts_compare_by_field_and_compute_private_callers_once():
     def facts():
-        return ConfirmedFacts(private_calls=frozenset({(0x6, 0x30), (0x8, 0x30)}))
+        return ConfirmedFacts(private_calls=frozenset({(0x6, 0x30), (0x8, 0x30), (0x8, 0x40)}))
 
     first = facts()
     assert first == facts() and hash(first) == hash(facts())
@@ -93,6 +102,9 @@ def test_confirmed_facts_compare_by_field_and_compute_private_callers_once():
     callers = first.private_callers
     assert callers == {0x6, 0x8}
     assert first.private_callers is callers
+    by_continuation = first.callers_of
+    assert by_continuation == {0x30: {0x6, 0x8}, 0x40: {0x8}}
+    assert first.callers_of is by_continuation
 
 
 def test_def_site_never_equals_an_entry_slot_of_the_same_ints():
@@ -214,3 +226,63 @@ def test_a_lift_leaves_no_reference_cycles():
         if enabled:
             gc.enable()
     assert garbage == []
+
+
+def test_records_built_with_tuple_new_are_exactly_their_type():
+    # extract_blocks, summarize_block and the lifter build these records
+    # with tuple.__new__, which checks neither the arity nor the type: each
+    # must still be its record type and equal the record its fields rebuild.
+    records = {BasicBlock: 0, BlockSummary: 0, TACStatement: 0, TACBlock: 0}
+    for corpus in sorted(CORPORA):
+        for code in CORPORA[corpus]():
+            res = run_pipeline(code)
+            built = [
+                *res.program.blocks.values(),
+                *res.summaries.values(),
+                *res.tac.blocks.values(),
+                *(stmt for block in res.tac.blocks.values() for stmt in block.statements),
+            ]
+            for record in built:
+                kind = type(record)
+                assert kind in records and record == kind(*record), (corpus, record)
+                records[kind] += 1
+    assert all(records.values()), records
+
+
+@given(seed=st.integers(0, 2**32 - 1), jump_biased=st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_a_block_that_consumes_no_entry_slot_reads_none(seed, jump_biased):
+    # The lifter walks no entry slot for such a block, so none may be read.
+    program = extract_blocks(random_code(random.Random(seed), jump_biased))
+    for summary in summarize_program(program).values():
+        read = summary.read_slots()
+        assert all(slot < summary.consumed_depth for slot in read)
+        if summary.consumed_depth == 0:
+            assert read == frozenset()
+
+
+def test_no_function_reads_a_terminator_member_as_an_attribute():
+    """Every function compares against the module-level names in opcodes.
+
+    The Enum metaclass defines __getattr__, so on CPython 3.11 a read of
+    Terminator.JUMP takes the slow attribute hook: 101 ns against 8 ns for a
+    module-level name such as opcodes.TERM_JUMP, paid once per block in the
+    fixpoint's plan, the pattern walk, the lifter and the metrics. Reads at
+    module level, which run once at import, stay allowed.
+    """
+    members = set(Terminator.__members__)
+    found = set()  # a nested function's reads are walked with its parent's too
+    for path in sorted(Path(analysis.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "Terminator"
+                    and node.attr in members
+                ):
+                    found.add(f"{path.name}:{node.lineno} Terminator.{node.attr}")
+    assert sorted(found) == []
