@@ -22,6 +22,7 @@ from evmlift.bytecode import disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import apply_cloning
 from evmlift.context import merge
+from evmlift.interpreter import EnvValuation, concrete_execute
 from evmlift.lifter import render_tac
 from evmlift.local import detect_patterns, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
@@ -148,6 +149,30 @@ def test_benchmark_output_matches_its_pinned_digest(workload):
             data = part.encode()
             digest.update(len(data).to_bytes(8, "big") + data)
     assert digest.hexdigest() == BENCHMARK_OUTPUTS[workload]
+
+
+# sha256 over the concrete interpreter's Trace (visits, halt reason, steps,
+# final stack) of every program under each oracle calldata. The edge oracle
+# checks only that the lifted graph covers the traced edges, so an oracle
+# that lost an edge or computed a wrong word would pass it; here it shows.
+ORACLE_TRACES = {
+    "deep": "82505f290aa4f1d7f476ae8d47dc9cd1d7aa87f9c9186c6f104335b7612ed8d6",
+    "dispatch": "8ab1f940da4fa2ebc13374492f60b19922912fe31b0b56ceb17fb3c8a7c21a34",
+    "fixtures": "f0ad40570e46be02b11bd04277b4a1b7b537063cde555e8505a8cc42b0d9dcfe",
+    "random": "e3a029bfb744eb171707326b9fa3a93eb7541d8bd8d183d6476a49d33d2b5484",
+    "recursion": "6ff63f24a430e88d402f25df4992dde69dc842042fc477680344e44d35da68c0",
+    "sound": "a9ed20eda915a6db2a7f1267515119ce093a43768062a75880ba79c0a87f3437",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_oracle_traces_match_their_pinned_digest(corpus):
+    digest = hashlib.sha256()
+    for code in CORPORA[corpus]():
+        program = extract_blocks(code)
+        for calldata in conftest.oracle_calldatas():
+            digest.update(repr(concrete_execute(program, EnvValuation(calldata))).encode())
+    assert digest.hexdigest() == ORACLE_TRACES[corpus]
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
