@@ -11,7 +11,7 @@ supplied valuation and default to zero.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bytecode import BytecodeProgram
 from .opcodes import BY_NAME, STACK_LIMIT, TERM_HALT
@@ -22,10 +22,6 @@ MAX_VALUATIONS = 10_000
 
 def _signed(x: int) -> int:
     return x - WORD if x >> 255 else x
-
-
-def _unsigned(x: int) -> int:
-    return x % WORD
 
 
 class _Halt(Exception):
@@ -91,79 +87,77 @@ def _calldataload(calldata: bytes, offset: int) -> int:
     return int.from_bytes(chunk, "big")
 
 
-def binop(opcode: str, a: int, b: int = 0) -> int:
-    """Result of an arithmetic opcode; a is the top of the stack.
-
-    Covers the two-operand opcodes plus ISZERO, which reads only a. Constant
-    folding in the local analysis calls this too, so both share one copy of
-    the EVM's arithmetic.
-    """
-    if opcode == "ISZERO":
-        return int(a == 0)
-    if opcode == "ADD":
-        return (a + b) % WORD
-    if opcode == "MUL":
-        return (a * b) % WORD
-    if opcode == "SUB":
-        return (a - b) % WORD
-    if opcode == "DIV":
-        return 0 if b == 0 else a // b
-    if opcode == "SDIV":
-        if b == 0:
-            return 0
-        sa, sb = _signed(a), _signed(b)
-        q = abs(sa) // abs(sb)
-        return _unsigned(-q if (sa < 0) != (sb < 0) else q)
-    if opcode == "MOD":
-        return 0 if b == 0 else a % b
-    if opcode == "SMOD":
-        if b == 0:
-            return 0
-        sa, sb = _signed(a), _signed(b)
-        r = abs(sa) % abs(sb)
-        return _unsigned(-r if sa < 0 else r)
-    if opcode == "EXP":
-        return pow(a, b, WORD)
-    if opcode == "SIGNEXTEND":
-        if a >= 31:
-            return b
-        bit = a * 8 + 7
-        if b & (1 << bit):
-            return b | (WORD - (1 << (bit + 1)))
-        return b & ((1 << (bit + 1)) - 1)
-    if opcode == "LT":
-        return int(a < b)
-    if opcode == "GT":
-        return int(a > b)
-    if opcode == "SLT":
-        return int(_signed(a) < _signed(b))
-    if opcode == "SGT":
-        return int(_signed(a) > _signed(b))
-    if opcode == "EQ":
-        return int(a == b)
-    if opcode == "AND":
-        return a & b
-    if opcode == "OR":
-        return a | b
-    if opcode == "XOR":
-        return a ^ b
-    if opcode == "BYTE":
-        return (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0
-    if opcode == "SHL":
-        return 0 if a >= 256 else (b << a) % WORD
-    if opcode == "SHR":
-        return 0 if a >= 256 else b >> a
-    if opcode == "SAR":
-        if a >= 256:
-            return WORD - 1 if b >> 255 else 0
-        return _unsigned(_signed(b) >> a)
-    raise KeyError(opcode)
+def _sdiv(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    sa, sb = _signed(a), _signed(b)
+    q = abs(sa) // abs(sb)
+    return (-q if (sa < 0) != (sb < 0) else q) % WORD
 
 
-_BINARY = {
-    "ADD", "MUL", "SUB", "DIV", "SDIV", "MOD", "SMOD", "EXP", "SIGNEXTEND",
-    "LT", "GT", "SLT", "SGT", "EQ", "AND", "OR", "XOR", "BYTE", "SHL", "SHR", "SAR",
+def _smod(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    sa, sb = _signed(a), _signed(b)
+    r = abs(sa) % abs(sb)
+    return (-r if sa < 0 else r) % WORD
+
+
+def _signextend(a: int, b: int) -> int:
+    if a >= 31:
+        return b
+    bit = a * 8 + 7
+    if b & (1 << bit):
+        return b | (WORD - (1 << (bit + 1)))
+    return b & ((1 << (bit + 1)) - 1)
+
+
+def _sar(a: int, b: int) -> int:
+    if a >= 256:
+        return WORD - 1 if b >> 255 else 0
+    return (_signed(b) >> a) % WORD
+
+
+# The EVM's word arithmetic: each mnemonic maps to a function of its
+# operands, top of the stack first, that returns the one word it pushes.
+ARITHMETIC: dict[str, Callable[..., int]] = {
+    "ADD": lambda a, b: (a + b) % WORD,
+    "MUL": lambda a, b: (a * b) % WORD,
+    "SUB": lambda a, b: (a - b) % WORD,
+    "DIV": lambda a, b: a // b if b else 0,
+    "SDIV": _sdiv,
+    "MOD": lambda a, b: a % b if b else 0,
+    "SMOD": _smod,
+    "ADDMOD": lambda a, b, n: (a + b) % n if n else 0,
+    "MULMOD": lambda a, b, n: (a * b) % n if n else 0,
+    "EXP": lambda a, b: pow(a, b, WORD),
+    "SIGNEXTEND": _signextend,
+    "LT": lambda a, b: int(a < b),
+    "GT": lambda a, b: int(a > b),
+    "SLT": lambda a, b: int(_signed(a) < _signed(b)),
+    "SGT": lambda a, b: int(_signed(a) > _signed(b)),
+    "EQ": lambda a, b: int(a == b),
+    "ISZERO": lambda a: int(a == 0),
+    "AND": lambda a, b: a & b,
+    "OR": lambda a, b: a | b,
+    "XOR": lambda a, b: a ^ b,
+    "NOT": lambda a: a ^ (WORD - 1),
+    "BYTE": lambda a, b: (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0,
+    "SHL": lambda a, b: (b << a) % WORD if a < 256 else 0,
+    "SHR": lambda a, b: b >> a if a < 256 else 0,
+    "SAR": _sar,
 }
+
+
+def binop(opcode: str, *operands: int) -> int:
+    """Result of an arithmetic opcode on its operands, popped top first.
+
+    Covers every opcode in ARITHMETIC and raises KeyError for any other.
+    Constant folding in the local analysis calls this too, so both share
+    one copy of the EVM's arithmetic.
+    """
+    return ARITHMETIC[opcode](*operands)
+
 
 _HALT_REASON = {
     "STOP": "stop",
@@ -216,21 +210,16 @@ class _Machine:
         elif info.terminator is TERM_HALT:
             for _ in range(info.pops):
                 self.pop()
-            raise _Halt(_HALT_REASON.get(op, "invalid"))
-        elif op in _BINARY:
-            a = self.pop()
-            b = self.pop()
-            self.push(binop(op, a, b))
-        elif op == "ISZERO":
-            self.push(binop(op, self.pop()))
-        elif op == "NOT":
-            self.push(self.pop() ^ (WORD - 1))
-        elif op == "ADDMOD":
-            a, b, n = self.pop(), self.pop(), self.pop()
-            self.push((a + b) % n if n else 0)
-        elif op == "MULMOD":
-            a, b, n = self.pop(), self.pop(), self.pop()
-            self.push((a * b) % n if n else 0)
+            raise _Halt(_HALT_REASON[op])
+        elif op in ARITHMETIC:
+            # Operands top first, or all the stack holds on an underflow.
+            # Popping one or more leaves room for the result: no limit check.
+            stack = self.stack
+            operands = stack[: -info.pops - 1 : -1]
+            del stack[-info.pops :]
+            if len(operands) < info.pops:
+                raise _Halt("invalid")
+            stack.append(ARITHMETIC[op](*operands))
         elif op == "CALLDATALOAD":
             self.push(_calldataload(self.env.calldata, self.pop()))
         elif op == "CALLDATASIZE":
