@@ -3,9 +3,9 @@
 Executes a decoded program directly over a stack of integers. It exists to
 cross-check the static machinery: block summaries are validated against
 single-block runs, and enumerated traces give a ground-truth set of control
-flow edges for small programs. Environment reads that the static analysis
-never reasons about (memory, hashing, external state) come from a caller
-supplied valuation and default to zero.
+flow edges for small programs. Memory, hashing and environment reads, which
+the static analysis never reasons about, come from a caller supplied
+valuation and default to zero; PC and CODESIZE are read from the code.
 """
 
 from __future__ import annotations
@@ -169,9 +169,10 @@ _HALT_REASON = {
 
 
 class _Machine:
-    def __init__(self, env: EnvValuation):
+    def __init__(self, env: EnvValuation, code_size: int):
         self.stack: list[int] = []  # bottom at index 0
         self.env = env
+        self.code_size = code_size
         self.storage = dict(env.storage)
 
     def push(self, v: int) -> None:
@@ -184,8 +185,8 @@ class _Machine:
             raise _Halt("invalid")
         return self.stack.pop()
 
-    def step(self, op: str, pushed: int | None, info) -> tuple[str, int | None, int | None]:
-        """Run one instruction, op with its pushed value; returns (kind, jump_target, condition)."""
+    def step(self, pc: int, op: str, pushed: int | None, info) -> tuple[str, int | None, int | None]:
+        """Run one instruction, op at pc with its pushed value; returns (kind, jump_target, condition)."""
         if info.is_push:
             self.push(pushed)
         elif info.dup_index:
@@ -229,6 +230,10 @@ class _Machine:
         elif op == "SSTORE":
             key = self.pop()
             self.storage[key] = self.pop()
+        elif op == "PC":
+            self.push(pc)
+        elif op == "CODESIZE":
+            self.push(self.code_size)
         else:
             # Memory, hashing, and environment reads share one fallback: pop
             # the operands and produce the valuation's value for the opcode.
@@ -248,7 +253,7 @@ def concrete_execute(
     """Run program's bytecode from entry_block. A jump lands on a jumpdest;
     any other target halts the run as invalid. Clones name no value the
     bytecode computes, so a run never enters one."""
-    machine = _Machine(env or EnvValuation())
+    machine = _Machine(env or EnvValuation(), len(program.code))
     jumpdests = program.jumpdests
     visits: list[int] = []
     steps = 0
@@ -265,11 +270,11 @@ def concrete_execute(
             return done("stop" if visits else "invalid")
         visits.append(bid)
         try:
-            for _pc, op, pushed in block.instructions:
+            for pc, op, pushed in block.instructions:
                 if steps >= max_steps:
                     return done("out-of-steps")
                 steps += 1
-                kind, target, cond = machine.step(op, pushed, BY_NAME[op])
+                kind, target, cond = machine.step(pc, op, pushed, BY_NAME[op])
                 if kind == "jump" or (kind == "jumpi" and cond != 0):
                     if target not in jumpdests:
                         return done("invalid")
@@ -291,12 +296,12 @@ def run_block(
     env: EnvValuation | None = None,
 ) -> BlockRun:
     """Execute a single block from a given entry stack (top first)."""
-    machine = _Machine(env or EnvValuation())
+    machine = _Machine(env or EnvValuation(), len(program.code))
     machine.stack = list(reversed(entry_stack))
     jump_target = None
     try:
-        for _pc, op, pushed in program.blocks[block_id].instructions:
-            kind, target, _cond = machine.step(op, pushed, BY_NAME[op])
+        for pc, op, pushed in program.blocks[block_id].instructions:
+            kind, target, _cond = machine.step(pc, op, pushed, BY_NAME[op])
             if kind in ("jump", "jumpi"):
                 jump_target = target
     except _Halt as halt:

@@ -1,10 +1,13 @@
 """Concrete reference interpreter."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import asm, layout
 from evmlift.bytecode import extract_blocks
 from evmlift.interpreter import (
+    ARITHMETIC,
     EnvSets,
     EnvValuation,
     binop,
@@ -12,7 +15,8 @@ from evmlift.interpreter import (
     enumerate_edges,
     run_block,
 )
-from evmlift.opcodes import STACK_LIMIT
+from evmlift.local import FOLDABLE
+from evmlift.opcodes import BY_NAME, STACK_LIMIT
 
 WORD = 1 << 256
 
@@ -96,6 +100,25 @@ def test_binop_matches_the_evm(opcode, a, b, expected):
 def test_binop_rejects_an_opcode_it_does_not_cover():
     with pytest.raises(KeyError):
         binop("BALANCE", 1)
+
+
+def test_every_arithmetic_entry_takes_its_opcodes_operands():
+    for mnemonic, fn in ARITHMETIC.items():
+        assert fn.__code__.co_argcount == BY_NAME[mnemonic].pops, mnemonic
+        assert BY_NAME[mnemonic].pushes == 1, mnemonic
+
+
+def test_constant_folding_folds_only_opcodes_in_the_table():
+    assert FOLDABLE <= ARITHMETIC.keys()
+
+
+_WORDS = st.lists(st.integers(0, WORD - 1), min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize("mnemonic", sorted(ARITHMETIC))
+@given(words=_WORDS)
+def test_every_arithmetic_entry_maps_words_to_a_word(mnemonic, words):
+    assert 0 <= binop(mnemonic, *words[: BY_NAME[mnemonic].pops]) < WORD
 
 
 def test_addmod_and_mulmod_reduce_the_full_precision_result():
@@ -205,6 +228,26 @@ def test_environment_defaults():
     assert trace.stack == (0,)
     trace = _run(asm("TIMESTAMP", "STOP"), env=EnvValuation(env={"TIMESTAMP": 123}))
     assert trace.stack == (123,)
+
+
+def test_pc_pushes_its_own_address_whatever_the_valuation():
+    code = layout({0: asm("PUSH1 0x04", "JUMP"), 4: asm("JUMPDEST", "PC", "STOP")})
+    trace = _run(code, env=EnvValuation(env={"PC": 99}))
+    assert trace.stack == (5,)
+    assert run_block(extract_blocks(code), 4).exit_stack == (5,)
+
+
+def test_codesize_pushes_the_length_of_the_code():
+    code = asm("PUSH1 0x01", "POP", "CODESIZE", "STOP")
+    trace = _run(code, env=EnvValuation(env={"CODESIZE": 99}))
+    assert trace.stack == (len(code),)
+    assert run_block(extract_blocks(code), 0).exit_stack == (len(code),)
+
+
+def test_a_jump_computed_from_pc_lands_where_the_code_says():
+    # JUMPDEST; PC; PUSH1 5; ADD; JUMP; JUMPDEST; STOP: PC is 1, so 1 + 5 names 0x6
+    trace = _run(bytes.fromhex("5b58600501565b00"))
+    assert trace.visits == (0, 6) and trace.halted == "stop"
 
 
 def test_run_block_entry_stack_is_top_first():
