@@ -186,7 +186,7 @@ class _Machine:
         return self.stack.pop()
 
     def step(self, pc: int, op: str, pushed: int | None, info) -> tuple[str, int | None, int | None]:
-        """Run one instruction, op at pc with its pushed value; returns (kind, jump_target, condition)."""
+        """Run op at pc with its pushed value; returns (kind, jump_target, condition)."""
         if info.is_push:
             self.push(pushed)
         elif info.dup_index:
@@ -213,14 +213,15 @@ class _Machine:
                 self.pop()
             raise _Halt(_HALT_REASON[op])
         elif op in ARITHMETIC:
-            # Operands top first, or all the stack holds on an underflow.
-            # Popping one or more leaves room for the result: no limit check.
-            stack = self.stack
-            operands = stack[: -info.pops - 1 : -1]
-            del stack[-info.pops :]
-            if len(operands) < info.pops:
+            # Operands top first; an underflow pops all the stack holds. The
+            # result takes a popped operand's slot, so it cannot overflow.
+            stack, n = self.stack, info.pops
+            if len(stack) < n:
+                stack.clear()
                 raise _Halt("invalid")
-            stack.append(ARITHMETIC[op](*operands))
+            fn, pop = ARITHMETIC[op], stack.pop
+            word = fn(pop(), pop()) if n == 2 else fn(pop()) if n == 1 else fn(pop(), pop(), pop())
+            stack.append(word)
         elif op == "CALLDATALOAD":
             self.push(_calldataload(self.env.calldata, self.pop()))
         elif op == "CALLDATASIZE":

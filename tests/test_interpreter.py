@@ -194,6 +194,9 @@ def test_halt_reasons():
 
 def test_stack_underflow_is_invalid():
     assert _run(asm("POP", "STOP")).halted == "invalid"
+    # an arithmetic opcode short of operands pops all there is
+    trace = _run(asm("PUSH1 0x01", "PUSH1 0x02", "ADDMOD", "STOP"))
+    assert trace.halted == "invalid" and trace.stack == ()
 
 
 def test_calldataload_zero_pads():
