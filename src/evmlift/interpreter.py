@@ -153,8 +153,8 @@ def binop(opcode: str, *operands: int) -> int:
     """Result of an arithmetic opcode on its operands, popped top first.
 
     Covers every opcode in ARITHMETIC and raises KeyError for any other.
-    Constant folding in the local analysis calls this too, so both share
-    one copy of the EVM's arithmetic.
+    Constant folding in the local analysis calls this, and the interpreter
+    reads the same table, so both share one copy of the EVM's arithmetic.
     """
     return ARITHMETIC[opcode](*operands)
 
