@@ -153,8 +153,9 @@ def test_benchmark_output_matches_its_pinned_digest(workload):
 
 # sha256 over the concrete interpreter's Trace (visits, halt reason, steps,
 # final stack) of every program under each oracle calldata. The edge oracle
-# checks only that the lifted graph covers the traced edges, so an oracle
-# that lost an edge or computed a wrong word would pass it; here it shows.
+# checks only that the lifted graph covers the traced edges, so it passes an
+# interpreter that loses an edge or pushes a wrong word; this digest moves
+# with any trace.
 ORACLE_TRACES = {
     "deep": "82505f290aa4f1d7f476ae8d47dc9cd1d7aa87f9c9186c6f104335b7612ed8d6",
     "dispatch": "8ab1f940da4fa2ebc13374492f60b19922912fe31b0b56ceb17fb3c8a7c21a34",

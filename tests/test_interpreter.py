@@ -105,6 +105,7 @@ def test_binop_rejects_an_opcode_it_does_not_cover():
 def test_every_arithmetic_entry_takes_its_opcodes_operands():
     for mnemonic, fn in ARITHMETIC.items():
         assert fn.__code__.co_argcount == BY_NAME[mnemonic].pops, mnemonic
+        assert BY_NAME[mnemonic].pops in (1, 2, 3), mnemonic  # what step pops
         assert BY_NAME[mnemonic].pushes == 1, mnemonic
 
 
