@@ -15,7 +15,7 @@ from .bytecode import (
 from .cloning import CloneInstance, apply_cloning, select_clone_candidates
 from .context import DEFAULT_DEPTH, Context, Scheme, SchemeConfig, merge
 from .facts import ConfirmedFacts, PatternFacts
-from .interpreter import EnvSets, EnvValuation, Trace, concrete_execute, enumerate_edges, run_block
+from .interpreter import BlockRun, EnvSets, EnvValuation, Trace, concrete_execute, enumerate_edges, run_block
 from .lifter import (
     TACBlock,
     TACProgram,
@@ -35,6 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisResult",
     "BasicBlock",
+    "BlockRun",
     "BlockSummary",
     "BytecodeError",
     "BytecodeProgram",

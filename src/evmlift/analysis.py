@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from functools import cached_property
 from itertools import zip_longest
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .bytecode import BytecodeProgram
 from .context import INITIAL_CONTEXT, Context, SchemeConfig, merge, merge_for, merge_sources
@@ -49,7 +48,7 @@ _EMPTY: frozenset[AbstractValue] = frozenset()
 K = TypeVar("K")
 
 
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Entry envs (block_input), resolved jumps and edges per context.
 
     An exit env is not stored: it is transfer_block of the block's entry env.
@@ -59,67 +58,56 @@ class AnalysisResult:
     replaced by a new tuple, never updated in place. facts and cfg are what
     the run merged contexts under and fact_limit the limit it ran under, so
     a later run can tell whether it would replay this one (see _replays).
-    per_block and edge_pairs are built on their first read, which must
-    come after analyze returns, and kept with the result, so every reader
-    of one result shares one projection. A plain class: analyze fills it in
-    place, and both projections are cached in the instance's __dict__.
+    per_block (project of block_input) and pairs, the context-free edges,
+    are built once when analyze returns, so every reader of one result
+    shares one projection.
     """
 
-    def __init__(
-        self,
-        *,
-        block_input: dict[PairKey, Env] | None = None,
-        facts: ConfirmedFacts | None = None,
-        cfg: SchemeConfig | None = None,
-        fact_limit: int = DEFAULT_FACT_LIMIT,
-    ) -> None:
-        self.block_input: dict[PairKey, Env] = {} if block_input is None else block_input
-        self.block_jump_target: set[tuple[Context, int, AbstractValue, int]] = set()
-        self.global_block_edge: set[tuple[Context, int, Context, int]] = set()
-        self.stop_condition = STOP_FIXPOINT
-        self.fact_count = 0
-        self.transfers = 0
-        self.facts = facts
-        self.cfg = cfg
-        self.fact_limit = fact_limit
+    block_input: dict[PairKey, Env]
+    block_jump_target: set[tuple[Context, int, AbstractValue, int]]
+    global_block_edge: set[tuple[Context, int, Context, int]]
+    stop_condition: str
+    fact_count: int
+    transfers: int
+    facts: ConfirmedFacts
+    cfg: SchemeConfig
+    fact_limit: int
+    per_block: dict[int, Env]
+    pairs: frozenset[tuple[int, int]]
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         """Context-free projection of the edge relation."""
-        return self._edge_pairs
+        return self.pairs
 
-    @cached_property
-    def _edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((b, b2) for _c, b, _c2, b2 in self.global_block_edge)
 
-    @cached_property
-    def per_block(self) -> dict[int, Env]:
-        """block_input projected onto blocks: the slot-wise union of every
-        context's entry env, built in one pass linear in the envs' slots.
+def project(block_input: dict[PairKey, Env]) -> dict[int, Env]:
+    """block_input projected onto blocks: the slot-wise union of every
+    context's entry env, built in one pass linear in the envs' slots.
 
-        A block seen in one context maps to that context's env itself, and
-        a slot no other context grows keeps the first context's set.
-        """
-        merged: dict[int, Env] = {}
-        # The envs of each block seen with an env other than its first one.
-        columns: dict[int, list[Env]] = {}
-        for (_ctx, bid), env in self.block_input.items():
-            first = merged.setdefault(bid, env)
-            if first is not env:
-                envs = columns.get(bid)
-                if envs is None:
-                    columns[bid] = [first, env]
-                else:
-                    envs.append(env)
-        union = _EMPTY.union
-        for bid, envs in columns.items():
-            slots = []
-            # Envs of different depths: a context that stops short adds nothing below.
-            for column in zip_longest(*envs, fillvalue=_EMPTY):
-                first = column[0]
-                vals = union(*column)
-                slots.append(first if len(vals) == len(first) else vals)
-            merged[bid] = tuple(slots)
-        return merged
+    A block seen in one context maps to that context's env itself, and
+    a slot no other context grows keeps the first context's set.
+    """
+    merged: dict[int, Env] = {}
+    # The envs of each block seen with an env other than its first one.
+    columns: dict[int, list[Env]] = {}
+    for (_ctx, bid), env in block_input.items():
+        first = merged.setdefault(bid, env)
+        if first is not env:
+            envs = columns.get(bid)
+            if envs is None:
+                columns[bid] = [first, env]
+            else:
+                envs.append(env)
+    union = _EMPTY.union
+    for bid, envs in columns.items():
+        slots = []
+        # Envs of different depths: a context that stops short adds nothing below.
+        for column in zip_longest(*envs, fillvalue=_EMPTY):
+            first = column[0]
+            vals = union(*column)
+            slots.append(first if len(vals) == len(first) else vals)
+        merged[bid] = tuple(slots)
+    return merged
 
 
 def resolve(env: Env, value: AbstractValue) -> frozenset[AbstractValue]:
@@ -253,9 +241,8 @@ def analyze(
     """
     if prior is not None and _replays(prior, facts, cfg, fact_limit):
         return prior
-    result = AnalysisResult(facts=facts, cfg=cfg, fact_limit=fact_limit)
     if 0 not in program.blocks:
-        return result
+        return AnalysisResult({}, set(), set(), STOP_FIXPOINT, 0, 0, facts, cfg, fact_limit, {}, frozenset())
     jump_target = program.targets.get
     sources = merge_sources(facts)
     scheme_merge = merge_for(cfg.scheme)
@@ -287,9 +274,9 @@ def analyze(
 
     # Every relation only grows, so the facts so far are the two sets' sizes
     # plus the entry-env tuples each join added.
-    block_input = result.block_input
-    jump_facts = result.block_jump_target
-    edges = result.global_block_edge
+    block_input: dict[PairKey, Env] = {}
+    jump_facts: set[tuple[Context, int, AbstractValue, int]] = set()
+    edges: set[tuple[Context, int, Context, int]] = set()
     env_facts = transfers = 0
     stop = STOP_FIXPOINT
     start: PairKey = (INITIAL_CONTEXT, 0)
@@ -345,7 +332,16 @@ def analyze(
                     queued.add(succ)
                     queue.append(succ)
 
-    result.stop_condition = stop
-    result.fact_count = env_facts + len(jump_facts) + len(edges)
-    result.transfers = transfers
-    return result
+    return AnalysisResult(
+        block_input,
+        jump_facts,
+        edges,
+        stop,
+        env_facts + len(jump_facts) + len(edges),
+        transfers,
+        facts,
+        cfg,
+        fact_limit,
+        project(block_input),
+        frozenset((b, b2) for _c, b, _c2, b2 in edges),
+    )

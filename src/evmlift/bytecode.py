@@ -51,17 +51,7 @@ class BasicBlock(NamedTuple):
         return pc + BY_NAME[opcode].size
 
 
-class _ProgramFields(NamedTuple):
-    code: bytes
-    blocks: dict[int, BasicBlock]
-    jumpdests: frozenset[int]
-    clone_of: dict[int, int]
-    clone_pushes: dict[int, int]
-    constants: dict[int, int]
-    targets: dict[int, int]
-
-
-class BytecodeProgram(_ProgramFields):
+class BytecodeProgram(NamedTuple):
     """A decoded contract: code bytes, block map, and jump-target bookkeeping.
 
     Instructions always hold the bytecode's own values. Block cloning adds
@@ -74,32 +64,17 @@ class BytecodeProgram(_ProgramFields):
     the block a jump on the value lands on. A clone is a name for a jump
     target, not a value, so record_constants holds the one rule that maps
     a value to a block, and every phase reads it back as targets.get(value),
-    which is None for a value that names no block.
+    which is None for a value that names no block. Every builder passes all
+    four maps, so no two programs share one.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        code: bytes,
-        blocks: dict[int, BasicBlock],
-        jumpdests: frozenset[int],
-        clone_of: dict[int, int] | None = None,
-        clone_pushes: dict[int, int] | None = None,
-        constants: dict[int, int] | None = None,
-        targets: dict[int, int] | None = None,
-    ) -> BytecodeProgram:
-        # each program gets its own empty maps, never one shared default
-        return super().__new__(
-            cls,
-            code,
-            blocks,
-            jumpdests,
-            {} if clone_of is None else clone_of,
-            {} if clone_pushes is None else clone_pushes,
-            {} if constants is None else constants,
-            {} if targets is None else targets,
-        )
+    code: bytes
+    blocks: dict[int, BasicBlock]
+    jumpdests: frozenset[int]
+    clone_of: dict[int, int]
+    clone_pushes: dict[int, int]
+    constants: dict[int, int]
+    targets: dict[int, int]
 
     def record_constants(self, constants: dict[int, int]) -> None:
         """Add def-site constants and the block a jump on each lands on.
@@ -177,7 +152,7 @@ def extract_blocks(code: bytes) -> BytecodeProgram:
             cut(terminator)
     if body:
         cut(TERM_FALLTHROUGH)
-    return BytecodeProgram(code, blocks, frozenset(jumpdests))
+    return BytecodeProgram(code, blocks, frozenset(jumpdests), {}, {}, {}, {})
 
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")

@@ -2,22 +2,22 @@
 
 Executes a decoded program directly over a stack of integers. It exists to
 cross-check the static machinery: block summaries are validated against
-single-block runs, and enumerated traces give a ground-truth set of control
-flow edges for small programs. Memory, hashing and environment reads, which
-the static analysis never reasons about, come from a caller supplied
-valuation and default to zero; PC and CODESIZE are read from the code.
+single-block runs, and enumerate_edges, which runs one valuation per
+calldata, gives a ground-truth set of control flow edges for small
+programs. Memory, hashing and environment reads, which the static analysis
+never reasons about, come from a caller supplied valuation and default to
+zero; PC and CODESIZE are read from the code.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .bytecode import BytecodeProgram
 from .opcodes import BY_NAME, STACK_LIMIT, TERM_HALT
 
 WORD = 1 << 256
-MAX_VALUATIONS = 10_000
 
 
 def _signed(x: int) -> int:
@@ -29,42 +29,23 @@ class _Halt(Exception):
         self.reason = reason
 
 
-class _ValuationFields(NamedTuple):
-    calldata: bytes
-    storage: dict[int, int]
-    env: dict[str, int]
+# The storage and env of a valuation that sets none: read-only, so every such
+# valuation shares it. _Machine copies storage and only reads env.
+_NO_VALUES: Mapping = MappingProxyType({})
 
 
-class EnvValuation(_ValuationFields):
+class EnvValuation(NamedTuple):
     """One concrete assignment for everything outside the stack."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        calldata: bytes = b"",
-        storage: dict[int, int] | None = None,
-        env: dict[str, int] | None = None,
-    ) -> EnvValuation:
-        # each valuation gets its own empty maps, never one shared default
-        return super().__new__(
-            cls, calldata, {} if storage is None else storage, {} if env is None else env
-        )
+    calldata: bytes = b""
+    storage: Mapping[int, int] = _NO_VALUES
+    env: Mapping[str, int] = _NO_VALUES
 
 
 class EnvSets(NamedTuple):
-    """Candidate values per environment dimension, crossed by enumerate_edges."""
+    """The calldatas enumerate_edges runs the program under, one valuation each."""
 
     calldatas: Sequence[bytes] = (b"",)
-    storages: Sequence[dict[int, int]] = ({},)
-    envs: Sequence[dict[str, int]] = ({},)
-
-    def valuations(self) -> Iterator[EnvValuation]:
-        total = len(self.calldatas) * len(self.storages) * len(self.envs)
-        if total > MAX_VALUATIONS:
-            raise ValueError(f"{total} valuations exceeds cap of {MAX_VALUATIONS}")
-        for cd, st, ev in itertools.product(self.calldatas, self.storages, self.envs):
-            yield EnvValuation(calldata=cd, storage=dict(st), env=dict(ev))
 
 
 class Trace(NamedTuple):
@@ -315,9 +296,10 @@ def enumerate_edges(
     env_sets: EnvSets | None = None,
     max_steps: int = 10_000,
 ) -> frozenset[tuple[int, int]]:
-    """Union of consecutive-visit block pairs over every valuation."""
+    """Union of consecutive-visit block pairs over one run per calldata,
+    each with empty storage and every environment read zero."""
     edges: set[tuple[int, int]] = set()
-    for env in (env_sets or EnvSets()).valuations():
-        trace = concrete_execute(program, env, max_steps)
+    for calldata in (env_sets or EnvSets()).calldatas:
+        trace = concrete_execute(program, EnvValuation(calldata), max_steps)
         edges.update(zip(trace.visits, trace.visits[1:]))
     return frozenset(edges)

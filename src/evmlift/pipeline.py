@@ -13,12 +13,11 @@ one rule that names clones (BytecodeProgram.record_constants). The
 pre-analysis decides what it confirms, also when it stops short; the main
 pass runs under those facts and the same fact limit, so it returns the
 pre-analysis result whenever it would replay it, also when the limit
-stopped it. Each analysis result owns its per-block projection, one env
-tuple per block built in one pass over the entry envs, sharing the env of
-a block seen in one context and each slot set no other context grew, so
-when the main pass returns the pre-analysis result, the lifter reads the
-projection public-call confirmation built, or builds it when there was
-none to confirm; when it reruns, any such projection is dropped.
+stopped it. Each analysis result carries its per-block projection, one
+env tuple per block built in one pass over the entry envs when analyze
+returns, sharing the env of a block seen in one context and each slot set
+no other context grew, so when the main pass returns the pre-analysis
+result, the lifter reads the projection public-call confirmation read.
 """
 
 from __future__ import annotations
@@ -95,8 +94,6 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
     analysis = analyze(
         program, summaries, confirmed, scheme_cfg, config.fact_limit, deadline, prior
     )
-    if prior is not None and analysis is not prior:
-        vars(prior).pop("per_block", None)
     tac = lift(program, summaries, analysis, confirmed)
     # A truncated pre-analysis is reported. If the main pass stopped short too,
     # its stop wins, so a run that ran out of time always reads timeout.

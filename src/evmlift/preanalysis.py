@@ -6,9 +6,9 @@ if the pushed continuation address is actually jumped to, public call
 candidates only if the compared constant is checked against a value
 derived from the first four bytes of call data, and edges that introduce
 imprecision are collected so the main pass can split contexts there.
-Public-call confirmation reads the fixpoint's own per-block projection
-(AnalysisResult.per_block) and runs only when there are public
-candidates. A pass that stops short of its fixpoint does none of this:
+Public-call confirmation reads the per-block projection the fixpoint
+returns with (AnalysisResult.per_block) and runs only when there are
+public candidates. A pass that stops short of its fixpoint does none of this:
 its outcome carries the raw candidates.
 """
 
@@ -201,8 +201,7 @@ def run_preanalysis(
         return PreanalysisOutcome(result, raw_facts, raw.public_call_candidates)
 
     private_triples = confirm_private_calls(raw, result)
-    # Without public candidates there is nothing to confirm, and the
-    # per-block projection is left for the lifter to build, if it reads it.
+    # Without public candidates there is nothing to confirm.
     public_triples: frozenset[tuple[int, int, int]] = frozenset()
     if raw.public_call_candidates:
         selectors = selector_values(summaries, result.per_block, program.constants)

@@ -19,9 +19,9 @@ from conftest import (
 from evmlift.analysis import (
     DEFAULT_FACT_LIMIT,
     MAX_STACK_DEPTH,
-    AnalysisResult,
     _reading_changed_facts,
     analyze,
+    project,
     resolve,
     transfer_block,
 )
@@ -216,7 +216,7 @@ def test_too_deep_blocks_are_not_transferred():
 
 
 def test_empty_program_fixpoints_immediately():
-    empty = BytecodeProgram(code=b"", blocks={}, jumpdests=frozenset())
+    empty = BytecodeProgram(b"", {}, frozenset(), {}, {}, {}, {})
     config = SchemeConfig(Scheme.SHRINKING, DEFAULT_DEPTH[Scheme.SHRINKING])
     result = analyze(empty, {}, ConfirmedFacts(), config)
     assert result.stop_condition == "fixpoint"
@@ -263,7 +263,7 @@ def test_per_block_merges_contexts_without_touching_the_store():
         (inner, 0x8): (frozenset({B}),),
         (inner, 0x6): (),
     }
-    merged = AnalysisResult(block_input=store).per_block
+    merged = project(store)
     assert merged == {0x8: ({A, B}, {C}), 0x6: ()}
     assert store[(INITIAL_CONTEXT, 0x8)] == ({A}, {C})
     assert store[(inner, 0x8)] == ({B},)
@@ -281,13 +281,13 @@ def test_per_block_joins_any_number_of_contexts_without_touching_the_store():
     first = (frozenset({A}), frozenset({C}))
     store = {(contexts[0], 0x8): first}
     store.update({(ctx, 0x8): (frozenset({v}),) for ctx, v in zip(contexts[1:], (B, C, A))})
-    merged = AnalysisResult(block_input=store).per_block
+    merged = project(store)
     assert merged == {0x8: ({A, B, C}, {C})}
     assert first == ({A}, {C})
     assert [env for env in store.values()][1:] == [({B},), ({C},), ({A},)]
     # A context that reaches deeper than the joined env so far adds its slots.
     store[(INITIAL_CONTEXT, 0x8)] = (frozenset({A}), frozenset({C}), frozenset({B}))
-    assert AnalysisResult(block_input=store).per_block == {0x8: ({A, B, C}, {C}, {B})}
+    assert project(store) == {0x8: ({A, B, C}, {C}, {B})}
 
 
 def _slotwise_fold(store):
@@ -305,7 +305,7 @@ def _slotwise_fold(store):
 
 def _check_per_block(store):
     before = dict(store)
-    merged = AnalysisResult(block_input=store).per_block
+    merged = project(store)
     assert merged == _slotwise_fold(store)
     assert store == before and all(store[key] is env for key, env in before.items())
     assert all(type(env) is tuple for env in merged.values())

@@ -267,12 +267,6 @@ def test_run_block_reports_jump():
     assert result.jump_target == 4 and result.halted is None
 
 
-def test_env_sets_product_cap():
-    sets = EnvSets(calldatas=[b""] * 101, storages=[{}] * 101)
-    with pytest.raises(ValueError):
-        list(sets.valuations())
-
-
 def test_enumerate_edges_covers_both_branches():
     code = layout(
         {

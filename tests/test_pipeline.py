@@ -1,7 +1,6 @@
 """Pipeline driver: phase wiring and configuration."""
 
 import inspect
-from functools import cached_property
 from typing import ForwardRef
 
 import pytest
@@ -13,16 +12,16 @@ from conftest import (
     dispatch_pair_code,
     gen_deep_program,
     inlined_call_code,
-    never_jumped_code,
 )
 from evmlift import preanalysis
-from evmlift.analysis import DEFAULT_FACT_LIMIT, MAX_STACK_DEPTH, AnalysisResult, analyze
+from evmlift.analysis import DEFAULT_FACT_LIMIT, MAX_STACK_DEPTH, _replays, analyze, project
 from evmlift.bytecode import extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
 from evmlift.lifter import render_tac
 from evmlift.pipeline import RunConfig, run_pipeline
+from test_golden import CORPORA
 
 
 def test_depth_defaults_follow_scheme():
@@ -143,47 +142,23 @@ def test_no_public_candidate_needs_no_public_confirmation(monkeypatch):
         run_pipeline(dispatch_pair_code())
 
 
-@pytest.fixture
-def projections(monkeypatch):
-    """The results whose per_block projection was built, one entry per build."""
-    build = AnalysisResult.__dict__["per_block"].func
-    built = []
-
-    def counted(result):
-        built.append(result)
-        return build(result)
-
-    prop = cached_property(counted)
-    prop.__set_name__(AnalysisResult, "per_block")
-    monkeypatch.setattr(AnalysisResult, "per_block", prop)
-    return built
-
-
-def test_a_reused_fixpoint_shares_one_projection(projections):
-    res = run_pipeline(chained_call_code())
-    assert res.analysis is res.preanalysis.result
-    assert res.analysis.per_block is res.preanalysis.result.per_block
-    assert projections == [res.analysis]
-
-
-@pytest.mark.parametrize(
-    "code, config, public",
-    [
-        (never_jumped_code, RunConfig(), False),
-        (chained_call_code, RunConfig(scheme=Scheme.TRANSACTIONAL), True),
-    ],
-    ids=["default", "no-shrinking"],
-)
-def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, config, public):
-    res = run_pipeline(code(), config)
-    assert res.analysis is not res.preanalysis.result
-    # Only public-call confirmation reads the pre-analysis projection, so a
-    # program without public candidates never builds it.
-    assert bool(res.patterns.public_call_candidates) is public
-    assert projections == ([res.preanalysis.result] if public else []) + [res.analysis]
-    # Confirmation was the pre-analysis projection's last reader.
-    assert "per_block" not in vars(res.preanalysis.result)
-    assert "per_block" in vars(res.analysis)
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_every_result_is_returned_with_its_projections(corpus):
+    # analyze builds the per-block projection and the edge pairs before it
+    # returns, and a main pass that would replay the pre-analysis returns
+    # that result itself, so a lift holds one projection per fixpoint run.
+    for code in CORPORA[corpus]():
+        for name, overrides in SWEEP_CONFIGS:
+            config = RunConfig(**overrides)
+            res = run_pipeline(code, config)
+            prior = res.preanalysis and res.preanalysis.result
+            for result in filter(None, (prior, res.analysis)):
+                assert result.per_block == project(result.block_input), (code.hex(), name)
+                pairs = {(bid, bid2) for _ctx, bid, _ctx2, bid2 in result.global_block_edge}
+                assert result.edge_pairs() == pairs, (code.hex(), name)
+            if prior is not None:
+                reused = _replays(prior, res.confirmed, res.scheme_used, config.fact_limit)
+                assert (res.analysis is prior) == reused, (code.hex(), name)
 
 
 def test_fact_limit_reports_fact_limit():

@@ -17,6 +17,7 @@ record type.
 """
 
 import ast
+import enum
 import gc
 import random
 import typing
@@ -26,42 +27,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evmlift
 from conftest import random_code
 from evmlift import analysis, lifter
-from evmlift.bytecode import BasicBlock, BytecodeProgram, Instruction, disassemble, extract_blocks
+from evmlift.analysis import AnalysisResult
+from evmlift.bytecode import BasicBlock, BytecodeError, Instruction, disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
-from evmlift.cloning import CloneInstance, apply_cloning
-from evmlift.context import SchemeConfig
-from evmlift.facts import ConfirmedFacts, PatternFacts
-from evmlift.interpreter import BlockRun, EnvSets, EnvValuation, Trace
-from evmlift.lifter import TACBlock, TACProgram, TACStatement
+from evmlift.cloning import apply_cloning
+from evmlift.facts import ConfirmedFacts
+from evmlift.interpreter import BlockRun, EnvValuation
+from evmlift.lifter import TACBlock, TACStatement
 from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_block, summarize_program
-from evmlift.metrics import MetricsReport
 from evmlift.opcodes import STACK_LIMIT, Terminator
-from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
-from evmlift.preanalysis import PreanalysisOutcome
+from evmlift.pipeline import RunConfig, run_pipeline
 from evmlift.values import UNDERFLOW, entry_slot
 from test_golden import CORPORA
 
-RECORDS = (
-    BlockSummary,
-    TACStatement,
-    TACBlock,
-    PatternFacts,
-    BasicBlock,
-    BytecodeProgram,
-    RunConfig,
-    PipelineResult,
-    PreanalysisOutcome,
-    TACProgram,
-    SchemeConfig,
-    CloneInstance,
-    MetricsReport,
-    EnvValuation,
-    EnvSets,
-    Trace,
-    BlockRun,
+# Every class the package exports, less its enums, its exceptions and its
+# aliases of tuple types.
+RECORDS = tuple(
+    kind
+    for kind in map(evmlift.__dict__.get, evmlift.__all__)
+    if isinstance(kind, type)
+    and typing.get_origin(kind) is None
+    and not issubclass(kind, (enum.Enum, Exception))
 )
+# The one record with an instance dict: merge reads ConfirmedFacts'
+# private_callers and callers_of on every jump edge out of a caller or a
+# return, so each is computed once per object and cached in that dict.
+INSTANCE_DICT = {ConfirmedFacts}
 
 
 # Aliases of an exact tuple type: a record of either is a tuple itself.
@@ -78,18 +72,25 @@ def test_record_is_a_tuple_that_hashes_and_compares_as_one(record):
     assert issubclass(record, tuple)
     assert record.__hash__ is tuple.__hash__
     assert record.__eq__ is tuple.__eq__
-    # no per-instance __dict__: an exact tuple has none to give up
-    assert record is tuple or record.__slots__ == ()
+    # no per-instance __dict__ but ConfirmedFacts': an exact tuple has none to give up
+    assert bool(record.__dictoffset__) == (record in INSTANCE_DICT)
+
+
+def test_records_are_every_exported_class_but_enums_and_exceptions():
+    assert AnalysisResult in RECORDS and BlockRun in RECORDS and ConfirmedFacts in RECORDS
+    assert Terminator not in RECORDS and BytecodeError not in RECORDS
+    assert not {Instruction, OpRecord} & set(RECORDS)
 
 
 def test_records_never_share_a_default_map():
-    first, second = BytecodeProgram(b"", {}, frozenset()), BytecodeProgram(b"", {}, frozenset())
-    assert first.clone_of == {} and first.clone_of is not second.clone_of
-    assert first.clone_pushes == {} and first.clone_pushes is not second.clone_pushes
-    assert first.constants == {} and first.constants is not second.constants
-    assert first.targets == {} and first.targets is not second.targets
-    assert EnvValuation().storage == {} and EnvValuation().storage is not EnvValuation().storage
-    assert EnvValuation().env == {} and EnvValuation().env is not EnvValuation().env
+    first, second = extract_blocks(b""), extract_blocks(b"")
+    for field in ("clone_of", "clone_pushes", "constants", "targets"):
+        assert getattr(first, field) == {} and getattr(first, field) is not getattr(second, field)
+    # A valuation's default storage and env are one shared map nobody can write.
+    for default in (EnvValuation().storage, EnvValuation().env):
+        assert default == {}
+        with pytest.raises(TypeError):
+            default[0] = 1
 
 
 def test_confirmed_facts_compare_by_field_and_compute_private_callers_once():
@@ -286,3 +287,19 @@ def test_no_function_reads_a_terminator_member_as_an_attribute():
                 ):
                     found.add(f"{path.name}:{node.lineno} Terminator.{node.attr}")
     assert sorted(found) == []
+
+
+def test_no_class_defines_new():
+    """Every record takes its fields as built: a NamedTuple's own __new__,
+    with defaults only where no two records can share a mutable one."""
+    found = []
+    for path in sorted(Path(analysis.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found += [
+                    f"{path.name}:{node.lineno} {cls.name}.__new__"
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__new__"
+                ]
+    assert found == []
