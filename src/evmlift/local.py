@@ -6,8 +6,8 @@ the block's instructions. Each instruction costs one read of EFFECTS, the
 mnemonic -> (entry slots read, kind) table built at import from
 opcodes.TABLE, and entry slots missing under the stack go there in one
 slice assignment. Values are ints (see values); the constants the pass
-knows for pushes and folded results go into the program's pc -> constant
-table. detect_patterns then finds every call pattern in one walk over the
+knows for pushes, folded results, PC and CODESIZE go into the program's
+pc -> constant table. detect_patterns then finds every call pattern in one walk over the
 summaries; after cloning, the walk covers only the clones.
 """
 
@@ -26,10 +26,12 @@ MAX_SELECTOR = 0xFFFFFFFF
 
 # Folding is deliberately limited to the operators dispatchers are built from.
 FOLDABLE = {"AND", "ADD", "SUB", "SHL", "SHR", "DIV", "EQ", "ISZERO"}
+# The opcodes whose value the code fixes: PC's own address and CODESIZE.
+FROM_CODE = {"PC", "CODESIZE"}
 
 # How summarize_block moves the stack: one kind per opcode. Every kind from
 # JUMP on pops its operands into an OpRecord; from DEF on it pushes a result.
-PUSH, DUP, SWAP, DROP, JUMP, JUMPI, EFFECT, DEF, FOLD = range(9)
+PUSH, DUP, SWAP, DROP, JUMP, JUMPI, EFFECT, DEF, FOLD, CODE = range(10)
 
 
 def _effect(info: OpInfo) -> tuple[int, int]:
@@ -48,6 +50,8 @@ def _effect(info: OpInfo) -> tuple[int, int]:
         return 2, JUMPI
     if not info.pushes:
         return info.pops, EFFECT
+    if info.mnemonic in FROM_CODE:
+        return 0, CODE
     return info.pops, FOLD if info.mnemonic in FOLDABLE else DEF
 
 
@@ -124,6 +128,12 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
                     consts = [constants.get(v) for v in operands]
                     if None not in consts:
                         constants[result] = binop(opcode, *consts)
+                elif kind == CODE:
+                    # A clone runs as the block it copies, so its PC reads the original's address.
+                    if opcode == "PC":
+                        constants[result] = pc - block.id + program.clone_of.get(block.id, block.id)
+                    else:
+                        constants[result] = len(program.code)
                 stack.append(result)
             elif kind == JUMP:
                 target_expr = operands[0]
@@ -150,9 +160,9 @@ def summarize_program(
 ) -> dict[int, BlockSummary]:
     """Summaries of every block, in block order.
 
-    A summary depends only on the block and len(program.code), so a block
-    id in known, summarized over the same code and blocks, keeps that
-    summary. apply_cloning returns every original block unchanged and
+    A summary depends only on the block, len(program.code) and, for a
+    clone, the block it copies, so a block id in known, summarized over the
+    same code and blocks, keeps that summary. apply_cloning returns every original block unchanged and
     copies its constants into the cloned program, so with the first
     summaries as known only the clones are summarized and recorded.
     """

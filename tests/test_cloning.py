@@ -13,7 +13,7 @@ from evmlift.bytecode import extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import CloneInstance, apply_cloning, select_clone_candidates
 from evmlift.facts import PatternFacts
-from evmlift.interpreter import concrete_execute, enumerate_edges
+from evmlift.interpreter import concrete_execute, enumerate_edges, run_block
 from evmlift.lifter import render_tac
 from evmlift.local import detect_patterns, summarize_program
 from evmlift.metrics import MetricsReport
@@ -171,6 +171,24 @@ def test_a_folded_copy_of_a_chosen_push_jumps_to_the_original():
     assert edges == {(0x0, 0x38), (0x38, 0x20), (0x20, 0x10), (0x10, 0x30), (0x30, 0x50), (0x50, 0x18)}
     assert lifted_edges(res) == oracle
     assert res.metrics.missing_control_flow == 0
+
+
+def test_a_cloned_pc_reads_the_original_address():
+    # k (0x20) holds a PC at 0x21; each clone runs as k, so the PC at its
+    # copy's pc folds to 0x21, the address the bytecode pushes.
+    code = layout(
+        {
+            0x00: asm("PUSH1 0x10", "PUSH1 0x20", "PUSH1 0x30", "JUMP"),
+            0x10: asm("JUMPDEST", "PUSH1 0x18", "PUSH1 0x20", "PUSH1 0x30", "JUMP"),
+            0x18: asm("JUMPDEST", "STOP"),
+            0x20: asm("JUMPDEST", "PC", "SWAP1", "JUMP"),
+            0x30: asm("JUMPDEST", "JUMP"),
+        }
+    )
+    res = run_pipeline(code)
+    assert res.program.clone_of == {0x40: 0x20, 0x50: 0x20}
+    assert [res.program.constants[pc] for pc in (0x21, 0x41, 0x51)] == [0x21, 0x21, 0x21]
+    assert run_block(extract_blocks(code), 0x20, entry_stack=(0x10,)) == ((0x21,), 0x10, None)
 
 
 def test_a_tail_shared_by_calls_with_their_own_continuations_merges_in_a_phi():

@@ -15,6 +15,7 @@ from evmlift.local import (
     summarize_block,
     summarize_program,
 )
+from evmlift.pipeline import run_pipeline
 from evmlift.values import entry_slot
 
 WORD = 1 << 256
@@ -44,6 +45,25 @@ def test_summary_folds_constants():
     assert summary.produced == (0x4,)
     assert prog.constants == {0x0: 2, 0x2: 3, 0x4: 5}
     assert summary.consumed_depth == 0
+
+
+def test_pc_and_codesize_fold_to_what_the_code_fixes():
+    # JUMPDEST; PC; PUSH1 5; ADD; JUMP; JUMPDEST; STOP: PC is 1, so 1 + 5 names 0x6
+    code = bytes.fromhex("5b58600501565b00")
+    summary, prog = _summary(code)
+    assert prog.constants[0x1] == 0x1 and prog.constants[0x4] == 0x6
+    assert summary.local_jump_target == 0x6
+    res = run_pipeline(code)
+    assert res.analysis.edge_pairs() == {(0x0, 0x6)}
+    assert res.metrics.missing_control_flow == 0
+    assert _summary(asm("CODESIZE", "PC", "STOP"))[1].constants == {0x0: 3, 0x1: 0x1}
+    # A value folded from PC names 0x8 on block 0's exit stack, but it is no
+    # push, so block 0 passes no continuation.
+    prog = extract_blocks(layout({0x0: asm("PC", "PUSH1 0x08", "ADD", "PUSH1 0x08", "JUMP"), 0x8: asm("JUMPDEST", "STOP")}))
+    summaries = summarize_program(prog)
+    assert summaries[0x0].produced == (0x3,) and prog.targets[0x3] == 0x8
+    assert summaries[0x0].local_jump_target == 0x8
+    assert detect_patterns(prog, summaries).private_call_candidates == frozenset()
 
 
 def test_summary_entry_slots_and_passthrough():
