@@ -31,7 +31,7 @@ class _Halt(Exception):
 
 # The storage and env of a valuation that sets none: read-only, so every such
 # valuation shares it. _Machine copies storage and only reads env.
-_NO_VALUES: Mapping = MappingProxyType({})
+_NO_VALUES = MappingProxyType({})
 
 
 class EnvValuation(NamedTuple):

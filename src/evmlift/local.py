@@ -7,8 +7,8 @@ mnemonic -> (entry slots read, kind) table built at import from
 opcodes.TABLE, and entry slots missing under the stack go there in one
 slice assignment. Values are ints (see values); the constants the pass
 knows for pushes, folded results, PC and CODESIZE go into the program's
-pc -> constant table. detect_patterns then finds every call pattern in one walk over the
-summaries; after cloning, the walk covers only the clones.
+pc -> constant table. detect_patterns then finds every call pattern in one
+walk over the summaries; after cloning, the walk covers only the clones.
 """
 
 from __future__ import annotations
