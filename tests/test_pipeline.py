@@ -12,8 +12,9 @@ from conftest import (
     dispatch_pair_code,
     gen_deep_program,
     inlined_call_code,
+    never_jumped_code,
 )
-from evmlift import preanalysis
+from evmlift import analysis, preanalysis
 from evmlift.analysis import DEFAULT_FACT_LIMIT, MAX_STACK_DEPTH, _replays, analyze, project
 from evmlift.bytecode import extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
@@ -140,6 +141,48 @@ def test_no_public_candidate_needs_no_public_confirmation(monkeypatch):
     assert res.preanalysis.public_call_sites == frozenset()
     with pytest.raises(AssertionError, match="public confirmation"):
         run_pipeline(dispatch_pair_code())
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """The block_input maps that analyze projected, one entry per build."""
+    built = []
+
+    def counted(block_input):
+        built.append(block_input)
+        return project(block_input)
+
+    monkeypatch.setattr(analysis, "project", counted)
+    return built
+
+
+def test_a_reused_fixpoint_shares_one_projection(projections):
+    res = run_pipeline(chained_call_code())
+    assert res.analysis is res.preanalysis.result
+    assert res.analysis.per_block is res.preanalysis.result.per_block
+    assert projections == [res.analysis.block_input]
+    assert projections[0] is res.analysis.block_input
+
+
+@pytest.mark.parametrize(
+    "code, config, public",
+    [
+        (never_jumped_code, RunConfig(), False),
+        (chained_call_code, RunConfig(scheme=Scheme.TRANSACTIONAL), True),
+    ],
+    ids=["default", "no-shrinking"],
+)
+def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, config, public):
+    res = run_pipeline(code(), config)
+    prior = res.preanalysis.result
+    assert res.analysis is not prior
+    assert bool(res.patterns.public_call_candidates) is public
+    # Each fixpoint run projects its own store once, when analyze returns,
+    # whether or not public-call confirmation reads the projection.
+    assert [id(store) for store in projections] == [id(prior.block_input), id(res.analysis.block_input)]
+    assert res.analysis.per_block is not prior.per_block
+    for result in (prior, res.analysis):
+        assert result.per_block == project(result.block_input)
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
