@@ -172,18 +172,22 @@ def _replays(
     jump edge, the run makes the same calls in the same order as the one
     that built prior. Under prior's own cfg, a merge that reads no fact in
     which facts and prior.facts differ gives what it gave then, so only the
-    edges _reading_changed_facts keeps are evaluated; under another cfg
-    every jump edge is. A JUMPI whose fallthrough is its own target records
-    a fallthrough edge under the same key, which must then match as well
-    where the key is evaluated. Under prior's own fact limit, checked
-    between steps, the same calls stop at the same step, so a prior the
-    limit stopped replays as exactly as one that reached its fixpoint. A
-    prior that timed out stopped wherever the clock ran out.
+    edges _reading_changed_facts keeps are evaluated, and under prior's own
+    facts too that is no edge, so the answer is yes without a look at the
+    edges; under another cfg every jump edge is evaluated. A JUMPI whose
+    fallthrough is its own target records a fallthrough edge under the same
+    key, which must then match as well where the key is evaluated. Under
+    prior's own fact limit, checked between steps, the same calls stop at
+    the same step, so a prior the limit stopped replays as exactly as one
+    that reached its fixpoint. A prior that timed out stopped wherever the
+    clock ran out.
     """
     if prior.stop_condition == STOP_TIMEOUT or prior.fact_limit != fact_limit:
         return False
     edges = prior.global_block_edge
     if cfg == prior.cfg:
+        if facts == prior.facts:
+            return True
         edges = _reading_changed_facts(prior.facts, facts, edges)
     sources = {bid for _ctx, bid, _ctx2, _t in edges}
     jumps = {(ctx, bid, t) for ctx, bid, _value, t in prior.block_jump_target if bid in sources}
@@ -241,8 +245,10 @@ def analyze(
     """
     if prior is not None and _replays(prior, facts, cfg, fact_limit):
         return prior
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new = tuple.__new__
     if 0 not in program.blocks:
-        return AnalysisResult({}, set(), set(), STOP_FIXPOINT, 0, 0, facts, cfg, fact_limit, {}, frozenset())
+        return new(AnalysisResult, ({}, set(), set(), STOP_FIXPOINT, 0, 0, facts, cfg, fact_limit, {}, frozenset()))
     jump_target = program.targets.get
     sources = merge_sources(facts)
     scheme_merge = merge_for(cfg.scheme)
@@ -332,16 +338,19 @@ def analyze(
                     queued.add(succ)
                     queue.append(succ)
 
-    return AnalysisResult(
-        block_input,
-        jump_facts,
-        edges,
-        stop,
-        env_facts + len(jump_facts) + len(edges),
-        transfers,
-        facts,
-        cfg,
-        fact_limit,
-        project(block_input),
-        frozenset((b, b2) for _c, b, _c2, b2 in edges),
+    return new(
+        AnalysisResult,
+        (
+            block_input,
+            jump_facts,
+            edges,
+            stop,
+            env_facts + len(jump_facts) + len(edges),
+            transfers,
+            facts,
+            cfg,
+            fact_limit,
+            project(block_input),
+            frozenset((b, b2) for _c, b, _c2, b2 in edges),
+        ),
     )

@@ -59,13 +59,14 @@ class BytecodeProgram(NamedTuple):
     empty for freshly decoded programs: clone_of takes each clone id to the
     original block it copies, and clone_pushes takes the pc of each push
     cloning chose to the clone it names. The local pass fills the last two
-    maps through record_constants: constants takes the pc of each def site
-    whose value is statically known to that value, and targets takes it to
-    the block a jump on the value lands on. A clone is a name for a jump
-    target, not a value, so record_constants holds the one rule that maps
-    a value to a block, and every phase reads it back as targets.get(value),
-    which is None for a value that names no block. Every builder passes all
-    four maps, so no two programs share one.
+    maps: constants takes the pc of each def site whose value is statically
+    known to that value, and targets takes it to the block a jump on the
+    value lands on. record_constants adds both, once per summarize_program
+    call and once for the pushes apply_cloning chose. A clone is a name for
+    a jump target, not a value, so record_constants holds the one rule that
+    maps a value to a block, and every phase reads it back as
+    targets.get(value), which is None for a value that names no block. Every
+    builder passes all four maps, so no two programs share one.
     """
 
     code: bytes
@@ -79,10 +80,12 @@ class BytecodeProgram(NamedTuple):
     def record_constants(self, constants: dict[int, int]) -> None:
         """Add def-site constants and the block a jump on each lands on.
 
-        The value of a push cloning chose names that push's clone. Any other
-        constant names the jumpdest it equals: a data constant that equals a
-        clone id names no block, and a value folded from a chosen push names
-        the jumpdest it carries, as the bytecode would jump.
+        constants may be self.constants itself, whose every entry is then
+        mapped again. The value of a push cloning chose names that push's
+        clone. Any other constant names the jumpdest it equals: a data
+        constant that equals a clone id names no block, and a value folded
+        from a chosen push names the jumpdest it carries, as the bytecode
+        would jump.
         """
         self.constants.update(constants)
         clones, jumpdests, targets = self.clone_pushes, self.jumpdests, self.targets
@@ -132,27 +135,25 @@ def extract_blocks(code: bytes) -> BytecodeProgram:
     blocks: dict[int, BasicBlock] = {}
     jumpdests: list[int] = []
     body: list[Instruction] = []
-
-    def cut(terminator: Terminator) -> None:
-        bid = body[0][0]  # the pc of its first instruction
-        blocks[bid] = new(BasicBlock, (bid, tuple(body), terminator))
-        body.clear()
-
     # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
     new, cuts = tuple.__new__, _CUTS
+    # A block is cut where it ends, in the loop: a call per block would cost
+    # more than the cut itself. Its id is the pc of its first instruction.
     for ins in disassemble(code):
         pc, opcode, _pushed = ins
         if opcode == "JUMPDEST":
             jumpdests.append(pc)
             if body:
-                cut(TERM_FALLTHROUGH)
+                blocks[body[0][0]] = new(BasicBlock, (body[0][0], tuple(body), TERM_FALLTHROUGH))
+                body = []
         body.append(ins)
         terminator = cuts.get(opcode)
         if terminator is not None:
-            cut(terminator)
+            blocks[body[0][0]] = new(BasicBlock, (body[0][0], tuple(body), terminator))
+            body = []
     if body:
-        cut(TERM_FALLTHROUGH)
-    return BytecodeProgram(code, blocks, frozenset(jumpdests), {}, {}, {}, {})
+        blocks[body[0][0]] = new(BasicBlock, (body[0][0], tuple(body), TERM_FALLTHROUGH))
+    return new(BytecodeProgram, (code, blocks, frozenset(jumpdests), {}, {}, {}, {}))
 
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")

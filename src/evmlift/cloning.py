@@ -48,7 +48,8 @@ def select_clone_candidates(
 def _rebase(block: BasicBlock, clone_id: int) -> BasicBlock:
     offset = clone_id - block.id
     instructions = tuple((pc + offset, opcode, pushed) for pc, opcode, pushed in block.instructions)
-    return BasicBlock(id=clone_id, instructions=instructions, terminator=block.terminator)
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    return tuple.__new__(BasicBlock, (clone_id, instructions, block.terminator))
 
 
 def apply_cloning(
@@ -79,14 +80,17 @@ def apply_cloning(
     blocks = dict(program.blocks)
     for inst in instances:
         blocks[inst.clone_id] = _rebase(program.blocks[inst.original], inst.clone_id)
-    cloned = BytecodeProgram(
-        code=program.code,
-        blocks=blocks,
-        jumpdests=program.jumpdests,
-        clone_of={inst.clone_id: inst.original for inst in instances},
-        clone_pushes={inst.push_pc: inst.clone_id for inst in instances},
-        constants=dict(program.constants),
-        targets=dict(program.targets),
+    cloned: BytecodeProgram = tuple.__new__(
+        BytecodeProgram,
+        (
+            program.code,
+            blocks,
+            program.jumpdests,
+            {inst.clone_id: inst.original for inst in instances},  # clone_of
+            {inst.push_pc: inst.clone_id for inst in instances},  # clone_pushes
+            dict(program.constants),
+            dict(program.targets),
+        ),
     )
     constants = program.constants
     cloned.record_constants({inst.push_pc: constants[inst.push_pc] for inst in instances})

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import NamedTuple
+from collections.abc import Callable
+from typing import Generic, NamedTuple, TypeVar
+
+T = TypeVar("T")
 
 
 class PatternFacts(NamedTuple):
@@ -17,6 +19,23 @@ class PatternFacts(NamedTuple):
     public_call_candidates: frozenset[tuple[int, int, int]] = frozenset()
     private_call_candidates: frozenset[tuple[int, int, int]] = frozenset()
     private_returns: frozenset[int] = frozenset()
+
+
+class _Cached(Generic[T]):
+    """functools.cached_property without its lock, which CPython 3.11 takes
+    on every first read: the first read stores the value in the instance
+    dict, which every later read finds before this descriptor."""
+
+    def __init__(self, compute: Callable[[ConfirmedFacts], T]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, facts: ConfirmedFacts | None, owner: type | None = None) -> T | _Cached[T]:
+        if facts is None:
+            return self  # read on the class
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
 
 
 class _ConfirmedFields(NamedTuple):
@@ -37,11 +56,11 @@ class ConfirmedFacts(_ConfirmedFields):
     return, are computed once per object.
     """
 
-    @cached_property
+    @_Cached
     def private_callers(self) -> frozenset[int]:
         return frozenset(caller for caller, _ in self.private_calls)
 
-    @cached_property
+    @_Cached
     def callers_of(self) -> dict[int, frozenset[int]]:
         """continuation -> the caller blocks of the private calls that pass it,
         so a return into nxt matches a call site c on the context exactly when
@@ -54,8 +73,14 @@ class ConfirmedFacts(_ConfirmedFields):
 
 def raw_confirmed(candidates: PatternFacts) -> ConfirmedFacts:
     """Project candidates into call facts without any filtering."""
-    return ConfirmedFacts(
-        public_calls=frozenset((b, t) for b, _s, t in candidates.public_call_candidates),
-        private_calls=frozenset((b, c) for b, c, _p in candidates.private_call_candidates),
-        private_returns=candidates.private_returns,
+    public, private, returns = candidates
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    return tuple.__new__(
+        ConfirmedFacts,
+        (
+            frozenset((b, t) for b, _s, t in public),
+            frozenset((b, c) for b, c, _p in private),
+            returns,
+            frozenset(),
+        ),
     )

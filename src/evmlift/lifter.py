@@ -108,10 +108,9 @@ TAC_OPCODES = {info.mnemonic: "CONST" if info.is_push else info.mnemonic for inf
 class _Names(dict):
     """Value -> its token, one table per lift. A def site's name is built
     once and shared by every statement that names the value; a block writes
-    the tokens of the entry slots it reads before its statements read them."""
-
-    def __init__(self) -> None:
-        super().__init__({None: None})  # the result of a statement that defines none
+    the tokens of the entry slots it reads before its statements read them.
+    Built with dict's own __init__, from {None: None}: None is the result
+    of a statement that defines none."""
 
     def __missing__(self, value: AbstractValue) -> str:
         name = self[value] = "v%x" % value
@@ -142,7 +141,7 @@ def lift(
     )
     continuations = frozenset(cont for _caller, cont in confirmed.private_calls)
     blocks = program.blocks
-    names = _Names()
+    names = _Names({None: None})
 
     lifted: dict[int, tuple[tuple[TACStatement, ...], tuple[int, ...]]] = {}
     for bid, entry in sorted(result.per_block.items()):
@@ -169,12 +168,11 @@ def lift(
                     have.append(bid)
     # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
     new = tuple.__new__
-    return TACProgram(
-        blocks={
-            bid: new(TACBlock, (bid, statements, tuple(preds.get(bid, ())), succs))
-            for bid, (statements, succs) in lifted.items()
-        }
-    )
+    tac_blocks = {
+        bid: new(TACBlock, (bid, statements, tuple(preds.get(bid, ())), succs))
+        for bid, (statements, succs) in lifted.items()
+    }
+    return new(TACProgram, (tac_blocks,))
 
 
 def _lift_block(

@@ -7,7 +7,9 @@ mnemonic -> (entry slots read, kind) table built at import from
 opcodes.TABLE, and entry slots missing under the stack go there in one
 slice assignment. Values are ints (see values); the constants the pass
 knows for pushes, folded results, PC and CODESIZE go into the program's
-pc -> constant table. detect_patterns then finds every call pattern in one
+pc -> constant table. summarize_program has every block write into that
+table itself and records their jump targets in one call, whatever the
+number of blocks. detect_patterns then finds every call pattern in one
 walk over the summaries; after cloning, the walk covers only the clones.
 """
 
@@ -92,10 +94,22 @@ class BlockSummary(NamedTuple):
 
 def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary:
     """Summary of block; records the constants it knows in program."""
+    constants: dict[int, int] = {}
+    summary = _summarize(block, program, constants)
+    program.record_constants(constants)
+    return summary
+
+
+def _summarize(block: BasicBlock, program: BytecodeProgram, constants: dict[int, int]) -> BlockSummary:
+    """Summary of block; writes the constants it knows into constants.
+
+    The block folds against constants, which may hold other blocks'
+    constants too: a def site is a pc, unique program-wide, and an entry
+    slot is negative, so the block reads only the entries it wrote.
+    """
     stack: list[AbstractValue] = []  # top of stack at the end
     depth = 0
     ops: list[OpRecord] = []
-    constants: dict[int, int] = {}
     target_expr: AbstractValue | None = None
     cond_expr: AbstractValue | None = None
     too_deep = False
@@ -144,7 +158,6 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
             too_deep = True
             break
 
-    program.record_constants(constants)
     local_target = constants.get(target_expr)
     if local_target is not None and local_target >= len(program.code):
         local_target = None
@@ -158,19 +171,27 @@ def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary
 def summarize_program(
     program: BytecodeProgram, known: dict[int, BlockSummary] | None = None
 ) -> dict[int, BlockSummary]:
-    """Summaries of every block, in block order.
+    """Summaries of every block, in block order, with one write of their
+    constants into program.
 
     A summary depends only on the block, len(program.code) and, for a
     clone, the block it copies, so a block id in known, summarized over the
-    same code and blocks, keeps that summary. apply_cloning returns every original block unchanged and
-    copies its constants into the cloned program, so with the first
-    summaries as known only the clones are summarized and recorded.
+    same code and blocks, keeps that summary. apply_cloning returns every
+    original block unchanged and copies its constants into the cloned
+    program, so with the first summaries as known only the clones are
+    summarized and recorded. Every block folds against one table (see
+    _summarize): program.constants itself when known is empty, otherwise a
+    table of the blocks summarized here. record_constants then runs once;
+    adding program.constants to itself changes nothing.
     """
     known = known or {}
-    return {
-        bid: known[bid] if bid in known else summarize_block(program.blocks[bid], program)
-        for bid in sorted(program.blocks)
+    blocks = program.blocks
+    constants: dict[int, int] = {} if known else program.constants
+    summaries = {
+        bid: known[bid] if bid in known else _summarize(blocks[bid], program, constants) for bid in sorted(blocks)
     }
+    program.record_constants(constants)
+    return summaries
 
 
 def chase_condition_to_eq(summary: BlockSummary, value: AbstractValue) -> OpRecord | None:
@@ -254,4 +275,5 @@ def detect_patterns(
             selector = next((c for c in consts if c is not None and c <= MAX_SELECTOR), None)
             if selector is not None:
                 public.add((bid, selector, target))
-    return PatternFacts(frozenset(public), frozenset(private), frozenset(returns))
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    return tuple.__new__(PatternFacts, (frozenset(public), frozenset(private), frozenset(returns)))

@@ -83,11 +83,7 @@ def compute_metrics(
     endpoints = {b for pair in result.edge_pairs() for b in pair}
     missing_ir = sum(1 for b in endpoints if b not in tac.blocks)
 
-    return MetricsReport(
-        polymorphic_jump_target=len(polymorphic),
-        unresolved_operand=unresolved,
-        unstructured_control_flow=unstructured,
-        missing_ir_block=missing_ir,
-        missing_control_flow=missing_cf,
-        stop_condition=stop_condition,
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    return tuple.__new__(
+        MetricsReport, (len(polymorphic), unresolved, unstructured, missing_ir, missing_cf, stop_condition)
     )

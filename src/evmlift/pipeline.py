@@ -66,9 +66,14 @@ class PipelineResult(NamedTuple):
     metrics: MetricsReport
 
 
+# Built once: a NamedTuple's generated __new__ is a Python-level call.
+DEFAULT_CONFIG = RunConfig()
+
+
 def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult:
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     deadline = time.monotonic() + config.timeout
+    depth = config.depth
 
     program = extract_blocks(code)
     summaries = summarize_program(program)
@@ -84,11 +89,11 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
 
     pre: PreanalysisOutcome | None = None
     if config.preanalysis:
-        pre = run_preanalysis(
-            program, summaries, patterns, config.depth, config.fact_limit, deadline
-        )
+        pre = run_preanalysis(program, summaries, patterns, depth, config.fact_limit, deadline)
     confirmed = pre.confirmed if pre is not None else raw_confirmed(patterns)
-    scheme_cfg = SchemeConfig(config.scheme, config.depth)
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new = tuple.__new__
+    scheme_cfg = new(SchemeConfig, (config.scheme, depth))
 
     prior = pre.result if pre is not None else None
     analysis = analyze(
@@ -102,15 +107,7 @@ def run_pipeline(code: bytes, config: RunConfig | None = None) -> PipelineResult
         stop = pre.result.stop_condition
     metrics = compute_metrics(program, tac, analysis, confirmed, stop)
 
-    return PipelineResult(
-        program=program,
-        summaries=summaries,
-        patterns=patterns,
-        clones=clones,
-        preanalysis=pre,
-        confirmed=confirmed,
-        scheme_used=scheme_cfg,
-        analysis=analysis,
-        tac=tac,
-        metrics=metrics,
+    return new(
+        PipelineResult,
+        (program, summaries, patterns, clones, pre, confirmed, scheme_cfg, analysis, tac, metrics),
     )

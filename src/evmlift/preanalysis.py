@@ -194,11 +194,13 @@ def run_preanalysis(
     filtering by it would drop real calls: it confirms nothing, returns the
     raw candidates, which are a sound superset, and blames no edge.
     """
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    new = tuple.__new__
     raw_facts = raw_confirmed(raw)
-    cfg = SchemeConfig(Scheme.SHRINKING, depth)
+    cfg = new(SchemeConfig, (Scheme.SHRINKING, depth))
     result = analyze(program, summaries, raw_facts, cfg, fact_limit, deadline)
     if result.stop_condition != STOP_FIXPOINT:
-        return PreanalysisOutcome(result, raw_facts, raw.public_call_candidates)
+        return new(PreanalysisOutcome, (result, raw_facts, raw.public_call_candidates))
 
     private_triples = confirm_private_calls(raw, result)
     # Without public candidates there is nothing to confirm.
@@ -206,10 +208,13 @@ def run_preanalysis(
     if raw.public_call_candidates:
         selectors = selector_values(summaries, result.per_block, program.constants)
         public_triples = confirm_public_calls(raw, summaries, result.per_block, selectors)
-    confirmed = ConfirmedFacts(
-        public_calls=frozenset((bid, target) for bid, _sel, target in public_triples),
-        private_calls=frozenset((caller, cont) for caller, cont, _pc in private_triples),
-        private_returns=raw.private_returns,
-        important_edges=compute_important_edges(result, program, summaries),
+    confirmed = new(
+        ConfirmedFacts,
+        (
+            frozenset((bid, target) for bid, _sel, target in public_triples),  # public_calls
+            frozenset((caller, cont) for caller, cont, _pc in private_triples),  # private_calls
+            raw.private_returns,
+            compute_important_edges(result, program, summaries),
+        ),
     )
-    return PreanalysisOutcome(result, confirmed, public_triples)
+    return new(PreanalysisOutcome, (result, confirmed, public_triples))

@@ -1,4 +1,5 @@
-"""Shared test helpers: a tiny assembler, hand-built programs, generators.
+"""Shared test helpers: a tiny assembler, hand-built programs, generators,
+the golden corpora and the sweep fixture that lifts each of them once.
 
 Fixture programs are laid out byte-exactly; the comments on each builder
 state the block structure the tests rely on.
@@ -11,8 +12,13 @@ import importlib.util
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
+import pytest
+
+from evmlift.cli import SWEEP_CONFIGS
 from evmlift.opcodes import BY_NAME
+from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
 
 # Filled by test_acceptance.py, printed at the end of the run.
 ACCEPTANCE_RESULTS: list[str] = []
@@ -716,3 +722,79 @@ def random_code(rng: random.Random, jump_biased: bool) -> bytes:
         address = rng.choice(jumpdests) if jumpdests and rng.random() < 0.9 else rng.randrange(size)
         out[at : at + 2] = address.to_bytes(2, "big")
     return bytes(out[:size])
+
+
+# ---------------------------------------------------------------------------
+# golden corpora, and one sweep over them per test session
+
+GOLDEN_FIXTURES = (
+    dispatch_pair_code,
+    inlined_call_code,
+    chained_call_code,
+    never_jumped_code,
+    non_selector_eq_code,
+    important_edges_code,
+    underflow_drop_code,
+    unresolved_operand_code,
+    balancing_example_code,
+    poly_merge_code,
+    lost_edge_code,
+    push_as_data_code,
+)
+
+
+def _random_corpus() -> list[bytes]:
+    rng = random.Random("golden-random")
+    return [random_code(rng, True) for _ in range(200)]
+
+
+# The inputs test_golden pins by digest, built on each call.
+CORPORA = {
+    "fixtures": lambda: [build() for build in GOLDEN_FIXTURES],
+    "sound": lambda: [gen_sound_program(random.Random(seed)) for seed in range(200)],
+    "deep": lambda: [gen_deep_program(8, 4), gen_deep_program(30, 4)],
+    # Backward jumps (loop latches) and confirmed public calls, which no other corpus has.
+    "dispatch": lambda: [gen_dispatch_program(n) for n in (16, 24, 32)],
+    # Private recursion, whose call sites no context depth can keep apart.
+    "recursion": lambda: [recursive_call_code()]
+    + [gen_recursive_program(random.Random(seed)) for seed in RECURSIVE_SEEDS],
+    # Jump-heavy byte soup: dropped blocks, "?" operands and calls no
+    # generator shapes, which the other corpora rarely reach.
+    "random": _random_corpus,
+}
+
+# Every sweep config, default first.
+SWEEP_RUNS = tuple((name, RunConfig(**overrides)) for name, overrides in SWEEP_CONFIGS)
+
+
+class Lift(NamedTuple):
+    """One golden input lifted under one sweep config."""
+
+    code: bytes
+    name: str
+    config: RunConfig
+    res: PipelineResult
+
+
+class Sweep(NamedTuple):
+    """A golden corpus lifted under every sweep config: each input under
+    SWEEP_RUNS in order, inputs in corpus order."""
+
+    corpus: str
+    lifts: list[Lift]
+
+
+@pytest.fixture(scope="session")
+def sweep(request) -> Sweep:
+    """The golden corpus request.param lifted once per session, for the
+    checks that only read what a lift returns. A check takes it with
+    @pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True).
+    Being session-scoped, it makes pytest run the checks of one corpus
+    together and hold one corpus's lifts at a time. A check that patches a
+    function lifts on its own."""
+    lifts = [
+        Lift(code, name, config, run_pipeline(code, config))
+        for code in CORPORA[request.param]()
+        for name, config in SWEEP_RUNS
+    ]
+    return Sweep(request.param, lifts)

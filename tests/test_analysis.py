@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CORPORA,
     analysis_outputs,
     asm,
     chained_call_code,
@@ -32,7 +33,6 @@ from evmlift.facts import ConfirmedFacts, raw_confirmed
 from evmlift.local import BlockSummary, summarize_block, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
 from evmlift.values import UNDERFLOW, entry_slot
-from test_golden import CORPORA
 
 
 def _summary(code: bytes, bid: int = 0):
@@ -357,16 +357,14 @@ def test_per_block_joins_one_block_in_two_thousand_contexts():
     assert merged[0x8][1] is shared
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_every_env_is_a_tuple_of_nonempty_slot_sets(corpus):
-    for code in CORPORA[corpus]():
-        for name, overrides in SWEEP_CONFIGS:
-            res = run_pipeline(code, RunConfig(**overrides))
-            passes = filter(None, (res.preanalysis and res.preanalysis.result, res.analysis))
-            for result in passes:
-                for env in (*result.block_input.values(), *result.per_block.values()):
-                    assert type(env) is tuple and len(env) <= MAX_STACK_DEPTH, (code.hex(), name)
-                    assert all(type(vals) is frozenset and vals for vals in env), (code.hex(), name)
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_every_env_is_a_tuple_of_nonempty_slot_sets(sweep):
+    for code, name, _config, res in sweep.lifts:
+        passes = filter(None, (res.preanalysis and res.preanalysis.result, res.analysis))
+        for result in passes:
+            for env in (*result.block_input.values(), *result.per_block.values()):
+                assert type(env) is tuple and len(env) <= MAX_STACK_DEPTH, (code.hex(), name)
+                assert all(type(vals) is frozenset and vals for vals in env), (code.hex(), name)
 
 
 # (fact_count, transfers) of the pre-analysis (None when it is off) and of the

@@ -6,17 +6,18 @@ order, under each of the four standard sweep configurations, and one over
 the metrics JSON of the same runs. A change that is meant to alter the
 output updates the digests in the same commit and says why; one that moves
 the TAC alone (a block more or less, say) shows that the metrics held.
+The corpora, and the sweep fixture that lifts each once per session for
+the checks that only read the results, live in conftest.
 """
 
 import hashlib
-import random
 from typing import NamedTuple
 
 import pytest
 
 import conftest
-from conftest import analysis_outputs
-from evmlift import local
+from conftest import CORPORA, analysis_outputs
+from evmlift import analysis, local
 from evmlift.analysis import _replays, analyze
 from evmlift.bytecode import disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
@@ -24,43 +25,8 @@ from evmlift.cloning import apply_cloning
 from evmlift.context import merge
 from evmlift.interpreter import EnvValuation, concrete_execute
 from evmlift.lifter import render_tac
-from evmlift.local import detect_patterns, summarize_program
+from evmlift.local import detect_patterns, summarize_block, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
-
-
-FIXTURES = (
-    conftest.dispatch_pair_code,
-    conftest.inlined_call_code,
-    conftest.chained_call_code,
-    conftest.never_jumped_code,
-    conftest.non_selector_eq_code,
-    conftest.important_edges_code,
-    conftest.underflow_drop_code,
-    conftest.unresolved_operand_code,
-    conftest.balancing_example_code,
-    conftest.poly_merge_code,
-    conftest.lost_edge_code,
-    conftest.push_as_data_code,
-)
-
-def _random_corpus() -> list[bytes]:
-    rng = random.Random("golden-random")
-    return [conftest.random_code(rng, True) for _ in range(200)]
-
-
-CORPORA = {
-    "fixtures": lambda: [build() for build in FIXTURES],
-    "sound": lambda: [conftest.gen_sound_program(random.Random(seed)) for seed in range(200)],
-    "deep": lambda: [conftest.gen_deep_program(8, 4), conftest.gen_deep_program(30, 4)],
-    # Backward jumps (loop latches) and confirmed public calls, which no other corpus has.
-    "dispatch": lambda: [conftest.gen_dispatch_program(n) for n in (16, 24, 32)],
-    # Private recursion, whose call sites no context depth can keep apart.
-    "recursion": lambda: [conftest.recursive_call_code()]
-    + [conftest.gen_recursive_program(random.Random(seed)) for seed in conftest.RECURSIVE_SEEDS],
-    # Jump-heavy byte soup: dropped blocks, "?" operands and calls no
-    # generator shapes, which the other corpora rarely reach.
-    "random": _random_corpus,
-}
 
 
 class Digests(NamedTuple):
@@ -115,19 +81,18 @@ REUSED = {
 }
 
 
-def output_digests(programs: list[bytes]) -> Digests:
+def output_digests(lifts) -> Digests:
+    """Digests of the lifts' TAC and metrics, in the sweep's order."""
     tac, metrics = hashlib.sha256(), hashlib.sha256()
-    for code in programs:
-        for _name, overrides in SWEEP_CONFIGS:
-            res = run_pipeline(code, RunConfig(**overrides))
-            tac.update(render_tac(res.tac).encode())
-            metrics.update(res.metrics.to_json().encode())
+    for lift in lifts:
+        tac.update(render_tac(lift.res.tac).encode())
+        metrics.update(lift.res.metrics.to_json().encode())
     return Digests(tac.hexdigest(), metrics.hexdigest())
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_output_matches_golden_digest(corpus):
-    assert output_digests(CORPORA[corpus]()) == GOLDEN[corpus]
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_output_matches_golden_digest(sweep):
+    assert output_digests(sweep.lifts) == GOLDEN[sweep.corpus]
 
 
 # perfbench/run.py's output_sha256 of each benchmark workload at seed 0
@@ -178,16 +143,12 @@ def test_oracle_traces_match_their_pinned_digest(corpus):
     assert digest.hexdigest() == ORACLE_TRACES[corpus]
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_clone_only_pattern_detection_equals_a_full_walk(corpus):
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_clone_only_pattern_detection_equals_a_full_walk(sweep):
     # After cloning, detect_patterns walks only the clones, starting from
     # the first walk's facts; a walk over every block must agree.
-    for code in CORPORA[corpus]():
-        for name, overrides in SWEEP_CONFIGS:
-            config = RunConfig(**overrides)
-            if not config.cloning:
-                continue
-            res = run_pipeline(code, config)
+    for code, name, config, res in sweep.lifts:
+        if config.cloning:
             assert res.patterns == detect_patterns(res.program, res.summaries), (code.hex(), name)
 
 
@@ -203,10 +164,9 @@ def _full_replay_check(prior, facts, cfg, fact_limit) -> bool:
     )
 
 
-def _check_reuse(code: bytes, name: str, config: RunConfig):
-    """Run config; the fast reuse decision must match the full one, and a
-    reused pre-analysis must equal a fresh main pass. Returns the result."""
-    res = run_pipeline(code, config)
+def _check_reuse(res, name: str, config: RunConfig):
+    """res is a run under config; the fast reuse decision must match the
+    full one, and a reused pre-analysis must equal a fresh main pass."""
     prior = res.preanalysis.result
     decided = _replays(prior, res.confirmed, res.scheme_used, config.fact_limit)
     assert decided == (res.analysis is prior), name
@@ -215,28 +175,45 @@ def _check_reuse(code: bytes, name: str, config: RunConfig):
     if decided:
         fresh = analyze(res.program, res.summaries, res.confirmed, res.scheme_used, config.fact_limit)
         assert analysis_outputs(fresh) == analysis_outputs(res.analysis), name
-    return res
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_a_reused_preanalysis_equals_a_fresh_main_pass(corpus):
-    reused = dict.fromkeys(REUSED[corpus], 0)
-    for code in CORPORA[corpus]():
-        for name, overrides in SWEEP_CONFIGS:  # default first
-            config = RunConfig(**overrides)
-            if not config.preanalysis:
-                continue  # no prior to reuse
-            res = _check_reuse(code, name, config)
-            reused[name] += res.analysis is res.preanalysis.result
-            # Half the default pre-analysis facts stops nearly every pre-analysis
-            # short; under default the main pass then runs the same raw facts,
-            # scheme and limit, so it must return the truncated pre-analysis.
-            if name == "default":
-                half = res.preanalysis.result.fact_count // 2
-            res = _check_reuse(code, name, RunConfig(fact_limit=half, **overrides))
-            if name == "default":
-                assert res.analysis is res.preanalysis.result, name
-    assert reused == REUSED[corpus]
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_a_reused_preanalysis_equals_a_fresh_main_pass(sweep):
+    reused = dict.fromkeys(REUSED[sweep.corpus], 0)
+    for code, name, config, res in sweep.lifts:  # default first for each input
+        if not config.preanalysis:
+            continue  # no prior to reuse
+        _check_reuse(res, name, config)
+        reused[name] += res.analysis is res.preanalysis.result
+        # Half the default pre-analysis facts stops nearly every pre-analysis
+        # short; under default the main pass then runs the same raw facts,
+        # scheme and limit, so it must return the truncated pre-analysis.
+        if name == "default":
+            half = res.preanalysis.result.fact_count // 2
+        halved = config._replace(fact_limit=half)
+        res = run_pipeline(code, halved)
+        _check_reuse(res, name, halved)
+        if name == "default":
+            assert res.analysis is res.preanalysis.result, name
+    assert reused == REUSED[sweep.corpus]
+
+
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_a_preanalysis_replays_under_its_own_facts_without_a_merge(sweep, monkeypatch):
+    # Under its own facts, scheme and limit a run replays itself: _replays
+    # answers at once, without comparing facts edge by edge or calling merge.
+    def called(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(analysis, "merge", called)
+    monkeypatch.setattr(analysis, "_reading_changed_facts", called)
+    checked = 0
+    for code, name, _config, res in sweep.lifts:
+        prior = res.preanalysis and res.preanalysis.result
+        if prior and prior.stop_condition != "timeout":
+            assert _replays(prior, prior.facts, prior.cfg, prior.fact_limit), (code.hex(), name)
+            checked += 1
+    assert checked
 
 
 class _Visits(dict):
@@ -254,14 +231,15 @@ class _Visits(dict):
 # Neither dispatch nor recursion has a block worth cloning.
 @pytest.mark.parametrize("corpus", sorted(set(CORPORA) - {"dispatch", "recursion"}))
 def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
+    # summarize_program summarizes each block through local._summarize.
     summarized = []
-    summarize_block = local.summarize_block
+    summarize = local._summarize
 
-    def counted(block, program):
+    def counted(block, program, constants):
         summarized.append(block.id)
-        return summarize_block(block, program)
+        return summarize(block, program, constants)
 
-    monkeypatch.setattr(local, "summarize_block", counted)
+    monkeypatch.setattr(local, "_summarize", counted)
     cloned_programs = 0
     for code in CORPORA[corpus]():
         program = extract_blocks(code)
@@ -302,6 +280,31 @@ def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
     assert cloned_programs
 
 
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_one_table_write_leaves_what_per_block_writes_leave(corpus):
+    # summarize_program has every block write into one constant table and
+    # maps it to targets once; summarize_block records each block's own.
+    # Both leave the same tables, in the same order, before and after cloning.
+    def tables(program):
+        return list(program.constants.items()), list(program.targets.items())
+
+    cloned_programs = 0
+    for code in CORPORA[corpus]():
+        program, per_block = extract_blocks(code), extract_blocks(code)
+        summaries = summarize_program(program)
+        assert summaries == {bid: summarize_block(per_block.blocks[bid], per_block) for bid in sorted(per_block.blocks)}
+        assert tables(program) == tables(per_block), code.hex()
+        patterns = detect_patterns(program, summaries)
+        cloned, clones = apply_cloning(program, patterns)
+        per_block_cloned, _clones = apply_cloning(per_block, patterns)
+        cloned_programs += bool(clones)
+        summarize_program(cloned, summaries)
+        for bid in sorted(per_block_cloned.clone_of):
+            summarize_block(per_block_cloned.blocks[bid], per_block_cloned)
+        assert tables(cloned) == tables(per_block_cloned), code.hex()
+    assert cloned_programs or corpus in ("dispatch", "recursion")
+
+
 @pytest.mark.parametrize("corpus", ["random", "sound"])
 def test_every_clone_copies_a_continuation_two_call_pushes_name(corpus):
     clones_seen = 0
@@ -319,21 +322,19 @@ def test_every_clone_copies_a_continuation_two_call_pushes_name(corpus):
     assert clones_seen
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_every_const_carries_the_value_the_bytecode_pushes(corpus):
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_every_const_carries_the_value_the_bytecode_pushes(sweep):
     # A clone's statements carry the copy's pcs; the value is the one pushed
     # at the pc of the instruction copied.
     consts = 0
-    for code in CORPORA[corpus]():
+    for code, name, _config, res in sweep.lifts:
         pushed = {pc: value for pc, _opcode, value in disassemble(code) if value is not None}
-        for name, overrides in SWEEP_CONFIGS:
-            res = run_pipeline(code, RunConfig(**overrides))
-            for bid, block in res.tac.blocks.items():
-                shift = res.program.clone_of.get(bid, bid) - bid
-                for stmt in block.statements:
-                    if stmt.opcode == "CONST":
-                        consts += 1
-                        assert stmt.const == pushed[int(stmt.label, 16) + shift], (name, stmt)
+        for bid, block in res.tac.blocks.items():
+            shift = res.program.clone_of.get(bid, bid) - bid
+            for stmt in block.statements:
+                if stmt.opcode == "CONST":
+                    consts += 1
+                    assert stmt.const == pushed[int(stmt.label, 16) + shift], (name, stmt)
     assert consts
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    CORPORA,
     asm,
     inlined_call_code,
     chained_call_code,
@@ -14,10 +15,8 @@ from conftest import (
     unresolved_operand_code,
 )
 from evmlift.analysis import transfer_block
-from evmlift.cli import SWEEP_CONFIGS
 from evmlift.lifter import TACBlock, TACProgram, parse_tac, render_tac
 from evmlift.pipeline import RunConfig, run_pipeline
-from test_golden import CORPORA
 
 
 @pytest.fixture(scope="module")
@@ -245,37 +244,37 @@ def test_readme_tac_sample_is_an_excerpt_of_the_rendered_output(cloned):
         assert re.fullmatch(pattern, rendered[header]), paragraph
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_the_continuation_scan_agrees_with_the_exit_env(corpus):
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_the_continuation_scan_agrees_with_the_exit_env(sweep):
     # Each CALLPRIVATE passes the exit slots down to the first that names a
     # confirmed continuation, and its succ list is the blocks that slot names;
     # a call with no such slot passes its target alone.
     calls = 0
-    for code in CORPORA[corpus]():
-        for name, overrides in SWEEP_CONFIGS:
-            res = run_pipeline(code, RunConfig(**overrides))
-            jump_target = res.program.targets.get
-            continuations = frozenset(cont for _caller, cont in res.confirmed.private_calls)
-            for bid, block in res.tac.blocks.items():
-                if not block.statements or block.statements[-1].opcode != "CALLPRIVATE":
-                    continue
-                calls += 1
-                out = transfer_block(res.summaries[bid], res.analysis.per_block[bid])
-                named = [set(map(jump_target, values)) - {None} for values in out]
-                slots = [slot for slot, blocks in enumerate(named) if not continuations.isdisjoint(blocks)]
-                operands = block.statements[-1].operands
-                if slots:
-                    assert block.succs == tuple(sorted(named[slots[0]])), (code.hex(), name, bid)
-                    assert len(operands) == slots[0] + 2, (code.hex(), name, bid)
-                else:
-                    assert len(operands) == 1, (code.hex(), name, bid)
+    for code, name, _config, res in sweep.lifts:
+        jump_target = res.program.targets.get
+        continuations = frozenset(cont for _caller, cont in res.confirmed.private_calls)
+        for bid, block in res.tac.blocks.items():
+            if not block.statements or block.statements[-1].opcode != "CALLPRIVATE":
+                continue
+            calls += 1
+            out = transfer_block(res.summaries[bid], res.analysis.per_block[bid])
+            named = [set(map(jump_target, values)) - {None} for values in out]
+            slots = [slot for slot, blocks in enumerate(named) if not continuations.isdisjoint(blocks)]
+            operands = block.statements[-1].operands
+            if slots:
+                assert block.succs == tuple(sorted(named[slots[0]])), (code.hex(), name, bid)
+                assert len(operands) == slots[0] + 2, (code.hex(), name, bid)
+            else:
+                assert len(operands) == 1, (code.hex(), name, bid)
     assert calls
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_every_render_writes_the_same_lines(corpus):
-    for code in CORPORA[corpus]():
-        tac = run_pipeline(code).tac
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_every_render_writes_the_same_lines(sweep):
+    for _code, name, _config, res in sweep.lifts:
+        if name != "default":
+            continue
+        tac = res.tac
         blocks = [tac.blocks[bid] for bid in sorted(tac.blocks)]
         assert render_tac(tac) == "\n\n".join(block.render() for block in blocks) + "\n"
         for block in blocks:

@@ -6,6 +6,7 @@ from typing import ForwardRef
 import pytest
 
 from conftest import (
+    CORPORA,
     analysis_outputs,
     asm,
     chained_call_code,
@@ -22,7 +23,6 @@ from evmlift.context import Scheme
 from evmlift.facts import raw_confirmed
 from evmlift.lifter import render_tac
 from evmlift.pipeline import RunConfig, run_pipeline
-from test_golden import CORPORA
 
 
 def test_depth_defaults_follow_scheme():
@@ -185,23 +185,20 @@ def test_each_result_of_a_rerun_builds_its_own_projection(projections, code, con
         assert result.per_block == project(result.block_input)
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_every_result_is_returned_with_its_projections(corpus):
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_every_result_is_returned_with_its_projections(sweep):
     # analyze builds the per-block projection and the edge pairs before it
     # returns, and a main pass that would replay the pre-analysis returns
     # that result itself, so a lift holds one projection per fixpoint run.
-    for code in CORPORA[corpus]():
-        for name, overrides in SWEEP_CONFIGS:
-            config = RunConfig(**overrides)
-            res = run_pipeline(code, config)
-            prior = res.preanalysis and res.preanalysis.result
-            for result in filter(None, (prior, res.analysis)):
-                assert result.per_block == project(result.block_input), (code.hex(), name)
-                pairs = {(bid, bid2) for _ctx, bid, _ctx2, bid2 in result.global_block_edge}
-                assert result.edge_pairs() == pairs, (code.hex(), name)
-            if prior is not None:
-                reused = _replays(prior, res.confirmed, res.scheme_used, config.fact_limit)
-                assert (res.analysis is prior) == reused, (code.hex(), name)
+    for code, name, config, res in sweep.lifts:
+        prior = res.preanalysis and res.preanalysis.result
+        for result in filter(None, (prior, res.analysis)):
+            assert result.per_block == project(result.block_input), (code.hex(), name)
+            pairs = {(bid, bid2) for _ctx, bid, _ctx2, bid2 in result.global_block_edge}
+            assert result.edge_pairs() == pairs, (code.hex(), name)
+        if prior is not None:
+            reused = _replays(prior, res.confirmed, res.scheme_used, config.fact_limit)
+            assert (res.analysis is prior) == reused, (code.hex(), name)
 
 
 def test_fact_limit_reports_fact_limit():

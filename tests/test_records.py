@@ -11,15 +11,20 @@ so the NamedTuple records, tuple subclasses, stay tracked for good. The two
 records built once per instruction, Instruction and OpRecord, are read only
 by position, so they are exact tuples: a tuple display builds one, and it
 drops out of the collector's tracking like any other tuple of ints. The
-records built once per block or statement are built with tuple.__new__,
-without the NamedTuple's Python-level __new__, and are still exactly their
-record type.
+records a lift builds, once per lift, per block, per statement or per
+context, are built with tuple.__new__, without the NamedTuple's
+Python-level __new__, which is eval'd Python and costs about three times
+as much for a record of ten fields called by keyword. Each is still exactly
+its record type, with each field holding a value of its annotated type.
 """
 
 import ast
+import collections
 import enum
+import functools
 import gc
 import random
+import types
 import typing
 from pathlib import Path
 
@@ -28,20 +33,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evmlift
-from conftest import random_code
+from conftest import CORPORA, random_code
 from evmlift import analysis, lifter
 from evmlift.analysis import AnalysisResult
-from evmlift.bytecode import BasicBlock, BytecodeError, Instruction, disassemble, extract_blocks
+from evmlift.bytecode import BasicBlock, BytecodeError, BytecodeProgram, Instruction, disassemble, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import apply_cloning
-from evmlift.facts import ConfirmedFacts
+from evmlift.context import Context, SchemeConfig
+from evmlift.facts import ConfirmedFacts, PatternFacts
 from evmlift.interpreter import BlockRun, EnvValuation
-from evmlift.lifter import TACBlock, TACStatement
+from evmlift.lifter import TACBlock, TACProgram, TACStatement
 from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_block, summarize_program
+from evmlift.metrics import MetricsReport
 from evmlift.opcodes import STACK_LIMIT, Terminator
-from evmlift.pipeline import RunConfig, run_pipeline
+from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
+from evmlift.preanalysis import PreanalysisOutcome
 from evmlift.values import UNDERFLOW, entry_slot
-from test_golden import CORPORA
 
 # Every class the package exports, less its enums, its exceptions and its
 # aliases of tuple types.
@@ -229,25 +236,75 @@ def test_a_lift_leaves_no_reference_cycles():
     assert garbage == []
 
 
+@functools.cache
+def _check(hint) -> typing.Callable[[object, collections.Counter], bool]:
+    """A test of whether a value is of type hint, all the way down. It
+    counts each record it meets by type, after checking that the record is
+    exactly its type and each field holds a value of its annotation."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        members = [_check(arg) for arg in args]
+        return lambda value, seen: any(check(value, seen) for check in members)
+    if hint is type(None):
+        return lambda value, seen: value is None
+    if hasattr(hint, "_fields"):
+        hints = typing.get_type_hints(hint)
+        fields = [_check(hints[name]) for name in hint._fields]
+
+        def record(value, seen):
+            seen[hint] += 1
+            return type(value) is hint and len(value) == len(fields) and all(
+                check(item, seen) for check, item in zip(fields, value)
+            )
+
+        return record
+    if origin is tuple and args[-1] is not Ellipsis:
+        items = [_check(arg) for arg in args]
+        return lambda value, seen: (
+            type(value) is tuple and len(value) == len(items) and all(check(v, seen) for check, v in zip(items, value))
+        )
+    if origin is dict:
+        key, item = map(_check, args)
+        return lambda value, seen: type(value) is dict and all(
+            key(k, seen) and item(v, seen) for k, v in value.items()
+        )
+    if origin in (tuple, set, frozenset):
+        item = _check(args[0])
+        return lambda value, seen: type(value) is origin and all(item(v, seen) for v in value)
+    assert origin is None, hint
+    return lambda value, seen: isinstance(value, hint)
+
+
+# Every record a lift builds with tuple.__new__: once per lift, per block
+# or per statement, or per context (merge).
+BUILT_WITH_TUPLE_NEW = (
+    PipelineResult,
+    BytecodeProgram,
+    BasicBlock,
+    BlockSummary,
+    PatternFacts,
+    ConfirmedFacts,
+    SchemeConfig,
+    PreanalysisOutcome,
+    AnalysisResult,
+    Context,
+    TACProgram,
+    TACBlock,
+    TACStatement,
+    MetricsReport,
+)
+
+
 def test_records_built_with_tuple_new_are_exactly_their_type():
-    # extract_blocks, summarize_block and the lifter build these records
-    # with tuple.__new__, which checks neither the arity nor the type: each
-    # must still be its record type and equal the record its fields rebuild.
-    records = {BasicBlock: 0, BlockSummary: 0, TACStatement: 0, TACBlock: 0}
+    # tuple.__new__ checks neither the arity nor the field types, and a
+    # record that equals the record its fields rebuild may still hold two
+    # fields swapped: each record must be exactly its type and each field
+    # hold a value of its annotated type, down through every record it holds.
+    seen: collections.Counter = collections.Counter()
     for corpus in sorted(CORPORA):
         for code in CORPORA[corpus]():
-            res = run_pipeline(code)
-            built = [
-                *res.program.blocks.values(),
-                *res.summaries.values(),
-                *res.tac.blocks.values(),
-                *(stmt for block in res.tac.blocks.values() for stmt in block.statements),
-            ]
-            for record in built:
-                kind = type(record)
-                assert kind in records and record == kind(*record), (corpus, record)
-                records[kind] += 1
-    assert all(records.values()), records
+            assert _check(PipelineResult)(run_pipeline(code), seen), (corpus, code.hex())
+    assert not [kind.__name__ for kind in BUILT_WITH_TUPLE_NEW if not seen[kind]]
 
 
 @given(seed=st.integers(0, 2**32 - 1), jump_biased=st.booleans())
