@@ -6,7 +6,6 @@ from .bytecode import (
     BytecodeError,
     BytecodeProgram,
     Instruction,
-    Terminator,
     disassemble,
     extract_blocks,
     parse_bytecode_text,
@@ -24,7 +23,7 @@ from .lifter import (
     parse_tac,
     render_tac,
 )
-from .local import BlockSummary, OpRecord, detect_patterns, summarize_block, summarize_program
+from .local import BlockSummary, OpRecord, detect_patterns, summarize_program
 from .metrics import MetricsReport, compute_metrics
 from .pipeline import PipelineResult, RunConfig, run_pipeline
 from .preanalysis import PreanalysisOutcome, run_preanalysis
@@ -57,7 +56,6 @@ __all__ = [
     "TACBlock",
     "TACProgram",
     "TACStatement",
-    "Terminator",
     "Trace",
     "UNDERFLOW",
     "analyze",
@@ -79,6 +77,5 @@ __all__ = [
     "run_pipeline",
     "run_preanalysis",
     "select_clone_candidates",
-    "summarize_block",
     "summarize_program",
 ]

@@ -267,12 +267,12 @@ def analyze(
         terminator = block.terminator
         slot = fall = None
         values: tuple[AbstractValue, ...] = ()
-        if terminator is TERM_JUMP or terminator is TERM_CONDITIONAL_JUMP:
+        if terminator == TERM_JUMP or terminator == TERM_CONDITIONAL_JUMP:
             if summary.target_expr < UNDERFLOW:
                 slot = summary.target_expr
             else:
                 values = tuple(resolve((), summary.target_expr))
-        if terminator is TERM_CONDITIONAL_JUMP or terminator is TERM_FALLTHROUGH:
+        if terminator == TERM_CONDITIONAL_JUMP or terminator == TERM_FALLTHROUGH:
             fall = block.fallthrough_pc
             if fall not in blocks:
                 fall = None

@@ -1,11 +1,10 @@
 """Bytecode decoding: instructions, basic blocks, and input file handling.
 
-Decoding is one walk: `disassemble` reads each byte's record from the
-byte-indexed `opcodes.TABLE` once, and takes push immediates from the code
-zero-padded once at its end. `extract_blocks` cuts that stream into basic
-blocks where `_CUTS`, the mnemonic -> `Terminator` table of the opcodes that
-end a block, names one, and collects the valid JUMPDESTs as it goes.
-`Terminator` lives in `opcodes` and is re-exported here.
+Decoding and cutting are one walk: `extract_blocks` reads each byte's record
+from the byte-indexed `opcodes.TABLE` once, takes push immediates from the
+code zero-padded once at its end, cuts a block where the record's terminator
+ends one, and collects the valid JUMPDESTs as it goes. `disassemble` is the
+blocks' instructions in pc order.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .opcodes import BY_NAME, TABLE, TERM_FALLTHROUGH, Terminator
+from .opcodes import BY_NAME, TABLE, TERM_FALLTHROUGH
 
 MAX_CODE_SIZE = 24576
 
@@ -39,7 +38,7 @@ class BasicBlock(NamedTuple):
 
     id: int
     instructions: tuple[Instruction, ...]
-    terminator: Terminator
+    terminator: int  # how the last instruction ends it, an opcodes.TERM_* constant
 
     @property
     def last(self) -> Instruction:
@@ -103,54 +102,46 @@ def _within_limit(code: bytes) -> bytes:
     return code
 
 
-# mnemonic -> how it ends a block, for every opcode that ends one
-_CUTS = {info.mnemonic: info.terminator for info in TABLE if info.terminator is not TERM_FALLTHROUGH}
-
-
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode every byte; total on arbitrary input up to the size limit."""
-    _within_limit(code)
-    # zero-padded once: an immediate that runs off the end reads zeros
-    padded = code + bytes(32)
-    from_bytes = int.from_bytes
-    out: list[Instruction] = []
-    pc = 0
-    while pc < len(code):
-        info = TABLE[code[pc]]
-        size = info.size
-        value = from_bytes(padded[pc + 1 : pc + size], "big") if info.is_push else None
-        out.append((pc, info.mnemonic, value))
-        pc += size
-    return out
+    # Blocks are stored in pc order, and every instruction is in one.
+    return [ins for block in extract_blocks(code).blocks.values() for ins in block.instructions]
 
 
 def extract_blocks(code: bytes) -> BytecodeProgram:
-    """Cut the instruction stream into basic blocks in one walk.
+    """Decode the code and cut it into basic blocks in one walk.
 
     A block starts at pc 0, at every JUMPDEST, and after every JUMP, JUMPI, or
     halting instruction. The walk that fixes where instructions begin also
     finds the valid jump destinations: a 0x5b byte inside PUSH data is never
     decoded as a JUMPDEST.
     """
+    _within_limit(code)
+    # zero-padded once: an immediate that runs off the end reads zeros
+    padded = code + bytes(32)
+    from_bytes, table, jumpdest = int.from_bytes, TABLE, BY_NAME["JUMPDEST"]
     blocks: dict[int, BasicBlock] = {}
     jumpdests: list[int] = []
     body: list[Instruction] = []
     # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
-    new, cuts = tuple.__new__, _CUTS
+    new = tuple.__new__
     # A block is cut where it ends, in the loop: a call per block would cost
     # more than the cut itself. Its id is the pc of its first instruction.
-    for ins in disassemble(code):
-        pc, opcode, _pushed = ins
-        if opcode == "JUMPDEST":
+    pc, end = 0, len(code)
+    while pc < end:
+        info = table[code[pc]]
+        size = info.size
+        if info is jumpdest:
             jumpdests.append(pc)
             if body:
                 blocks[body[0][0]] = new(BasicBlock, (body[0][0], tuple(body), TERM_FALLTHROUGH))
                 body = []
-        body.append(ins)
-        terminator = cuts.get(opcode)
-        if terminator is not None:
+        body.append((pc, info.mnemonic, from_bytes(padded[pc + 1 : pc + size], "big") if info.is_push else None))
+        terminator = info.terminator
+        if terminator != TERM_FALLTHROUGH:
             blocks[body[0][0]] = new(BasicBlock, (body[0][0], tuple(body), terminator))
             body = []
+        pc += size
     if body:
         blocks[body[0][0]] = new(BasicBlock, (body[0][0], tuple(body), TERM_FALLTHROUGH))
     return new(BytecodeProgram, (code, blocks, frozenset(jumpdests), {}, {}, {}, {}))

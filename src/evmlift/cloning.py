@@ -41,7 +41,7 @@ def select_clone_candidates(
     return {
         bid: tuple(sorted(pcs))
         for bid, pcs in sites.items()
-        if len(pcs) >= 2 and program.blocks[bid].terminator is TERM_JUMP
+        if len(pcs) >= 2 and program.blocks[bid].terminator == TERM_JUMP
     }
 
 

@@ -101,19 +101,19 @@ def _merge_shrinking(
     nxt: int,
 ) -> Context:
     """A public call enters nxt. A return that is neither a private caller
-    nor an important edge's source cuts back to the most recent call site
-    on ctx whose continuation is nxt, read from facts.callers_of; any other
-    return grows. A private caller or important edge's source grows, cut
-    back first to where it already is on ctx."""
+    nor an important edge's source cuts back to the most recent call site s
+    on ctx whose continuation is nxt, (s, nxt) in facts.private_calls; any
+    other return grows. A private caller or important edge's source grows,
+    cut back first to where it already is on ctx."""
     private = ctx.private
     if (cur, nxt) in facts.public_calls:
         return tuple.__new__(Context, (nxt, private))
     pushes = cur in facts.private_callers or (cur, nxt) in facts.important_edges
     if cur in facts.private_returns:
-        callers = facts.callers_of.get(nxt)
-        if callers is not None and not pushes:
+        if not pushes:
+            calls = facts.private_calls
             for i, site in enumerate(private):
-                if site in callers:
+                if (site, nxt) in calls:
                     return tuple.__new__(Context, (ctx.public, private[i + 1 :]))
     elif not pushes:
         return ctx

@@ -1,11 +1,13 @@
-"""Call-structure facts shared between the pattern detectors and the analyses."""
+"""Call-structure facts shared between the pattern detectors and the analyses.
+
+Both records are complete when built. A ConfirmedFacts carries
+private_callers, which merge reads on every jump edge out of a caller, as a
+field: confirmed_facts computes it, and every ConfirmedFacts comes from there.
+"""
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from typing import Generic, NamedTuple, TypeVar
-
-T = TypeVar("T")
+from typing import NamedTuple
 
 
 class PatternFacts(NamedTuple):
@@ -21,66 +23,36 @@ class PatternFacts(NamedTuple):
     private_returns: frozenset[int] = frozenset()
 
 
-class _Cached(Generic[T]):
-    """functools.cached_property without its lock, which CPython 3.11 takes
-    on every first read: the first read stores the value in the instance
-    dict, which every later read finds before this descriptor."""
-
-    def __init__(self, compute: Callable[[ConfirmedFacts], T]) -> None:
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, facts: ConfirmedFacts | None, owner: type | None = None) -> T | _Cached[T]:
-        if facts is None:
-            return self  # read on the class
-        value = facts.__dict__[self.name] = self.compute(facts)
-        return value
-
-
-class _ConfirmedFields(NamedTuple):
-    public_calls: frozenset[tuple[int, int]] = frozenset()
-    private_calls: frozenset[tuple[int, int]] = frozenset()
-    private_returns: frozenset[int] = frozenset()
-    important_edges: frozenset[tuple[int, int]] = frozenset()
-
-
-class ConfirmedFacts(_ConfirmedFields):
+class ConfirmedFacts(NamedTuple):
     """Call facts driving context merges, after any pre-analysis filtering.
 
-    public_calls:  (dispatch block, function entry) pairs
-    private_calls: (caller block, continuation block) pairs
-
-    Equal field by field, as a tuple. Not slotted, so private_callers and
-    callers_of, which merge reads on every jump edge out of a caller or a
-    return, are computed once per object.
+    public_calls:    (dispatch block, function entry) pairs
+    private_calls:   (caller block, continuation block) pairs
+    private_callers: the caller blocks of private_calls
     """
 
-    @_Cached
-    def private_callers(self) -> frozenset[int]:
-        return frozenset(caller for caller, _ in self.private_calls)
+    public_calls: frozenset[tuple[int, int]]
+    private_calls: frozenset[tuple[int, int]]
+    private_returns: frozenset[int]
+    important_edges: frozenset[tuple[int, int]]
+    private_callers: frozenset[int]
 
-    @_Cached
-    def callers_of(self) -> dict[int, frozenset[int]]:
-        """continuation -> the caller blocks of the private calls that pass it,
-        so a return into nxt matches a call site c on the context exactly when
-        c in callers_of[nxt]."""
-        callers: dict[int, set[int]] = {}
-        for caller, cont in self.private_calls:
-            callers.setdefault(cont, set()).add(caller)
-        return {cont: frozenset(sites) for cont, sites in callers.items()}
+
+def confirmed_facts(
+    public_calls: frozenset[tuple[int, int]] = frozenset(),
+    private_calls: frozenset[tuple[int, int]] = frozenset(),
+    private_returns: frozenset[int] = frozenset(),
+    important_edges: frozenset[tuple[int, int]] = frozenset(),
+) -> ConfirmedFacts:
+    """The facts with their private callers; none given is none confirmed."""
+    callers = frozenset(caller for caller, _cont in private_calls)
+    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
+    return tuple.__new__(ConfirmedFacts, (public_calls, private_calls, private_returns, important_edges, callers))
 
 
 def raw_confirmed(candidates: PatternFacts) -> ConfirmedFacts:
     """Project candidates into call facts without any filtering."""
     public, private, returns = candidates
-    # tuple.__new__ builds a record without its NamedTuple's Python-level __new__
-    return tuple.__new__(
-        ConfirmedFacts,
-        (
-            frozenset((b, t) for b, _s, t in public),
-            frozenset((b, c) for b, c, _p in private),
-            returns,
-            frozenset(),
-        ),
+    return confirmed_facts(
+        frozenset((b, t) for b, _s, t in public), frozenset((b, c) for b, c, _p in private), returns
     )

@@ -4,15 +4,15 @@ Executes a decoded program directly over a stack of integers. It exists to
 cross-check the static machinery: block summaries are validated against
 single-block runs, and enumerate_edges, which runs one valuation per
 calldata, gives a ground-truth set of control flow edges for small
-programs. Memory, hashing and environment reads, which the static analysis
-never reasons about, come from a caller supplied valuation and default to
-zero; PC and CODESIZE are read from the code.
+programs. A valuation supplies the calldata only: storage starts empty
+on every run, and memory, hashing and environment reads, which the static
+analysis never reasons about, read zero; PC and CODESIZE are read from the
+code.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bytecode import BytecodeProgram
 from .opcodes import BY_NAME, STACK_LIMIT, TERM_HALT
@@ -29,17 +29,10 @@ class _Halt(Exception):
         self.reason = reason
 
 
-# The storage and env of a valuation that sets none: read-only, so every such
-# valuation shares it. _Machine copies storage and only reads env.
-_NO_VALUES = MappingProxyType({})
-
-
 class EnvValuation(NamedTuple):
-    """One concrete assignment for everything outside the stack."""
+    """The calldata of one run; everything else outside the stack starts empty or zero."""
 
     calldata: bytes = b""
-    storage: Mapping[int, int] = _NO_VALUES
-    env: Mapping[str, int] = _NO_VALUES
 
 
 class EnvSets(NamedTuple):
@@ -154,7 +147,7 @@ class _Machine:
         self.stack: list[int] = []  # bottom at index 0
         self.env = env
         self.code_size = code_size
-        self.storage = dict(env.storage)
+        self.storage: dict[int, int] = {}
 
     def push(self, v: int) -> None:
         if len(self.stack) >= STACK_LIMIT:
@@ -189,7 +182,7 @@ class _Machine:
             target = self.pop()
             cond = self.pop()
             return ("jumpi", target, cond)
-        elif info.terminator is TERM_HALT:
+        elif info.terminator == TERM_HALT:
             for _ in range(info.pops):
                 self.pop()
             raise _Halt(_HALT_REASON[op])
@@ -208,7 +201,7 @@ class _Machine:
         elif op == "CALLDATASIZE":
             self.push(len(self.env.calldata))
         elif op == "SLOAD":
-            self.push(self.storage.get(self.pop(), 0) % WORD)
+            self.push(self.storage.get(self.pop(), 0))
         elif op == "SSTORE":
             key = self.pop()
             self.storage[key] = self.pop()
@@ -218,11 +211,11 @@ class _Machine:
             self.push(self.code_size)
         else:
             # Memory, hashing, and environment reads share one fallback: pop
-            # the operands and produce the valuation's value for the opcode.
+            # the operands and push zero.
             for _ in range(info.pops):
                 self.pop()
             for _ in range(info.pushes):
-                self.push(self.env.env.get(op, 0) % WORD)
+                self.push(0)
         return ("next", None, None)
 
 

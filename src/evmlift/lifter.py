@@ -150,7 +150,7 @@ def lift(
         is_call = (
             len(targets) == 1
             and targets[0] in private_entries
-            and blocks[bid].terminator is TERM_JUMP
+            and blocks[bid].terminator == TERM_JUMP
         )
         block = _lift_block(bid, summaries[bid], entry, targets, is_call, program, continuations, names)
         if block is not None:

@@ -31,7 +31,7 @@ FOLDABLE = {"AND", "ADD", "SUB", "SHL", "SHR", "DIV", "EQ", "ISZERO"}
 # The opcodes whose value the code fixes: PC's own address and CODESIZE.
 FROM_CODE = {"PC", "CODESIZE"}
 
-# How summarize_block moves the stack: one kind per opcode. Every kind from
+# How _summarize moves the stack: one kind per opcode. Every kind from
 # JUMP on pops its operands into an OpRecord; from DEF on it pushes a result.
 PUSH, DUP, SWAP, DROP, JUMP, JUMPI, EFFECT, DEF, FOLD, CODE = range(10)
 
@@ -46,9 +46,9 @@ def _effect(info: OpInfo) -> tuple[int, int]:
         return info.swap_index + 1, SWAP
     if info.mnemonic in ("POP", "JUMPDEST"):
         return info.pops, DROP
-    if info.terminator is TERM_JUMP:
+    if info.terminator == TERM_JUMP:
         return 1, JUMP
-    if info.terminator is TERM_CONDITIONAL_JUMP:
+    if info.terminator == TERM_CONDITIONAL_JUMP:
         return 2, JUMPI
     if not info.pushes:
         return info.pops, EFFECT
@@ -57,7 +57,7 @@ def _effect(info: OpInfo) -> tuple[int, int]:
     return info.pops, FOLD if info.mnemonic in FOLDABLE else DEF
 
 
-# mnemonic -> (reads, kind), the one record summarize_block reads per instruction
+# mnemonic -> (reads, kind), the one record _summarize reads per instruction
 EFFECTS = {info.mnemonic: _effect(info) for info in TABLE}
 
 
@@ -90,14 +90,6 @@ class BlockSummary(NamedTuple):
         return frozenset(
             entry_slot(v) for _pc, _opcode, operands, _result in self.ops for v in operands if v < UNDERFLOW
         )
-
-
-def summarize_block(block: BasicBlock, program: BytecodeProgram) -> BlockSummary:
-    """Summary of block; records the constants it knows in program."""
-    constants: dict[int, int] = {}
-    summary = _summarize(block, program, constants)
-    program.record_constants(constants)
-    return summary
 
 
 def _summarize(block: BasicBlock, program: BytecodeProgram, constants: dict[int, int]) -> BlockSummary:
@@ -255,7 +247,7 @@ def detect_patterns(
         summary = summaries[bid]
         block = blocks[bid]
         terminator = block.terminator
-        if terminator is TERM_JUMP:
+        if terminator == TERM_JUMP:
             expr = summary.target_expr
             if expr is not None and expr < UNDERFLOW:
                 returns.add(bid)
@@ -264,7 +256,7 @@ def detect_patterns(
                 for value in pushes.intersection(summary.produced):
                     if (continuation := targets.get(value)) is not None:
                         private.add((bid, continuation, value))
-        elif terminator is TERM_CONDITIONAL_JUMP:
+        elif terminator == TERM_CONDITIONAL_JUMP:
             if summary.too_deep or (target := targets.get(summary.target_expr)) is None:
                 continue
             eq = chase_condition_to_eq(summary, summary.cond_expr)

@@ -66,17 +66,17 @@ def compute_metrics(
                 unresolved += 1
         terminator = program.blocks[bid].terminator
         succs = len(block.succs)
-        if terminator is TERM_JUMP and bid not in confirmed.private_returns and succs > 1:
+        if terminator == TERM_JUMP and bid not in confirmed.private_returns and succs > 1:
             unstructured += 1
-        elif terminator is TERM_CONDITIONAL_JUMP and succs > 2:
+        elif terminator == TERM_CONDITIONAL_JUMP and succs > 2:
             unstructured += 1
         # compared with `is`: an Enum dict key hashes through a Python-level __hash__
-        required = 2 if terminator is TERM_CONDITIONAL_JUMP else 0 if terminator is TERM_HALT else 1
+        required = 2 if terminator == TERM_CONDITIONAL_JUMP else 0 if terminator == TERM_HALT else 1
         # A fall needs its next block only where analyze adds that edge, so
         # a block one successor short is short only if it does; the
         # fallthrough is looked up for such a block alone.
         if succs < required and (
-            terminator is TERM_JUMP or succs < required - 1 or program.blocks[bid].fallthrough_pc in program.blocks
+            terminator == TERM_JUMP or succs < required - 1 or program.blocks[bid].fallthrough_pc in program.blocks
         ):
             missing_cf += 1
 

@@ -1,39 +1,25 @@
 """The one EVM opcode table: every per-opcode fact the lifter reads.
 
 `TABLE` is indexed by byte. Each record carries the opcode's stack arity,
-how it ends a basic block (`Terminator`), its width and whether it pushes,
-all set once when the table is built. A byte no opcode uses holds INVALID's
-record, so it decodes as a one-byte, halting INVALID. `BY_NAME` maps a
-mnemonic to its record. `TERM_JUMP`, `TERM_CONDITIONAL_JUMP`, `TERM_HALT`
-and `TERM_FALLTHROUGH` are the `Terminator` members under module-level
-names, the ones every function compares a block's terminator against.
+how it ends a basic block (one of the `TERM_*` ints), its width and whether
+it pushes, all set once when the table is built. A byte no opcode uses holds
+INVALID's record, so it decodes as a one-byte, halting INVALID. `BY_NAME`
+maps a mnemonic to its record.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 STACK_LIMIT = 1024
 
 
-class Terminator(Enum):
-    """How an instruction ends a basic block; FALLTHROUGH when it does not."""
-
-    JUMP = "jump"
-    CONDITIONAL_JUMP = "conditional-jump"
-    HALT = "halt"
-    FALLTHROUGH = "fallthrough"
-
-
-# The members under module-level names, which every function compares
-# against: the Enum metaclass defines __getattr__, so on CPython 3.11 each
-# read of Terminator.JUMP takes the slow attribute hook (about 101 ns),
-# where a global read takes about 8 ns.
-TERM_JUMP = Terminator.JUMP
-TERM_CONDITIONAL_JUMP = Terminator.CONDITIONAL_JUMP
-TERM_HALT = Terminator.HALT
-TERM_FALLTHROUGH = Terminator.FALLTHROUGH
+# How an instruction ends a basic block, compared with ==; FALLTHROUGH, the
+# zero, when it does not.
+TERM_FALLTHROUGH = 0
+TERM_JUMP = 1
+TERM_CONDITIONAL_JUMP = 2
+TERM_HALT = 3
 
 
 class OpInfo(NamedTuple):
@@ -41,7 +27,7 @@ class OpInfo(NamedTuple):
     mnemonic: str
     pops: int
     pushes: int
-    terminator: Terminator
+    terminator: int
     push_width: int
     dup_index: int
     swap_index: int
@@ -57,7 +43,7 @@ def _build_table() -> tuple[OpInfo, ...]:
         mnemonic: str,
         pops: int,
         pushes: int,
-        terminator: Terminator = TERM_FALLTHROUGH,
+        terminator: int = TERM_FALLTHROUGH,
         push_width: int = 0,
         dup_index: int = 0,
         swap_index: int = 0,

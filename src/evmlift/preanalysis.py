@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .analysis import DEFAULT_FACT_LIMIT, STOP_FIXPOINT, AnalysisResult, Env, analyze, resolve, transfer_block
 from .bytecode import BytecodeProgram
 from .context import Scheme, SchemeConfig
-from .facts import ConfirmedFacts, PatternFacts, raw_confirmed
+from .facts import ConfirmedFacts, PatternFacts, confirmed_facts, raw_confirmed
 from .local import BlockSummary, chase_condition_to_eq
 from .values import AbstractValue
 
@@ -208,13 +208,10 @@ def run_preanalysis(
     if raw.public_call_candidates:
         selectors = selector_values(summaries, result.per_block, program.constants)
         public_triples = confirm_public_calls(raw, summaries, result.per_block, selectors)
-    confirmed = new(
-        ConfirmedFacts,
-        (
-            frozenset((bid, target) for bid, _sel, target in public_triples),  # public_calls
-            frozenset((caller, cont) for caller, cont, _pc in private_triples),  # private_calls
-            raw.private_returns,
-            compute_important_edges(result, program, summaries),
-        ),
+    confirmed = confirmed_facts(
+        frozenset((bid, target) for bid, _sel, target in public_triples),
+        frozenset((caller, cont) for caller, cont, _pc in private_triples),
+        raw.private_returns,
+        compute_important_edges(result, program, summaries),
     )
     return new(PreanalysisOutcome, (result, confirmed, public_triples))

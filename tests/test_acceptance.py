@@ -45,7 +45,7 @@ from test_preanalysis import rule_based_important_edges
 from evmlift.bytecode import extract_blocks
 from evmlift.cli import SWEEP_CONFIGS, main
 from evmlift.context import INITIAL_CONTEXT, Context, Scheme, SchemeConfig, merge
-from evmlift.facts import ConfirmedFacts
+from evmlift.facts import confirmed_facts
 from evmlift.interpreter import EnvSets, enumerate_edges
 from evmlift.lifter import parse_tac, render_tac
 from evmlift.local import detect_patterns, summarize_program
@@ -70,7 +70,7 @@ def criterion(number: int, summary: str, budget: float | None):
 
 
 def test_criterion_1_shrinking_returns_to_the_entry_context():
-    facts = ConfirmedFacts(
+    facts = confirmed_facts(
         private_calls=frozenset({(0x1CA, 0x1D3), (0x1B9, 0x1C3)}),
         private_returns=frozenset({0x1A0, 0x1A8}),
     )

@@ -29,15 +29,15 @@ from evmlift.analysis import (
 from evmlift.bytecode import BytecodeProgram, extract_blocks
 from evmlift.cli import SWEEP_CONFIGS
 from evmlift.context import DEFAULT_DEPTH, INITIAL_CONTEXT, Context, Scheme, SchemeConfig
-from evmlift.facts import ConfirmedFacts, raw_confirmed
-from evmlift.local import BlockSummary, summarize_block, summarize_program
+from evmlift.facts import confirmed_facts, raw_confirmed
+from evmlift.local import BlockSummary, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
 from evmlift.values import UNDERFLOW, entry_slot
 
 
 def _summary(code: bytes, bid: int = 0):
     prog = extract_blocks(code)
-    return summarize_block(prog.blocks[bid], prog)
+    return summarize_program(prog)[bid]
 
 
 A, B, C = 0x100, 0x101, 0x102  # def sites
@@ -58,7 +58,7 @@ def test_resolve_reads_a_value_against_an_env():
 
 def test_transfer_constants():
     prog = extract_blocks(asm("PUSH1 0x07", "STOP"))
-    out = transfer_block(summarize_block(prog.blocks[0], prog), ())
+    out = transfer_block(summarize_program(prog)[0], ())
     assert out == ({0x0},)
     assert prog.constants == {0x0: 0x07}
 
@@ -126,7 +126,7 @@ def test_transfer_block_lays_out_the_exit_stack_up_to_the_modeled_depth():
     assert out == ({1000}, entry[0], cont) and out[1] is entry[0] and out[2] is entry[1]
 
 
-def _analyze(code: bytes, facts=ConfirmedFacts(), scheme=Scheme.SHRINKING, **limits):
+def _analyze(code: bytes, facts=confirmed_facts(), scheme=Scheme.SHRINKING, **limits):
     prog = extract_blocks(code)
     config = SchemeConfig(scheme, DEFAULT_DEPTH[scheme])
     return analyze(prog, summarize_program(prog), facts, config, **limits)
@@ -180,7 +180,7 @@ CALL_RETURN = layout(
         0x08: asm("JUMPDEST", "JUMP"),
     }
 )
-CALL_RETURN_FACTS = ConfirmedFacts(
+CALL_RETURN_FACTS = confirmed_facts(
     private_calls=frozenset({(0x0, 0x6)}),
     private_returns=frozenset({0x8}),
 )
@@ -218,7 +218,7 @@ def test_too_deep_blocks_are_not_transferred():
 def test_empty_program_fixpoints_immediately():
     empty = BytecodeProgram(b"", {}, frozenset(), {}, {}, {}, {})
     config = SchemeConfig(Scheme.SHRINKING, DEFAULT_DEPTH[Scheme.SHRINKING])
-    result = analyze(empty, {}, ConfirmedFacts(), config)
+    result = analyze(empty, {}, confirmed_facts(), config)
     assert result.stop_condition == "fixpoint"
     assert result.block_input == {}
 
@@ -455,7 +455,7 @@ def test_a_prior_is_reused_only_under_its_own_fact_limit(limit, stop):
     config = SchemeConfig(Scheme.SHRINKING, DEFAULT_DEPTH[Scheme.SHRINKING])
 
     def run(fact_limit, prior=None):
-        return analyze(prog, summaries, ConfirmedFacts(), config, fact_limit, prior=prior)
+        return analyze(prog, summaries, confirmed_facts(), config, fact_limit, prior=prior)
 
     prior = run(limit)
     assert prior.stop_condition == stop and prior.fact_limit == limit
@@ -471,9 +471,9 @@ def test_a_prior_that_timed_out_is_never_reused():
     prog = extract_blocks(BRANCH)
     summaries = summarize_program(prog)
     config = SchemeConfig(Scheme.SHRINKING, DEFAULT_DEPTH[Scheme.SHRINKING])
-    prior = analyze(prog, summaries, ConfirmedFacts(), config, deadline=time.monotonic() - 1.0)
+    prior = analyze(prog, summaries, confirmed_facts(), config, deadline=time.monotonic() - 1.0)
     assert prior.stop_condition == "timeout"
-    rerun = analyze(prog, summaries, ConfirmedFacts(), config, prior=prior)
+    rerun = analyze(prog, summaries, confirmed_facts(), config, prior=prior)
     assert rerun is not prior and rerun.stop_condition == "fixpoint"
 
 
@@ -496,7 +496,7 @@ DROPPED_CONTINUATION = layout(
 def test_main_pass_reruns_when_a_dropped_call_changes_a_return_merge():
     res = run_pipeline(DROPPED_CONTINUATION)
     raw = raw_confirmed(res.patterns)
-    assert res.confirmed == ConfirmedFacts(
+    assert res.confirmed == confirmed_facts(
         private_calls=frozenset({(0x0, 0x30)}), private_returns=raw.private_returns
     )
     assert raw.private_calls == {(0x0, 0x20), (0x0, 0x30)}
@@ -512,12 +512,12 @@ def test_main_pass_reruns_when_a_dropped_call_changes_a_return_merge():
 def test_only_merges_reading_a_changed_fact_are_checked():
     ctx = INITIAL_CONTEXT
     edges = {(ctx, bid, ctx, t) for bid in (1, 2, 3, 4, 5) for t in (10, 11)}
-    old = ConfirmedFacts(
+    old = confirmed_facts(
         public_calls=frozenset({(1, 10), (5, 10)}),
         private_calls=frozenset({(2, 12), (3, 11), (9, 11)}),
         private_returns=frozenset({4, 5}),
     )
-    new = ConfirmedFacts(
+    new = confirmed_facts(
         public_calls=frozenset({(5, 10)}),  # (1, 10) dropped
         private_calls=frozenset({(3, 11)}),  # caller 2 and continuation 11 of 9 dropped
         private_returns=old.private_returns,

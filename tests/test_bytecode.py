@@ -5,7 +5,6 @@ import pytest
 from conftest import asm, chained_call_code, folded_continuation_code, layout
 from evmlift.bytecode import (
     BytecodeError,
-    Terminator,
     disassemble,
     extract_blocks,
     parse_bytecode_text,
@@ -13,7 +12,7 @@ from evmlift.bytecode import (
 )
 from evmlift.cloning import apply_cloning
 from evmlift.local import detect_patterns, summarize_program
-from evmlift.opcodes import BY_NAME, TABLE
+from evmlift.opcodes import BY_NAME, TABLE, TERM_CONDITIONAL_JUMP, TERM_FALLTHROUGH, TERM_HALT, TERM_JUMP
 from evmlift.values import UNDERFLOW, entry_slot
 
 MAX_CODE_SIZE = 24576
@@ -34,20 +33,20 @@ def test_every_byte_decodes_through_the_one_table():
         assert opcode == info.mnemonic
         if info.byte != b:
             assert (opcode, BY_NAME[opcode].size) == ("INVALID", 1)
-            assert extract_blocks(bytes([b])).blocks[0].terminator is Terminator.HALT
+            assert extract_blocks(bytes([b])).blocks[0].terminator == TERM_HALT
             continue
         assert BY_NAME[info.mnemonic].byte == b
         assert info.is_push is (0x5F <= b <= 0x7F)
         if info.is_push:
             assert info.size == BY_NAME[opcode].size == b - 0x5F + 1
         if info.mnemonic == "JUMP":
-            assert info.terminator is Terminator.JUMP
+            assert info.terminator == TERM_JUMP
         elif info.mnemonic == "JUMPI":
-            assert info.terminator is Terminator.CONDITIONAL_JUMP
+            assert info.terminator == TERM_CONDITIONAL_JUMP
         elif info.mnemonic in halting:
-            assert info.terminator is Terminator.HALT
+            assert info.terminator == TERM_HALT
         else:
-            assert info.terminator is Terminator.FALLTHROUGH
+            assert info.terminator == TERM_FALLTHROUGH
 
 
 def test_disassemble_truncated_push_zero_padded():
@@ -98,8 +97,8 @@ def test_block_boundaries():
     code = asm("PUSH1 0x00", "PUSH1 0x08", "JUMPI", "STOP", 0xFE, 0xFE, "JUMPDEST", "STOP")
     prog = extract_blocks(code)
     assert set(prog.blocks) == {0x0, 0x5, 0x6, 0x7, 0x8}
-    assert prog.blocks[0x0].terminator is Terminator.CONDITIONAL_JUMP
-    assert prog.blocks[0x5].terminator is Terminator.HALT
+    assert prog.blocks[0x0].terminator == TERM_CONDITIONAL_JUMP
+    assert prog.blocks[0x5].terminator == TERM_HALT
     _pc, opcode, _pushed = prog.blocks[0x8].instructions[0]
     assert opcode == "JUMPDEST"
     assert prog.jumpdests == frozenset({0x8})
@@ -108,7 +107,7 @@ def test_block_boundaries():
 def test_fallthrough_terminator():
     code = asm("PUSH1 0x01", "POP", "JUMPDEST", "STOP")
     prog = extract_blocks(code)
-    assert prog.blocks[0x0].terminator is Terminator.FALLTHROUGH
+    assert prog.blocks[0x0].terminator == TERM_FALLTHROUGH
     assert prog.blocks[0x0].fallthrough_pc == 0x3
 
 
@@ -132,7 +131,7 @@ def test_chained_call_layout_is_byte_exact():
     assert prog.blocks[0x29].last[0] == 0x33
     assert prog.blocks[0x29].fallthrough_pc == 0x34
     assert prog.blocks[0x58].last[0] == 0x71
-    assert prog.blocks[0x58].terminator is Terminator.JUMP
+    assert prog.blocks[0x58].terminator == TERM_JUMP
     assert prog.blocks[0x72].last[0] == 0x76
     assert prog.blocks[0x1C7].last[0] == 0x1CA
 

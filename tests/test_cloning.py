@@ -75,7 +75,7 @@ def test_clone_bodies_are_pristine_rebased_copies():
     # the push inside the copy still targets the shared helper
     _pc, _opcode, pushed = clone.instructions[1]
     assert pushed == 0x1C7
-    assert clone.terminator is original.terminator
+    assert clone.terminator == original.terminator
 
 
 def test_no_candidates_returns_program_unchanged():

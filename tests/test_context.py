@@ -9,7 +9,7 @@ from evmlift.context import (
     cut_to,
     merge,
 )
-from evmlift.facts import ConfirmedFacts
+from evmlift.facts import confirmed_facts
 
 
 def cfg(scheme: Scheme, depth: int | None = None) -> SchemeConfig:
@@ -28,7 +28,7 @@ def test_default_depths():
 
 
 def test_public_call_replaces_public_component():
-    facts = ConfirmedFacts(public_calls=frozenset({(0x1, 0x2)}))
+    facts = confirmed_facts(public_calls=frozenset({(0x1, 0x2)}))
     for scheme in Scheme:
         out = merge(cfg(scheme), facts, Context(0x9, (0x5,)), 0x1, 0x2)
         assert out == Context(0x2, (0x5,))
@@ -37,7 +37,7 @@ def test_public_call_replaces_public_component():
 def test_public_call_beats_caller_growth():
     # a block that is both a dispatch site and a private caller transfers
     # into the function entry without pushing itself
-    facts = ConfirmedFacts(
+    facts = confirmed_facts(
         public_calls=frozenset({(0x1, 0x2)}),
         private_calls=frozenset({(0x1, 0x7)}),
     )
@@ -47,20 +47,20 @@ def test_public_call_beats_caller_growth():
 
 
 def test_caller_prepends_and_truncates():
-    facts = ConfirmedFacts(private_calls=frozenset({(0xD, 0xE)}))
+    facts = confirmed_facts(private_calls=frozenset({(0xD, 0xE)}))
     out = merge(cfg(Scheme.SHRINKING, 2), facts, Context(None, (0xB, 0xC)), 0xD, 0x99)
     assert out == Context(None, (0xD, 0xB))
 
 
 def test_plain_edge_is_identity():
-    facts = ConfirmedFacts()
+    facts = confirmed_facts()
     ctx = Context(0x4, (0x1, 0x2))
     for scheme in Scheme:
         assert merge(cfg(scheme), facts, ctx, 0x10, 0x20) is ctx
 
 
 def test_matched_return_cuts_to_call_site():
-    facts = ConfirmedFacts(
+    facts = confirmed_facts(
         private_calls=frozenset({(0xA, 0x30)}),
         private_returns=frozenset({0x20}),
     )
@@ -70,7 +70,7 @@ def test_matched_return_cuts_to_call_site():
 
 def test_cut_uses_first_matching_site():
     assert cut_to((0xA, 0xB, 0xA, 0xC), 0xA) == (0xB, 0xA, 0xC)
-    facts = ConfirmedFacts(
+    facts = confirmed_facts(
         private_calls=frozenset({(0xA, 0x30)}),
         private_returns=frozenset({0x20}),
     )
@@ -79,14 +79,14 @@ def test_cut_uses_first_matching_site():
 
 
 def test_unmatched_return_grows():
-    facts = ConfirmedFacts(private_returns=frozenset({0x20}))
+    facts = confirmed_facts(private_returns=frozenset({0x20}))
     out = merge(cfg(Scheme.SHRINKING), facts, Context(None, (0xB,)), 0x20, 0x30)
     assert out == Context(None, (0x20, 0xB))
 
 
 def test_caller_growth_beats_return_cut():
     # returning through a block that is itself a call site keeps the site
-    facts = ConfirmedFacts(
+    facts = confirmed_facts(
         private_calls=frozenset({(0x20, 0x40), (0xA, 0x30)}),
         private_returns=frozenset({0x20}),
     )
@@ -95,12 +95,12 @@ def test_caller_growth_beats_return_cut():
 
 
 def test_important_edge_growth_is_scheme_gated():
-    facts = ConfirmedFacts(important_edges=frozenset({(0x6, 0x18)}))
+    facts = confirmed_facts(important_edges=frozenset({(0x6, 0x18)}))
     ctx = Context(None, (0x1,))
     out = merge(cfg(Scheme.SHRINKING), facts, ctx, 0x6, 0x18)
     assert out == Context(None, (0x6, 0x1))
     assert merge(cfg(Scheme.TRANSACTIONAL), facts, ctx, 0x6, 0x18) is ctx
-    assert merge(cfg(Scheme.SHRINKING), ConfirmedFacts(), ctx, 0x6, 0x18) is ctx
+    assert merge(cfg(Scheme.SHRINKING), confirmed_facts(), ctx, 0x6, 0x18) is ctx
 
 
 def test_an_important_edge_in_a_loop_cuts_back_to_its_source():
@@ -109,18 +109,18 @@ def test_an_important_edge_in_a_loop_cuts_back_to_its_source():
     # one entry for it, at the top.
     ctx = Context(None, (0x1, 0x6, 0x2))
     edges = frozenset({(0x6, 0x18)})
-    important = ConfirmedFacts(important_edges=edges)
+    important = confirmed_facts(important_edges=edges)
     assert merge(cfg(Scheme.SHRINKING), important, ctx, 0x6, 0x18) == Context(None, (0x6, 0x2))
-    caller = ConfirmedFacts(private_calls=frozenset({(0x6, 0x30)}), important_edges=edges)
+    caller = confirmed_facts(private_calls=frozenset({(0x6, 0x30)}), important_edges=edges)
     assert merge(cfg(Scheme.SHRINKING), caller, ctx, 0x6, 0x18) == Context(None, (0x6, 0x2))
     # An unmatched return on the edge still grows the context.
-    returner = ConfirmedFacts(private_returns=frozenset({0x6}), important_edges=edges)
+    returner = confirmed_facts(private_returns=frozenset({0x6}), important_edges=edges)
     grown = Context(None, (0x6, 0x1, 0x6, 0x2))
     assert merge(cfg(Scheme.SHRINKING), returner, ctx, 0x6, 0x18) == grown
 
 
 def test_transactional_prepends_on_returns_too():
-    facts = ConfirmedFacts(
+    facts = confirmed_facts(
         private_calls=frozenset({(0xA, 0x30)}),
         private_returns=frozenset({0x20}),
     )
@@ -132,7 +132,7 @@ def test_transactional_prepends_on_returns_too():
 
 # A two-level call chain: an outer call frames an inner call plus return,
 # then returns itself. Shrinking should land back in the entry context.
-CHAIN_FACTS = ConfirmedFacts(
+CHAIN_FACTS = confirmed_facts(
     private_calls=frozenset({(0x1CA, 0x1D3), (0x1B9, 0x1C3)}),
     private_returns=frozenset({0x1A0, 0x1A8}),
 )

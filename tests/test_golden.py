@@ -25,7 +25,7 @@ from evmlift.cloning import apply_cloning
 from evmlift.context import merge
 from evmlift.interpreter import EnvValuation, concrete_execute
 from evmlift.lifter import render_tac
-from evmlift.local import detect_patterns, summarize_block, summarize_program
+from evmlift.local import _summarize, detect_patterns, summarize_program
 from evmlift.pipeline import RunConfig, run_pipeline
 
 
@@ -280,10 +280,18 @@ def test_cloning_resummarizes_only_the_blocks_it_wrote(corpus, monkeypatch):
     assert cloned_programs
 
 
+def _summarize_alone(block, program):
+    """The summary of one block that records its own constants in program."""
+    constants: dict[int, int] = {}
+    summary = _summarize(block, program, constants)
+    program.record_constants(constants)
+    return summary
+
+
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_one_table_write_leaves_what_per_block_writes_leave(corpus):
     # summarize_program has every block write into one constant table and
-    # maps it to targets once; summarize_block records each block's own.
+    # maps it to targets once; _summarize_alone records each block's own.
     # Both leave the same tables, in the same order, before and after cloning.
     def tables(program):
         return list(program.constants.items()), list(program.targets.items())
@@ -292,7 +300,7 @@ def test_one_table_write_leaves_what_per_block_writes_leave(corpus):
     for code in CORPORA[corpus]():
         program, per_block = extract_blocks(code), extract_blocks(code)
         summaries = summarize_program(program)
-        assert summaries == {bid: summarize_block(per_block.blocks[bid], per_block) for bid in sorted(per_block.blocks)}
+        assert summaries == {bid: _summarize_alone(per_block.blocks[bid], per_block) for bid in sorted(per_block.blocks)}
         assert tables(program) == tables(per_block), code.hex()
         patterns = detect_patterns(program, summaries)
         cloned, clones = apply_cloning(program, patterns)
@@ -300,7 +308,7 @@ def test_one_table_write_leaves_what_per_block_writes_leave(corpus):
         cloned_programs += bool(clones)
         summarize_program(cloned, summaries)
         for bid in sorted(per_block_cloned.clone_of):
-            summarize_block(per_block_cloned.blocks[bid], per_block_cloned)
+            _summarize_alone(per_block_cloned.blocks[bid], per_block_cloned)
         assert tables(cloned) == tables(per_block_cloned), code.hex()
     assert cloned_programs or corpus in ("dispatch", "recursion")
 

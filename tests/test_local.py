@@ -12,7 +12,6 @@ from evmlift.interpreter import binop
 from evmlift.local import (
     chase_condition_to_eq,
     detect_patterns,
-    summarize_block,
     summarize_program,
 )
 from evmlift.pipeline import run_pipeline
@@ -23,7 +22,7 @@ WORD = 1 << 256
 
 def _summary(code: bytes, block: int = 0):
     prog = extract_blocks(code)
-    return summarize_block(prog.blocks[block], prog), prog
+    return summarize_program(prog)[block], prog
 
 
 def test_fold_semantics():

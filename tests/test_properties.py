@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import asm, gen_sound_program, random_code
-from evmlift.bytecode import Terminator, disassemble, extract_blocks, parse_bytecode_text
+from evmlift.bytecode import extract_blocks, parse_bytecode_text
 from evmlift.context import Context, Scheme, SchemeConfig, merge
-from evmlift.facts import ConfirmedFacts
+from evmlift.facts import confirmed_facts
 from evmlift.interpreter import run_block
 from evmlift.lifter import parse_tac, render_tac
-from evmlift.local import detect_patterns, summarize_block
-from evmlift.opcodes import BY_NAME
+from evmlift.local import detect_patterns, summarize_program
+from evmlift.opcodes import BY_NAME, TABLE, TERM_FALLTHROUGH
 from evmlift.pipeline import run_pipeline
 from evmlift.values import UNDERFLOW, entry_slot
 
@@ -33,7 +33,7 @@ def _shuffle_items():
 @settings(deadline=None)
 def test_shuffle_summaries_concretize_to_interpreter_stacks(items):
     prog = extract_blocks(asm(*items, "STOP"))
-    summary = summarize_block(prog.blocks[0], prog)
+    summary = summarize_program(prog)[0]
     assert summary.consumed_depth <= len(SENTINELS)
 
     def concrete(value):
@@ -79,7 +79,7 @@ def _folding_items(draw):
 @settings(deadline=None)
 def test_constant_folding_matches_interpreter(items):
     prog = extract_blocks(asm(*items, "STOP"))
-    summary = summarize_block(prog.blocks[0], prog)
+    summary = summarize_program(prog)[0]
     assert summary.consumed_depth == 0
     folded = tuple(map(prog.constants.get, summary.produced))
     assert all(c is not None for c in folded)
@@ -107,7 +107,7 @@ _pairs = st.frozensets(st.tuples(_small, _small), max_size=6)
 def test_merge_invariants(
     scheme, depth, public, private, public_calls, private_calls, returns, important, cur, nxt
 ):
-    facts = ConfirmedFacts(public_calls, private_calls, returns, important)
+    facts = confirmed_facts(public_calls, private_calls, returns, important)
     ctx = Context(public, tuple(private)[:depth])
     out = merge(SchemeConfig(scheme, depth), facts, ctx, cur, nxt)
 
@@ -141,7 +141,7 @@ def test_a_return_merges_as_the_reference_says(scheme, depth, private, private_c
     # Out of a return, over few blocks: the context often holds several call
     # sites whose continuation is nxt, so a match against any but the most
     # recent one shows.
-    facts = ConfirmedFacts(frozenset(), private_calls, frozenset({cur}), important)
+    facts = confirmed_facts(frozenset(), private_calls, frozenset({cur}), important)
     ctx = Context(None, tuple(private)[:depth])
     out = merge(SchemeConfig(scheme, depth), facts, ctx, cur, nxt)
     assert out == _reference_merge(scheme, depth, facts, ctx, cur, nxt)
@@ -257,17 +257,19 @@ def test_a_run_the_fact_limit_ends_in_the_preanalysis_costs_one_pass():
     assert res.analysis is res.preanalysis.result
 
 
-def _scan_jumpdests(code: bytes) -> frozenset[int]:
-    """0x5b bytes outside PUSH immediates, found byte by byte: PUSH1..PUSH32
-    (0x60..0x7f) carry 1..32 immediate bytes, every other opcode none."""
-    dests = set()
+def _scan(code: bytes) -> list[tuple[int, str, int | None]]:
+    """The instructions, found byte by byte: PUSH0..PUSH32 (0x5f..0x7f) push
+    their 0..32 immediate bytes, zero-padded past the end of the code, and
+    every other opcode carries none."""
+    out = []
     pc = 0
     while pc < len(code):
         byte = code[pc]
-        if byte == 0x5B:
-            dests.add(pc)
-        pc += 1 + (byte - 0x5F if 0x60 <= byte <= 0x7F else 0)
-    return frozenset(dests)
+        width = byte - 0x5F if 0x5F <= byte <= 0x7F else -1
+        pushed = int.from_bytes(code[pc + 1 : pc + 1 + width].ljust(width, b"\0"), "big") if width >= 0 else None
+        out.append((pc, TABLE[byte].mnemonic, pushed))
+        pc += 1 + max(width, 0)
+    return out
 
 
 def _decoding_inputs() -> list[bytes]:
@@ -300,7 +302,8 @@ def test_blocks_cut_the_instruction_stream_at_jumpdests_and_terminators():
         blocks = list(program.blocks.values())
         assert [b.id for b in blocks] == sorted(program.blocks), code.hex()
         stream = [ins for block in blocks for ins in block.instructions]
-        assert stream == disassemble(code), code.hex()
+        scanned = _scan(code)
+        assert stream == scanned, code.hex()
         previous = None
         for block in blocks:
             (first_pc, first, _pushed), (_pc, last, _pushed) = block.instructions[0], block.instructions[-1]
@@ -308,12 +311,12 @@ def test_blocks_cut_the_instruction_stream_at_jumpdests_and_terminators():
             assert (
                 block.id == 0
                 or first == "JUMPDEST"
-                or BY_NAME[previous.last[1]].terminator is not Terminator.FALLTHROUGH
+                or BY_NAME[previous.last[1]].terminator != TERM_FALLTHROUGH
             ), code.hex()
             assert all(op != "JUMPDEST" for _pc, op, _pushed in block.instructions[1:]), code.hex()
             assert all(
-                BY_NAME[op].terminator is Terminator.FALLTHROUGH for _pc, op, _pushed in block.instructions[:-1]
+                BY_NAME[op].terminator == TERM_FALLTHROUGH for _pc, op, _pushed in block.instructions[:-1]
             ), code.hex()
-            assert block.terminator is BY_NAME[last].terminator, code.hex()
+            assert block.terminator == BY_NAME[last].terminator, code.hex()
             previous = block
-        assert program.jumpdests == _scan_jumpdests(code), code.hex()
+        assert program.jumpdests == {pc for pc, op, _pushed in scanned if op == "JUMPDEST"}, code.hex()

@@ -3,9 +3,8 @@
 A tuple subclass is built without a setattr per field and hashes and
 compares in C, which the fixpoint's slot-set unions and the lifter rely on
 for speed, and a NamedTuple class is defined without the import and class
-decoration cost of a dataclass. ConfirmedFacts is a tuple with an instance
-dict, so it can cache private_callers. The abstract values the records hold
-are plain ints (see evmlift.values), so a plain tuple of them drops out of
+decoration cost of a dataclass. No record has an instance dict: each is
+complete when built. The abstract values the records hold are plain ints (see evmlift.values), so a plain tuple of them drops out of
 the collector's tracking once scanned. CPython un-tracks only exact tuples,
 so the NamedTuple records, tuple subclasses, stay tracked for good. The two
 records built once per instruction, Instruction and OpRecord, are read only
@@ -37,16 +36,15 @@ from conftest import CORPORA, random_code
 from evmlift import analysis, lifter
 from evmlift.analysis import AnalysisResult
 from evmlift.bytecode import BasicBlock, BytecodeError, BytecodeProgram, Instruction, disassemble, extract_blocks
-from evmlift.cli import SWEEP_CONFIGS
 from evmlift.cloning import apply_cloning
-from evmlift.context import Context, SchemeConfig
-from evmlift.facts import ConfirmedFacts, PatternFacts
-from evmlift.interpreter import BlockRun, EnvValuation
+from evmlift.context import Context, Scheme, SchemeConfig
+from evmlift.facts import ConfirmedFacts, PatternFacts, confirmed_facts
+from evmlift.interpreter import BlockRun
 from evmlift.lifter import TACBlock, TACProgram, TACStatement
-from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_block, summarize_program
+from evmlift.local import BlockSummary, OpRecord, detect_patterns, summarize_program
 from evmlift.metrics import MetricsReport
-from evmlift.opcodes import STACK_LIMIT, Terminator
-from evmlift.pipeline import PipelineResult, RunConfig, run_pipeline
+from evmlift.opcodes import STACK_LIMIT
+from evmlift.pipeline import PipelineResult, run_pipeline
 from evmlift.preanalysis import PreanalysisOutcome
 from evmlift.values import UNDERFLOW, entry_slot
 
@@ -59,12 +57,6 @@ RECORDS = tuple(
     and typing.get_origin(kind) is None
     and not issubclass(kind, (enum.Enum, Exception))
 )
-# The one record with an instance dict: merge reads ConfirmedFacts'
-# private_callers and callers_of on every jump edge out of a caller or a
-# return, so each is computed once per object and cached in that dict.
-INSTANCE_DICT = {ConfirmedFacts}
-
-
 # Aliases of an exact tuple type: a record of either is a tuple itself.
 TUPLE_ALIASES = {"Instruction": Instruction, "OpRecord": OpRecord}
 
@@ -79,13 +71,13 @@ def test_record_is_a_tuple_that_hashes_and_compares_as_one(record):
     assert issubclass(record, tuple)
     assert record.__hash__ is tuple.__hash__
     assert record.__eq__ is tuple.__eq__
-    # no per-instance __dict__ but ConfirmedFacts': an exact tuple has none to give up
-    assert bool(record.__dictoffset__) == (record in INSTANCE_DICT)
+    # no per-instance __dict__: an exact tuple has none to give up
+    assert not record.__dictoffset__
 
 
 def test_records_are_every_exported_class_but_enums_and_exceptions():
     assert AnalysisResult in RECORDS and BlockRun in RECORDS and ConfirmedFacts in RECORDS
-    assert Terminator not in RECORDS and BytecodeError not in RECORDS
+    assert Scheme not in RECORDS and BytecodeError not in RECORDS
     assert not {Instruction, OpRecord} & set(RECORDS)
 
 
@@ -93,26 +85,22 @@ def test_records_never_share_a_default_map():
     first, second = extract_blocks(b""), extract_blocks(b"")
     for field in ("clone_of", "clone_pushes", "constants", "targets"):
         assert getattr(first, field) == {} and getattr(first, field) is not getattr(second, field)
-    # A valuation's default storage and env are one shared map nobody can write.
-    for default in (EnvValuation().storage, EnvValuation().env):
-        assert default == {}
-        with pytest.raises(TypeError):
-            default[0] = 1
 
 
 def test_confirmed_facts_compare_by_field_and_compute_private_callers_once():
     def facts():
-        return ConfirmedFacts(private_calls=frozenset({(0x6, 0x30), (0x8, 0x30), (0x8, 0x40)}))
+        return confirmed_facts(private_calls=frozenset({(0x6, 0x30), (0x8, 0x30), (0x8, 0x40)}))
 
     first = facts()
     assert first == facts() and hash(first) == hash(facts())
     assert first != facts()._replace(private_returns=frozenset({0x30}))
-    callers = first.private_callers
-    assert callers == {0x6, 0x8}
-    assert first.private_callers is callers
-    by_continuation = first.callers_of
-    assert by_continuation == {0x30: {0x6, 0x8}, 0x40: {0x8}}
-    assert first.callers_of is by_continuation
+    # the builder computes private_callers, a field like the others
+    assert first.private_callers == {0x6, 0x8} and first[-1] is first.private_callers
+    assert confirmed_facts().private_callers == frozenset()
+    # the record takes every field as given: none has a default
+    assert ConfirmedFacts._field_defaults == {}
+    with pytest.raises(TypeError):
+        ConfirmedFacts(frozenset(), frozenset(), frozenset(), frozenset())
 
 
 def test_def_site_never_equals_an_entry_slot_of_the_same_ints():
@@ -126,27 +114,42 @@ def test_def_site_never_equals_an_entry_slot_of_the_same_ints():
     assert all(entry_slot(entry_slot(i)) == i for i in indices)
 
 
-def test_slot_sets_hold_only_def_sites_and_underflow(monkeypatch):
-    seen: set[int] = set()
-    real = analysis.transfer_block
+@pytest.fixture(scope="session")
+def slot_values() -> dict[str, set[int]]:
+    """The values each corpus's slot sets hold, kept until every corpus has
+    run. Session-scoped: the sweep runs this module's checks of a corpus
+    among other modules' checks of it."""
+    return {}
 
-    def spy(summary, input_env):
-        out = real(summary, input_env)
-        for values in out:
-            seen.update(values)
-        return out
 
-    monkeypatch.setattr(analysis, "transfer_block", spy)
-    for corpus in sorted(CORPORA):
-        for code in CORPORA[corpus]():
-            for _name, overrides in SWEEP_CONFIGS:
-                run_pipeline(code, RunConfig(**overrides))
-    assert all(type(v) is int for v in seen)
-    assert min(seen) == UNDERFLOW and max(seen) >= 0
+@pytest.mark.parametrize("sweep", sorted(CORPORA), indirect=True)
+def test_slot_sets_hold_only_def_sites_and_underflow(sweep, slot_values):
+    # Every exit env a pass built is the transfer of an entry env, and entry
+    # envs only grow while transfer_block is monotone, so the transfers of the
+    # final entry envs of both passes hold every value a transfer produced,
+    # the exit envs of blocks with no successor too.
+    seen = slot_values[sweep.corpus] = set()
+    for lift in sweep.lifts:
+        res = lift.res
+        passes = [res.analysis]
+        if res.preanalysis is not None and res.preanalysis.result is not res.analysis:
+            passes.append(res.preanalysis.result)
+        for result in passes:
+            for (_ctx, bid), env in result.block_input.items():
+                summary = res.summaries[bid]
+                if not summary.too_deep:
+                    for values in analysis.transfer_block(summary, env):
+                        seen.update(values)
+    assert all(type(v) is int for v in seen) and min(seen) >= UNDERFLOW
+    # Only some corpora underflow, so UNDERFLOW and def sites are looked for
+    # across all of them, once the last has run.
+    if slot_values.keys() == CORPORA.keys():
+        every = set().union(*slot_values.values())
+        assert min(every) == UNDERFLOW and max(every) >= 0
 
 
 def test_records_name_only_def_sites_and_entry_slots():
-    # The stack summarize_block keeps holds nothing else, so the lifter and
+    # The stack _summarize keeps holds nothing else, so the lifter and
     # the resolver need no fallback for any other value: a def site is the
     # pc of one of the block's own instructions, and an entry slot one the
     # block consumed. A run's summaries depend only on whether it cloned, so
@@ -205,7 +208,7 @@ def test_instruction_and_op_record_layouts():
     # (pc, opcode, pushed_value) and (pc, opcode, operands top first, result)
     program = extract_blocks(bytes.fromhex("600156"))
     instructions = disassemble(program.code)
-    ops = summarize_block(program.blocks[0], program).ops
+    ops = summarize_program(program)[0].ops
     assert instructions == [(0, "PUSH1", 1), (2, "JUMP", None)]
     assert ops == ((0, "PUSH1", (), 0), (2, "JUMP", (0,), None))
     assert all(type(rec) is tuple for rec in (*instructions, *ops))
@@ -317,33 +320,6 @@ def test_a_block_that_consumes_no_entry_slot_reads_none(seed, jump_biased):
         assert all(slot < summary.consumed_depth for slot in read)
         if summary.consumed_depth == 0:
             assert read == frozenset()
-
-
-def test_no_function_reads_a_terminator_member_as_an_attribute():
-    """Every function compares against the module-level names in opcodes.
-
-    The Enum metaclass defines __getattr__, so on CPython 3.11 a read of
-    Terminator.JUMP takes the slow attribute hook: 101 ns against 8 ns for a
-    module-level name such as opcodes.TERM_JUMP, paid once per block in the
-    fixpoint's plan, the pattern walk, the lifter and the metrics. Reads at
-    module level, which run once at import, stay allowed.
-    """
-    members = set(Terminator.__members__)
-    found = set()  # a nested function's reads are walked with its parent's too
-    for path in sorted(Path(analysis.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "Terminator"
-                    and node.attr in members
-                ):
-                    found.add(f"{path.name}:{node.lineno} Terminator.{node.attr}")
-    assert sorted(found) == []
 
 
 def test_no_class_defines_new():
